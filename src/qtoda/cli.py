@@ -1,17 +1,21 @@
 """Command-line front end.
 
 Subcommands: words, network, quiver, hamiltonians, verify, mutate.
-Exit codes: 0 all passed, 1 verification failure, 2 usage error.
+Exit codes of the ``qtoda`` command: 0 all passed, 1 verification
+failure, 2 usage error (bad flag values such as ``--rank 0`` or
+``--jobs 0`` included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
+reported as one line on stderr.  ``main`` returns codes 0-2 and lets the
+RuntimeError of an exceeded limit reach its caller; ``console`` is the
+command's entry point and turns that error into code 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from . import lax as laxmod
 from . import serialize
@@ -348,6 +352,10 @@ def main(argv=None) -> int:
             if part
         ),
     )
+    for flag, value in (("--rank", cfg.rank), ("--jobs", cfg.jobs)):
+        if value < 1:
+            print(f"usage error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     handlers = {
         "words": cmd_words,
         "network": cmd_network,
@@ -366,5 +374,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def console(argv=None) -> int:
+    """Entry point of the ``qtoda`` command: ``main``, with an exceeded
+    resource limit reported as one stderr line and exit code 3."""
+    try:
+        return main(argv)
+    except RuntimeError as exc:
+        if getattr(exc, "limit", None) is None:
+            raise
+        print(f"resource limit exceeded: {exc}", file=sys.stderr)
+        return 3
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

@@ -58,13 +58,16 @@ def label_algebra(net: Network) -> LabelAlgebra:
 def label_hamiltonian(alg: LabelAlgebra, i: int) -> TorusElement:
     """Network Hamiltonian written over the label torus: sum over
     vertex-disjoint families of the label product, top row first."""
-    acc = alg.ctx.zero()
-    for fam in path_families(alg.net, i):
-        term = alg.ctx.one()
-        for p in sorted(fam, key=lambda p: -p.source):
-            term = term * alg.generator(p.label)
-        acc = acc + term
-    return acc
+    index = {label: k for k, label in enumerate(alg.labels)}
+    return TorusElement.sum(
+        alg.ctx,
+        [
+            alg.ctx.plain_product(
+                [(index[p.label], 1) for p in sorted(fam, key=lambda p: -p.source)]
+            )
+            for fam in path_families(alg.net, i)
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -351,9 +351,11 @@ def path_families(net: Network, size: int):
         for fam in partial:
             count += 1
             if count > cap:
-                raise RuntimeError(
-                    f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}"
-                )
+                # a plain RuntimeError for library callers; ``limit`` names
+                # the cap, so the command line reports a resource limit
+                exc = RuntimeError(f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}")
+                exc.limit = FAMILY_CAP_ENV
+                raise exc
             yield tuple(fam)
 
 
@@ -369,10 +371,9 @@ def network_hamiltonian(net: Network, i: int) -> TorusElement:
     """Sum over size-i vertex-disjoint families of their weights."""
     if not 1 <= i <= net.num_rows:
         raise ValueError(f"hamiltonian index {i} out of range")
-    acc = net.ctx.zero()
-    for fam in path_families(net, i):
-        acc = acc + family_weight(net, fam)
-    return acc
+    return TorusElement.sum(
+        net.ctx, [family_weight(net, fam) for fam in path_families(net, i)]
+    )
 
 
 def subnetwork(net: Network, lo: int, hi: int) -> Network:

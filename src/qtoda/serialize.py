@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .cluster import Seed
 from .network import Network, enumerate_labeled_paths
-from .torus import CommutativeLaurent, TorusElement
-from .words import DoubleWord
+from .torus import TorusElement
 
 SCHEMA_VERSION = "1"
 
@@ -33,14 +32,6 @@ def element_to_dict(el: TorusElement) -> dict:
             }
             for vec, coeffs in el.sorted_terms()
         ],
-    }
-
-
-def word_to_dict(word: DoubleWord) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "rank": word.n,
-        "letters": list(word.letters),
     }
 
 
@@ -140,22 +131,6 @@ def element_to_latex(el: TorusElement) -> str:
     for b in bits[1:]:
         out += " - " + b[1:].strip() if b.startswith("-") else " + " + b
     return out
-
-
-def classical_to_latex(el: CommutativeLaurent) -> str:
-    if el.is_zero():
-        return "0"
-    bits = []
-    for vec in sorted(el.terms):
-        mono = " ".join(
-            f"{_latex_name(el.ctx.names[i])}^{{{e}}}" if e != 1 else _latex_name(el.ctx.names[i])
-            for i, e in enumerate(vec)
-            if e
-        )
-        c = el.terms[vec]
-        head = "" if c == 1 else ("-" if c == -1 else str(c) + " ")
-        bits.append(f"{head}{mono or '1'}")
-    return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------

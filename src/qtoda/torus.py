@@ -13,17 +13,27 @@ so E(e_i) = X_i, E(0) = 1, and E(a) equals the q-balanced average of any
 product presentation of the same monomial.  Coefficients are integers
 times rational powers of q; zero is the empty term map.  All values are
 immutable after construction and all operations are pure functions.
+
+q-exponents are stored as integers on the context's grid (1/den)Z, with
+den the lcm of the skew denominators: q^r is kept under the key den*r.
+Pairings of integer vectors lie on that grid, so products and sums of
+on-grid terms add plain ints.  A q-power off the grid, which only a
+caller can supply, keeps a ``Fraction`` key; ints and integral Fractions
+hash and compare equal, so both kinds of key share one code path.
+``Fraction`` q-exponents appear only at the API and JSON boundary:
+``TorusElement.terms`` is the read view keyed by them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Vec = tuple[int, ...]
 QPow = Fraction
 Coeff = dict[QPow, int]
+QKey = int | Fraction  # den * q-exponent
 
 
 def _vec_add(a: Vec, b: Vec) -> Vec:
@@ -34,23 +44,56 @@ def _vec_scale(a: Vec, k: int) -> Vec:
     return tuple(k * x for x in a)
 
 
+def _grid_key(x: Fraction) -> QKey:
+    """An integral Fraction as int, any other as itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _nonzero(terms: dict[Vec, dict[QKey, int]]) -> dict[Vec, dict[QKey, int]]:
+    """Drop zero coefficients, then empty coefficient maps."""
+    out = {}
+    for vec, coeffs in terms.items():
+        if all(coeffs.values()):
+            out[vec] = coeffs
+        else:
+            kept = {k: c for k, c in coeffs.items() if c}
+            if kept:
+                out[vec] = kept
+    return out
+
+
 @dataclass(frozen=True)
 class TorusContext:
-    """Presentation data: generator names and the skew matrix s."""
+    """Presentation data: generator names and the skew matrix s.
+
+    Derived: ``den``, the lcm of the skew denominators, and ``rows``, the
+    nonzero entries of den*s as one {j: int} map per row.
+    """
 
     names: tuple[str, ...]
     skew: tuple[tuple[Fraction, ...], ...]
+    den: int = field(init=False, compare=False, repr=False)
+    rows: tuple[dict[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = len(self.names)
         if len(self.skew) != m or any(len(row) != m for row in self.skew):
             raise ValueError("skew matrix shape does not match generator count")
-        for i in range(m):
-            if self.skew[i][i] != 0:
+        den = 1
+        for row in self.skew:
+            for x in row:
+                if x:
+                    den *= (x * den).denominator
+        rows = tuple(
+            {j: int(x * den) for j, x in enumerate(row) if x} for row in self.skew
+        )
+        for i, row in enumerate(rows):
+            if i in row:
                 raise ValueError("skew matrix has nonzero diagonal")
-            for j in range(i + 1, m):
-                if self.skew[i][j] != -self.skew[j][i]:
-                    raise ValueError("skew matrix is not skew-symmetric")
+            if any(rows[j].get(i, 0) != -s for j, s in row.items()):
+                raise ValueError("skew matrix is not skew-symmetric")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def rank(self) -> int:
@@ -61,20 +104,23 @@ class TorusContext:
 
     def pairing(self, a: Vec, b: Vec) -> Fraction:
         """<a,b> = sum s_ij a_i b_j over the nonzero entries."""
-        total = Fraction(0)
+        total = 0
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.skew[i]
-            for j, bj in enumerate(b):
-                if bj and row[j]:
-                    total += row[j] * ai * bj
-        return total
+            if ai:
+                for j, s in self.rows[i].items():
+                    total += s * ai * b[j]
+        return Fraction(total, self.den)
+
+    def _qkey(self, qpow: QPow | int) -> QKey:
+        """Storage key den*qpow of q^qpow."""
+        if isinstance(qpow, int):
+            return qpow * self.den
+        return _grid_key(Fraction(qpow) * self.den)
 
     # -- element constructors -------------------------------------------
 
     def zero(self) -> "TorusElement":
-        return TorusElement(self, {})
+        return TorusElement._make(self, {})
 
     def one(self) -> "TorusElement":
         return self.monomial(self.unit_vec())
@@ -93,7 +139,7 @@ class TorusContext:
     def monomial(self, vec: Sequence[int], qpow: QPow | int = 0, coeff: int = 1) -> "TorusElement":
         if coeff == 0:
             return self.zero()
-        return TorusElement(self, {tuple(vec): {Fraction(qpow): coeff}})
+        return TorusElement._make(self, {tuple(vec): {self._qkey(qpow): coeff}})
 
     def weyl(self, letters: Iterable[tuple[int, int]]) -> "TorusElement":
         """Weyl-ordered monomial E(sum power*e_index); order independent."""
@@ -109,48 +155,85 @@ class TorusContext:
         constant C = sum_{s<t} s(i_s, i_t) m_s m_t.
         """
         letters = list(letters)
-        c = Fraction(qpow)
+        c = self._qkey(qpow)
         for s in range(len(letters)):
             i, mi = letters[s]
+            row = self.rows[i]
             for t in range(s + 1, len(letters)):
                 j, mj = letters[t]
-                c += self.skew[i][j] * mi * mj
+                c += row.get(j, 0) * mi * mj
         v = [0] * self.rank
         for i, power in letters:
             v[i] += power
-        return self.monomial(tuple(v), qpow=c)
+        return TorusElement._make(self, {tuple(v): {c: 1}})
+
+
+class _FractionTerms(Mapping):
+    """Read-only view of a term map with its q-exponents as Fractions."""
+
+    __slots__ = ("_terms", "_den")
+
+    def __init__(self, terms: dict[Vec, dict[QKey, int]], den: int):
+        self._terms = terms
+        self._den = den
+
+    def __getitem__(self, vec) -> Coeff:
+        return {Fraction(k, self._den): c for k, c in self._terms[vec].items()}
+
+    def __contains__(self, vec) -> bool:
+        return vec in self._terms
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
 
 
 class TorusElement:
     """Noncommutative Laurent polynomial on the Weyl basis of a context."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx: TorusContext, terms: Mapping[Vec, Mapping[QPow, int]]):
-        clean: dict[Vec, Coeff] = {}
+        clean: dict[Vec, dict[QKey, int]] = {}
         for vec, coeffs in terms.items():
-            kept = {qp: c for qp, c in coeffs.items() if c != 0}
+            kept = {ctx._qkey(qp): c for qp, c in coeffs.items() if c != 0}
             if kept:
                 clean[tuple(vec)] = kept
         self.ctx = ctx
-        self.terms = clean
+        self._terms = clean
+
+    @classmethod
+    def _make(cls, ctx: TorusContext, terms: dict[Vec, dict[QKey, int]]) -> "TorusElement":
+        """Adopt a term map keyed by den*q-exponent, with no zero
+        coefficient and no empty coefficient map, without checking it."""
+        el = object.__new__(cls)
+        el.ctx = ctx
+        el._terms = terms
+        return el
+
+    @property
+    def terms(self) -> Mapping[Vec, Coeff]:
+        """Exponent vector -> {q-exponent (Fraction): coefficient}."""
+        return _FractionTerms(self._terms, self.ctx.den)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1 and all(len(c) == 1 for c in self.terms.values())
+        return len(self._terms) == 1 and all(len(c) == 1 for c in self._terms.values())
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TorusElement)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
+            and self._terms == other._terms
         )
 
     def __hash__(self):
@@ -159,82 +242,111 @@ class TorusElement:
     # -- ring operations --------------------------------------------------
 
     def _check(self, other: "TorusElement"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("context mismatch")
 
+    @classmethod
+    def sum(cls, ctx: TorusContext, items: Iterable["TorusElement"]) -> "TorusElement":
+        """Sum of elements over ctx in one pass; zero for no items."""
+        out: dict[Vec, dict[QKey, int]] = {}
+        for el in items:
+            if el.ctx is not ctx and el.ctx != ctx:
+                raise ValueError("context mismatch")
+            for vec, coeffs in el._terms.items():
+                acc = out.get(vec)
+                if acc is None:
+                    out[vec] = dict(coeffs)
+                    continue
+                for k, c in coeffs.items():
+                    acc[k] = acc.get(k, 0) + c
+        return cls._make(ctx, _nonzero(out))
+
     def __add__(self, other: "TorusElement") -> "TorusElement":
-        self._check(other)
-        out: dict[Vec, Coeff] = {v: dict(c) for v, c in self.terms.items()}
-        for vec, coeffs in other.terms.items():
-            acc = out.setdefault(vec, {})
-            for qp, c in coeffs.items():
-                acc[qp] = acc.get(qp, 0) + c
-        return TorusElement(self.ctx, out)
+        return TorusElement.sum(self.ctx, (self, other))
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement(
+        return TorusElement._make(
             self.ctx,
-            {v: {qp: -c for qp, c in coeffs.items()} for v, coeffs in self.terms.items()},
+            {v: {k: -c for k, c in coeffs.items()} for v, coeffs in self._terms.items()},
         )
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
+        return TorusElement.sum(self.ctx, (self, -other))
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
-        pairing = self.ctx.pairing
-        out: dict[Vec, Coeff] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                shift = pairing(a, b)
+        rows = self.ctx.rows
+        out: dict[Vec, dict[QKey, int]] = {}
+        for a, ca in self._terms.items():
+            # den*<a,b> = sum_j r_j b_j with r = den * (a s)
+            r: dict[int, int] = {}
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, s in rows[i].items():
+                        r[j] = r.get(j, 0) + ai * s
+            r_items = [(j, x) for j, x in r.items() if x]
+            for b, cb in other._terms.items():
+                shift = 0
+                for j, x in r_items:
+                    shift += x * b[j]
                 vec = _vec_add(a, b)
-                acc = out.setdefault(vec, {})
+                acc = out.get(vec)
+                if acc is None:
+                    out[vec] = acc = {}
                 for qa, xa in ca.items():
+                    qa += shift
                     for qb, xb in cb.items():
-                        qp = qa + qb + shift
-                        acc[qp] = acc.get(qp, 0) + xa * xb
-        return TorusElement(self.ctx, out)
+                        k = qa + qb
+                        acc[k] = acc.get(k, 0) + xa * xb
+        return TorusElement._make(self.ctx, _nonzero(out))
 
     def q_shift(self, qpow: QPow | int, scale: int = 1) -> "TorusElement":
         """Multiply by the central scalar ``scale * q^qpow``."""
-        qpow = Fraction(qpow)
-        return TorusElement(
+        if not scale:
+            return self.ctx.zero()
+        shift = self.ctx._qkey(qpow)
+        return TorusElement._make(
             self.ctx,
-            {v: {qp + qpow: c * scale for qp, c in coeffs.items()} for v, coeffs in self.terms.items()},
+            {
+                v: {k + shift: c * scale for k, c in coeffs.items()}
+                for v, coeffs in self._terms.items()
+            },
         )
 
     def inverse_monomial(self) -> "TorusElement":
         """Inverse of a single Weyl term q^r E(a), which is q^-r E(-a)."""
         if not self.is_monomial():
             raise ValueError("only monomials are invertible here")
-        (vec, coeffs), = self.terms.items()
-        (qp, c), = coeffs.items()
+        (vec, coeffs), = self._terms.items()
+        (k, c), = coeffs.items()
         if c not in (1, -1):
             raise ValueError("monomial coefficient is not a unit")
-        return self.ctx.monomial(_vec_scale(vec, -1), qpow=-qp, coeff=c)
+        return TorusElement._make(self.ctx, {_vec_scale(vec, -1): {-k: c}})
 
     def flipped(self, indices: Iterable[int], negate_q: bool = True) -> "TorusElement":
         """Basis map E(a) -> E(a') negating the listed exponents (and q)."""
         idx = set(indices)
-        out: dict[Vec, Coeff] = {}
-        for vec, coeffs in self.terms.items():
-            nv = tuple(-x if i in idx else x for i, x in enumerate(vec))
-            acc = out.setdefault(nv, {})
-            for qp, c in coeffs.items():
-                nq = -qp if negate_q else qp
-                acc[nq] = acc.get(nq, 0) + c
-        return TorusElement(self.ctx, out)
+        sign = -1 if negate_q else 1
+        # a bijection on exponent vectors and on q-powers: nothing merges
+        return TorusElement._make(
+            self.ctx,
+            {
+                tuple(-x if i in idx else x for i, x in enumerate(vec)): {
+                    sign * k: c for k, c in coeffs.items()
+                }
+                for vec, coeffs in self._terms.items()
+            },
+        )
 
     # -- views -------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Vec, list[tuple[QPow, int]]]]:
-        return [
-            (vec, sorted(self.terms[vec].items()))
-            for vec in sorted(self.terms)
-        ]
+        terms = self.terms
+        return [(vec, sorted(terms[vec].items())) for vec in sorted(self._terms)]
 
     def coefficient(self, vec: Sequence[int]) -> Coeff:
-        return dict(self.terms.get(tuple(vec), {}))
+        vec = tuple(vec)
+        return self.terms[vec] if vec in self._terms else {}
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -255,11 +367,6 @@ class TorusElement:
 def commutes(a: TorusElement, b: TorusElement) -> bool:
     """True iff ab - ba = 0 exactly."""
     return (a * b - b * a).is_zero()
-
-
-def commutation_exponent(ctx: TorusContext, a: Vec, b: Vec) -> Fraction:
-    """c with E(a)E(b) = q^c E(b)E(a); equals 2<a,b>."""
-    return 2 * ctx.pairing(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +443,7 @@ def classical_monomial(ctx: TorusContext, vec: Sequence[int], coeff=1) -> Commut
 def specialize_classical(a: TorusElement) -> CommutativeLaurent:
     """Set q = 1.  A ring homomorphism onto the commutative Laurent ring."""
     out: dict[Vec, Fraction] = {}
-    for vec, coeffs in a.terms.items():
+    for vec, coeffs in a._terms.items():
         out[vec] = Fraction(sum(coeffs.values()))
     return CommutativeLaurent(a.ctx, out)
 
@@ -382,11 +489,19 @@ class MonomialMap:
     E(sum a_i v_i).  This sends balanced monomials to balanced monomials;
     it is an algebra homomorphism exactly when every commutation pairing
     is preserved (see ``failing_pairs``).
+
+    Derived: ``key_scale``, the factor target.den / source.den between
+    the two grids' q-keys, and ``lifts``, per generator the target q-key
+    of q^(p_i) and the nonzero entries (j, x) of v_i.
     """
 
     source: TorusContext
     target: TorusContext
     images: tuple[tuple[QPow, Vec], ...]
+    key_scale: QKey = field(init=False, compare=False, repr=False)
+    lifts: tuple[tuple[QKey, tuple[tuple[int, int], ...]], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(self.images) != self.source.rank:
@@ -394,27 +509,36 @@ class MonomialMap:
         for _, v in self.images:
             if len(v) != self.target.rank:
                 raise ValueError("image vector has wrong length")
+        lifts = tuple(
+            (self.target._qkey(p), tuple((j, x) for j, x in enumerate(v) if x))
+            for p, v in self.images
+        )
+        object.__setattr__(self, "key_scale", _grid_key(Fraction(self.target.den, self.source.den)))
+        object.__setattr__(self, "lifts", lifts)
 
     def apply(self, a: TorusElement) -> TorusElement:
-        if a.ctx != self.source:
+        if a.ctx is not self.source and a.ctx != self.source:
             raise ValueError("element not over the source context")
-        out: dict[Vec, Coeff] = {}
-        for vec, coeffs in a.terms.items():
-            qshift = Fraction(0)
-            tv = [0] * self.target.rank
+        scale, lifts = self.key_scale, self.lifts
+        m = self.target.rank
+        out: dict[Vec, dict[QKey, int]] = {}
+        for vec, coeffs in a._terms.items():
+            shift = 0
+            tv = [0] * m
             for i, e in enumerate(vec):
-                if not e:
-                    continue
-                p, v = self.images[i]
-                qshift += e * p
-                for j, x in enumerate(v):
-                    tv[j] += e * x
+                if e:
+                    p, v = lifts[i]
+                    shift += e * p
+                    for j, x in v:
+                        tv[j] += e * x
             key = tuple(tv)
-            acc = out.setdefault(key, {})
-            for qp, c in coeffs.items():
-                nq = qp + qshift
-                acc[nq] = acc.get(nq, 0) + c
-        return TorusElement(self.target, out)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = acc = {}
+            for k, c in coeffs.items():
+                nk = k * scale + shift
+                acc[nk] = acc.get(nk, 0) + c
+        return TorusElement._make(self.target, _nonzero(out))
 
     def failing_pairs(self) -> list[tuple[int, int, Fraction, Fraction]]:
         """Generator pairs whose commutation q-factor is not preserved."""
@@ -489,13 +613,13 @@ class ZLaurent:
         return self + (-other)
 
     def __mul__(self, other: "ZLaurent") -> "ZLaurent":
-        out: dict[int, TorusElement] = {}
+        parts: dict[int, list[TorusElement]] = {}
         for d1, e1 in self.terms.items():
             for d2, e2 in other.terms.items():
-                d = d1 + d2
-                p = e1 * e2
-                out[d] = out[d] + p if d in out else p
-        return ZLaurent(self.ctx, out)
+                parts.setdefault(d1 + d2, []).append(e1 * e2)
+        return ZLaurent(
+            self.ctx, {d: TorusElement.sum(self.ctx, ps) for d, ps in parts.items()}
+        )
 
     def coeff(self, doubled_exp: int) -> TorusElement:
         return self.terms.get(doubled_exp, self.ctx.zero())

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qtoda.cli import main
+from qtoda.cli import console, main
+from qtoda.network import FAMILY_CAP_ENV
 
 
 def run(capsys, *argv):
@@ -112,3 +113,37 @@ def test_json_output_is_byte_stable(capsys):
     _, h1 = run(capsys, "hamiltonians", "--route", "lax", "--type", "C", "--rank", "2", "--qvec", "1")
     _, h2 = run(capsys, "hamiltonians", "--route", "lax", "--type", "C", "--rank", "2", "--qvec", "1")
     assert h1 == h2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--check", "equivalence", "--rank", "0", "--all-words"), "--rank"),
+        (("words", "--rank", "-1"), "--rank"),
+        (("verify", "--check", "alpha", "--rank", "2", "--all-words", "--jobs", "0"), "--jobs"),
+        (("verify", "--check", "alpha", "--rank", "2", "--all-words", "--jobs", "-3"), "--jobs"),
+    ],
+)
+def test_flag_values_below_one_are_usage_errors(capsys, argv, flag):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {flag} must be at least 1, got {argv[argv.index(flag) + 1]}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_family_cap_is_a_resource_limit(capsys, monkeypatch, jobs):
+    monkeypatch.setenv(FAMILY_CAP_ENV, "1")
+    argv = ["verify", "--check", "equivalence", "--type", "A", "--rank", "2", "--all-words", "--jobs", jobs]
+    with pytest.raises(RuntimeError, match=FAMILY_CAP_ENV):
+        main(argv)  # library callers see the error itself
+    capsys.readouterr()
+    assert console(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resource limit exceeded: family enumeration exceeded {FAMILY_CAP_ENV}=1\n"
+
+
+def test_console_passes_other_codes_through(capsys):
+    assert console(["words", "--type", "A", "--rank", "2"]) == 0
+    assert console(["words", "--rank", "0"]) == 2

@@ -14,7 +14,7 @@ from qtoda.correspondence import (
     verify_equivalence_C,
     verify_weight_map,
 )
-from qtoda.network import build_network, network_hamiltonian
+from qtoda.network import build_network, network_hamiltonian, path_families
 from qtoda.torus import MonomialMap, commutes
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
 
@@ -117,6 +117,22 @@ def test_label_hamiltonians_match_weight_route():
             )
             for i in range(1, n + 1):
                 assert to_tc.apply(label_hamiltonian(alg, i)) == network_hamiltonian(net, i)
+
+
+def test_label_hamiltonian_equals_folded_generator_products():
+    # one balanced product per family against multiplying the label
+    # generators one at a time and adding the families up
+    for kind, n in [("A", 3), ("C", 2)]:
+        for w in enumerate_double_coxeter(n):
+            alg = label_algebra(build_network(kind, w))
+            for i in range(1, alg.net.num_rows + 1):
+                acc = alg.ctx.zero()
+                for fam in path_families(alg.net, i):
+                    term = alg.ctx.one()
+                    for p in sorted(fam, key=lambda p: -p.source):
+                        term = term * alg.generator(p.label)
+                    acc = acc + term
+                assert label_hamiltonian(alg, i) == acc, (kind, w.letters, i)
 
 
 def test_equivalence_A_small():

@@ -96,8 +96,14 @@ def test_z_window_support():
 
 
 def test_double_monodromy_transpose_route_asserted():
-    ctx = lax_context(2)
-    double_monodromy(ctx, (1, -1))  # raises internally if the routes differ
+    # the slow route, (-1)^n [T(1/z)]^T T(z), is the oracle for the
+    # barred-matrix product
+    for n in (1, 2, 3):
+        ctx = lax_context(n)
+        for kv in all_kvecs(n):
+            t = monodromy(ctx, kv)
+            alt = (t.z_inverted().transpose() * t).scaled((-1) ** n)
+            assert double_monodromy(ctx, kv) == alt, kv
 
 
 def test_recursion_A_equals_direct_up_to_rank3():

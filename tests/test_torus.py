@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qtoda.torus import (
     MonomialMap,
     TorusContext,
+    TorusElement,
     classical_context,
     classical_monomial,
     commutes,
@@ -75,6 +76,26 @@ def test_commutes_predicate():
     x, y = ctx.generator(0), ctx.generator(1)
     assert commutes(x, x)
     assert not commutes(x, y)
+
+
+def test_context_validation_and_grid():
+    f = Fraction
+    with pytest.raises(ValueError, match="shape"):
+        TorusContext(("a", "b"), ((f(0), f(1)),))
+    with pytest.raises(ValueError, match="diagonal"):
+        TorusContext(("a", "b"), ((f(1), f(0)), (f(0), f(0))))
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        TorusContext(("a", "b"), ((f(0), f(1)), (f(1), f(0))))
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        TorusContext(("a", "b"), ((f(0), f(1, 2)), (f(0), f(0))))
+    ctx = TorusContext(
+        ("a", "b", "c"),
+        ((f(0), f(1, 2), f(1, 3)), (f(-1, 2), f(0), f(0)), (f(-1, 3), f(0), f(0))),
+    )
+    assert ctx.den == 6
+    assert ctx.rows == ({1: 3, 2: 2}, {0: -3}, {0: -2})
+    assert ctx.pairing((1, 0, 0), (0, 1, 1)) == f(5, 6)
+    assert ctx == TorusContext(ctx.names, ctx.skew)
 
 
 def test_monomial_inverse():
@@ -222,3 +243,153 @@ def test_homomorphic_map_respects_products(data):
     b = data.draw(element_strategy(src))
     assert m.apply(a * b) == m.apply(a) * m.apply(b)
     assert m.apply(a + b) == m.apply(a) + m.apply(b)
+
+
+# -- kernel oracle -------------------------------------------------------------
+# The kernel keys q-exponents by den * exponent.  The reference below keeps
+# Fraction exponents and the plain loops of the Fraction-keyed kernel, with
+# the pairing read straight off the skew matrix.
+
+
+def _ref_terms(el):
+    return {vec: dict(coeffs) for vec, coeffs in el.terms.items()}
+
+
+def _ref_clean(terms):
+    out = {}
+    for vec, coeffs in terms.items():
+        kept = {qp: c for qp, c in coeffs.items() if c != 0}
+        if kept:
+            out[vec] = kept
+    return out
+
+
+def _ref_add(a, b):
+    out = {v: dict(c) for v, c in a.items()}
+    for vec, coeffs in b.items():
+        acc = out.setdefault(vec, {})
+        for qp, c in coeffs.items():
+            acc[qp] = acc.get(qp, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_scale(a, qpow, scale):
+    return _ref_clean(
+        {v: {qp + qpow: c * scale for qp, c in coeffs.items()} for v, coeffs in a.items()}
+    )
+
+
+def _ref_mul(ctx, a, b):
+    out = {}
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            shift = sum(
+                (ctx.skew[i][j] * x * y for i, x in enumerate(va) for j, y in enumerate(vb)),
+                Fraction(0),
+            )
+            acc = out.setdefault(tuple(x + y for x, y in zip(va, vb)), {})
+            for qa, xa in ca.items():
+                for qb, xb in cb.items():
+                    qp = qa + qb + shift
+                    acc[qp] = acc.get(qp, 0) + xa * xb
+    return _ref_clean(out)
+
+
+def _ref_apply(m, a):
+    out = {}
+    for vec, coeffs in a.items():
+        qshift = Fraction(0)
+        tv = [0] * m.target.rank
+        for i, e in enumerate(vec):
+            p, v = m.images[i]
+            qshift += e * p
+            for j, x in enumerate(v):
+                tv[j] += e * x
+        acc = out.setdefault(tuple(tv), {})
+        for qp, c in coeffs.items():
+            acc[qp + qshift] = acc.get(qp + qshift, 0) + c
+    return _ref_clean(out)
+
+
+# skew denominators 1 and 2; 1/3 and -2/3 lie off both grids
+ORACLE_CONTEXTS = (
+    ctx2(Fraction(1)),
+    ctx2(Fraction(3, 2)),
+    TorusContext(
+        ("a", "b", "c"),
+        (
+            (Fraction(0), Fraction(1), Fraction(-1, 2)),
+            (Fraction(-1), Fraction(0), Fraction(2)),
+            (Fraction(1, 2), Fraction(-2), Fraction(0)),
+        ),
+    ),
+)
+oracle_qpow = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(-2, 3)]
+)
+
+
+def raw_terms(ctx):
+    vec = st.tuples(*[small_exp] * ctx.rank)
+    coeffs = st.dictionaries(oracle_qpow, st.integers(min_value=-3, max_value=3), max_size=3)
+    return st.dictionaries(vec, coeffs, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_matches_fraction_reference(data):
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    ra = data.draw(raw_terms(ctx))
+    rb = data.draw(raw_terms(ctx))
+    a, b = TorusElement(ctx, ra), TorusElement(ctx, rb)
+    ra, rb = _ref_clean(ra), _ref_clean(rb)
+    assert _ref_terms(a) == ra and _ref_terms(b) == rb
+    assert _ref_terms(a * b) == _ref_mul(ctx, ra, rb)
+    assert _ref_terms(a + b) == _ref_add(ra, rb)
+    assert _ref_terms(a - b) == _ref_add(ra, _ref_scale(rb, 0, -1))
+    qpow = data.draw(oracle_qpow)
+    scale = data.draw(st.integers(min_value=-2, max_value=2))
+    assert _ref_terms(a.q_shift(qpow, scale)) == _ref_scale(ra, qpow, scale)
+    # products of off-grid and on-grid terms, re-associated
+    c = TorusElement(ctx, data.draw(raw_terms(ctx)))
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_matches_folded_add_and_reference(data):
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    raws = data.draw(st.lists(raw_terms(ctx), max_size=5))
+    items = [TorusElement(ctx, r) for r in raws]
+    folded = ctx.zero()
+    ref = {}
+    for el, r in zip(items, raws):
+        folded = folded + el
+        ref = _ref_add(ref, _ref_clean(r))
+    total = TorusElement.sum(ctx, items)
+    assert total == folded
+    assert _ref_terms(total) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_fraction_reference(data):
+    src = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    tgt = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    images = tuple(
+        (data.draw(oracle_qpow), data.draw(st.tuples(*[small_exp] * tgt.rank)))
+        for _ in range(src.rank)
+    )
+    m = MonomialMap(src, tgt, images)
+    raw = data.draw(raw_terms(src))
+    assert _ref_terms(m.apply(TorusElement(src, raw))) == _ref_apply(m, _ref_clean(raw))
+
+
+def test_off_grid_keys_meet_on_grid_keys():
+    # q^(1/3) q^(2/3) lands on the grid of an integer-skew torus
+    ctx = ctx2(Fraction(1))
+    a = ctx.monomial((1, 0), qpow=Fraction(1, 3))
+    b = ctx.monomial((0, 0), qpow=Fraction(2, 3))
+    assert a * b == ctx.monomial((1, 0), qpow=1)
+    assert a * b - ctx.monomial((1, 0), qpow=1) == ctx.zero()
+    assert (a * b).terms[(1, 0)] == {Fraction(1): 1}
