@@ -2,8 +2,9 @@
 
 Subcommands: words, network, quiver, hamiltonians, verify, mutate.
 Exit codes of the ``qtoda`` command: 0 all passed, 1 verification
-failure, 2 usage error (bad flag values such as ``--rank 0`` or
-``--jobs 0`` included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
+failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
+``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K`` or one at no
+vertex of the seed included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
 reported as one line on stderr.  ``main`` returns codes 0-2 and lets the
 RuntimeError of an exceeded limit reach its caller; ``console`` is the
 command's entry point and turns that error into code 3.
@@ -12,6 +13,7 @@ command's entry point and turns that error into code 3.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,11 +65,25 @@ class RunConfig:
     sequence: tuple[tuple[str, int], ...] = ()
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.replace(",", " ").split())
+_MOVE = re.compile(r"(tau|mu):([+-]?\d+)")
+
+
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.replace(",", " ").split())
+    except ValueError:
+        raise SystemExit2(f"{flag} takes comma separated integers, got {text!r}") from None
+
+
+def _parse_seq(text: str) -> tuple[tuple[str, int], ...]:
+    """``tau:1,mu:-2`` -> (("tau", 1), ("mu", -2))."""
+    moves = []
+    for part in filter(None, text.split(",")):
+        m = _MOVE.fullmatch(part.strip())
+        if m is None:
+            raise SystemExit2(f"--seq takes tau:K or mu:K moves, comma separated, got {part!r}")
+        moves.append((m[1], int(m[2])))
+    return tuple(moves)
 
 
 def _select_words(cfg: RunConfig) -> list[DoubleWord]:
@@ -186,7 +202,7 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
 
 
 def _check_one_word(args) -> dict:
-    kind, check, letters, depth = args
+    kind, check, letters = args
     word = DoubleWord(len(letters) // 2, tuple(letters))
     if check == "equivalence":
         rep = verify_equivalence_A(word) if kind == "A" else verify_equivalence_C(word)
@@ -249,7 +265,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return 0 if ok else 1
 
     words = _select_words(cfg)
-    tasks = [(cfg.kind, cfg.check, list(w.letters), cfg.depth) for w in words]
+    tasks = [(cfg.kind, cfg.check, list(w.letters)) for w in words]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             reports = list(pool.map(_check_one_word, tasks))
@@ -333,29 +349,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    cfg = RunConfig(
-        command=args.command,
-        kind=getattr(args, "kind", "A"),
-        rank=getattr(args, "rank", 2),
-        word=_parse_ints(args.word) if getattr(args, "word", None) else None,
-        qvec=_parse_ints(args.qvec) if getattr(args, "qvec", None) is not None else None,
-        all_words=getattr(args, "all_words", False),
-        fmt=getattr(args, "fmt", "json"),
-        route=getattr(args, "route", "lax"),
-        check=getattr(args, "check", "commute"),
-        index=getattr(args, "index", None),
-        depth=getattr(args, "depth", 6),
-        jobs=getattr(args, "jobs", 1),
-        sequence=tuple(
-            (part.split(":")[0], int(part.split(":")[1]))
-            for part in getattr(args, "seq", "").split(",")
-            if part
-        ),
-    )
-    for flag, value in (("--rank", cfg.rank), ("--jobs", cfg.jobs)):
-        if value < 1:
-            print(f"usage error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return 2
     handlers = {
         "words": cmd_words,
         "network": cmd_network,
@@ -365,6 +358,24 @@ def main(argv=None) -> int:
         "mutate": cmd_mutate,
     }
     try:
+        cfg = RunConfig(
+            command=args.command,
+            kind=getattr(args, "kind", "A"),
+            rank=getattr(args, "rank", 2),
+            word=_parse_ints(args.word, "--word") if getattr(args, "word", None) else None,
+            qvec=_parse_ints(args.qvec, "--qvec") if getattr(args, "qvec", None) is not None else None,
+            all_words=getattr(args, "all_words", False),
+            fmt=getattr(args, "fmt", "json"),
+            route=getattr(args, "route", "lax"),
+            check=getattr(args, "check", "commute"),
+            index=getattr(args, "index", None),
+            depth=getattr(args, "depth", 6),
+            jobs=getattr(args, "jobs", 1),
+            sequence=_parse_seq(getattr(args, "seq", "")),
+        )
+        for flag, value in (("--rank", cfg.rank), ("--jobs", cfg.jobs)):
+            if value < 1:
+                raise SystemExit2(f"{flag} must be at least 1, got {value}")
         return handlers[cfg.command](cfg)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,10 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-import sympy
-
-from .network import Network, cartan_matrix, face_weights, symmetrizers
-from .torus import MonomialMap, TorusContext, classical_context
+from .network import cartan_matrix, face_weights, symmetrizers
+from .torus import (
+    MonomialMap,
+    RationalLaurent,
+    TorusContext,
+    classical_context,
+    classical_monomial,
+)
 from .words import DoubleWord
 
 
@@ -141,12 +145,6 @@ def disk_seed_from_word(kind: str, word: DoubleWord) -> Seed:
     return Seed(labels, eps, d, frozenset(l for l in labels if not isinstance(l, int)))
 
 
-def quiver_from_network(net: Network, disk: bool = False) -> Seed:
-    if disk:
-        return disk_seed_from_word(net.kind, net.word)
-    return seed_from_word(net.kind, net.word)
-
-
 def standard_exchange_matrix(kind: str, n: int):
     """The block matrix [[0, C], [-C, 0]] on labels -1..-n, 1..n."""
     c = cartan_matrix(kind, n)
@@ -223,6 +221,8 @@ def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
 
 def mutate_seed(seed: Seed, k) -> Seed:
     """Matrix mutation at a mutable index; symmetrizers unchanged."""
+    if k not in seed.labels:
+        raise ValueError(f"no vertex {k!r} to mutate at")
     if k in seed.frozen:
         raise ValueError(f"cannot mutate at frozen index {k!r}")
     eps = {}
@@ -299,6 +299,10 @@ def mutation_equivalent(s1: Seed, s2: Seed, max_depth: int, moves: str = "tau"):
 
 # ---------------------------------------------------------------------------
 # ensemble map and classical mutations (exact rational functions)
+#
+# The classical mutations use only +, *, / and integer powers, so they
+# run on any field-like values: RationalLaurent in the library, sympy
+# symbols in the tests, which keep sympy as the oracle.
 
 
 def seed_x_context(seed: Seed) -> TorusContext:
@@ -326,21 +330,19 @@ def ensemble_map(seed: Seed) -> MonomialMap:
     return MonomialMap(xs, As, tuple(images))
 
 
-def _sym_vars(prefix: str, seed: Seed):
-    return {l: sympy.Symbol(f"{prefix}_{l}", positive=True) for l in seed.labels}
-
-
-def x_assignment(seed: Seed):
-    return _sym_vars("x", seed)
-
-
-def a_assignment(seed: Seed):
-    return _sym_vars("a", seed)
+def a_assignment(seed: Seed) -> dict:
+    """The generators of ``seed_a_context(seed)`` as rational functions."""
+    ctx = seed_a_context(seed)
+    return {
+        l: RationalLaurent(classical_monomial(ctx, ctx.basis_vec(i)))
+        for i, l in enumerate(seed.labels)
+    }
 
 
 def mutate_X_classical(assignment: dict, seed: Seed, k) -> dict:
     """Pullback of the new X-coordinates through the mutation at k:
-    X_k -> X_k^-1 and X_i -> X_i X_k^[eps_ki]+ (1 + X_k)^(-eps_ki)."""
+    X_k -> X_k^-1 and X_i -> X_i X_k^[eps_ki]+ (1 + X_k)^(-eps_ki),
+    over field elements, unsimplified."""
     out = {}
     xk = assignment[k]
     for i in seed.labels:
@@ -351,17 +353,16 @@ def mutate_X_classical(assignment: dict, seed: Seed, k) -> dict:
         if e.denominator != 1:
             raise ValueError("classical mutation needs integral entries")
         e = int(e)
-        out[i] = sympy.cancel(
-            assignment[i] * xk ** max(e, 0) * (1 + xk) ** (-e)
-        )
+        out[i] = assignment[i] * xk ** max(e, 0) * (1 + xk) ** (-e)
     return out
 
 
 def mutate_A_classical(assignment: dict, seed: Seed, k) -> dict:
-    """A_k -> A_k^-1 (prod A_j^[eps_jk]+ + prod A_j^[-eps_jk]+)."""
+    """A_k -> A_k^-1 (prod A_j^[eps_jk]+ + prod A_j^[-eps_jk]+), over
+    field elements, unsimplified."""
     out = dict(assignment)
-    plus = sympy.Integer(1)
-    minus = sympy.Integer(1)
+    plus = 1
+    minus = 1
     for j in seed.labels:
         e = seed.entry(j, k)
         if e.denominator != 1:
@@ -371,7 +372,7 @@ def mutate_A_classical(assignment: dict, seed: Seed, k) -> dict:
             plus *= assignment[j] ** e
         elif e < 0:
             minus *= assignment[j] ** (-e)
-    out[k] = sympy.cancel((plus + minus) / assignment[k])
+    out[k] = (plus + minus) / assignment[k]
     return out
 
 
@@ -379,7 +380,8 @@ def ensemble_substitution(seed: Seed, a_vals: dict) -> dict:
     """Evaluate the ensemble map on an A-assignment."""
     out = {}
     for i in seed.labels:
-        expr = sympy.Integer(1)
+        # the field's one, not the int 1: 1 / 1 would be a float
+        expr = a_vals[i] ** 0
         for j in seed.labels:
             e = seed.entry(j, i)
             if e:
@@ -390,14 +392,13 @@ def ensemble_substitution(seed: Seed, a_vals: dict) -> dict:
 
 def check_ensemble_naturality(seed: Seed, k) -> bool:
     """mu_k^X after the ensemble map equals the ensemble map of the
-    mutated seed after mu_k^A, as exact rational functions."""
+    mutated seed after mu_k^A, as exact rational functions of the A
+    variables (``RationalLaurent``, compared by cross-multiplication)."""
     a_vals = a_assignment(seed)
     lhs = mutate_X_classical(ensemble_substitution(seed, a_vals), seed, k)
     mutated = mutate_seed(seed, k)
     rhs = ensemble_substitution(mutated, mutate_A_classical(a_vals, seed, k))
-    return all(
-        sympy.simplify(lhs[i] - rhs[i]) == 0 for i in seed.labels
-    )
+    return all(lhs[i] == rhs[i] for i in seed.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +421,20 @@ class FactoredExpression:
     factors: tuple[BinomialFactor, ...]
 
     def specialize_classical(self, assignment: dict):
-        """q -> 1 as a sympy rational function; assignment maps each
-        generator name to a sympy symbol."""
-        expr = sympy.Integer(1)
+        """q -> 1 as a rational function, unsimplified; assignment maps
+        each generator name to a field element (a ``RationalLaurent``
+        or a sympy symbol, say)."""
+        expr = 1
         for name, e in zip(self.ctx.names, self.monomial_vec):
             if e:
                 expr *= assignment[name] ** e
         for f in self.factors:
-            base = sympy.Integer(1)
+            base = 1
             for name, e in zip(self.ctx.names, f.vec):
                 if e:
                     base *= assignment[name] ** e
             expr *= (1 + base) ** f.exponent
-        return sympy.cancel(expr)
+        return expr
 
 
 def quantum_mutate(seed: Seed, k, i) -> FactoredExpression:

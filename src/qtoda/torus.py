@@ -440,6 +440,80 @@ def classical_monomial(ctx: TorusContext, vec: Sequence[int], coeff=1) -> Commut
     return CommutativeLaurent(ctx, {tuple(vec): Fraction(coeff)})
 
 
+class RationalLaurent:
+    """Exact rational function num/den of two commutative Laurent polynomials.
+
+    Fractions are never reduced.  The Laurent ring is a domain, so
+    a/b == c/d exactly when a*d == c*b, and equality needs no gcd.
+    Ints are accepted on either side of ``+``, ``*`` and ``/``.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: CommutativeLaurent, den: CommutativeLaurent | None = None):
+        if den is None:
+            den = classical_monomial(num.ctx, num.ctx.unit_vec())
+        if den.is_zero():
+            raise ZeroDivisionError("RationalLaurent with zero denominator")
+        self.num = num
+        self.den = den
+
+    def _coerce(self, other) -> "RationalLaurent":
+        if isinstance(other, RationalLaurent):
+            return other
+        if isinstance(other, int):
+            ctx = self.num.ctx
+            return RationalLaurent(classical_monomial(ctx, ctx.unit_vec(), other))
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    __hash__ = None
+
+    def __add__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalLaurent(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalLaurent(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalLaurent(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, e: int) -> "RationalLaurent":
+        out = self._coerce(1)
+        for _ in range(abs(e)):
+            out = RationalLaurent(out.num * self.num, out.den * self.den)
+        return out if e >= 0 else RationalLaurent(out.den, out.num)
+
+    def __repr__(self) -> str:
+        return f"({self.num!r}) / ({self.den!r})"
+
+
 def specialize_classical(a: TorusElement) -> CommutativeLaurent:
     """Set q = 1.  A ring homomorphism onto the commutative Laurent ring."""
     out: dict[Vec, Fraction] = {}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +98,38 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--rank", "2"])  # missing --check
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mutate", "--rank", "2", "--qvec", "0", "--seq", "foo"),
+        ("mutate", "--rank", "2", "--qvec", "0", "--seq", "tau:x"),
+        ("mutate", "--rank", "2", "--qvec", "0", "--seq", "zz:1"),
+        ("mutate", "--rank", "2", "--qvec", "0", "--seq", "mu:9"),
+        ("mutate", "--rank", "2", "--qvec", "0", "--seq", "tau:2,mu:"),
+        ("network", "--rank", "2", "--word=a"),
+        ("quiver", "--rank", "2", "--qvec", "1,x"),
+    ],
+)
+def test_malformed_selectors_and_moves_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_sympy():
+    code = "import sys, qtoda.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout == "False\n"
 
 
 def test_seed_manifest(capsys):

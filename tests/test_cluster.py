@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from qtoda.cluster import (
     Seed,
+    a_assignment,
     amalgamate,
     amalgamate_pairs,
     check_ensemble_naturality,
     disk_seed_from_word,
     ensemble_map,
+    ensemble_substitution,
     mutate_A_classical,
     mutate_seed,
     mutate_swap,
@@ -24,6 +26,7 @@ from qtoda.cluster import (
     standard_exchange_matrix,
 )
 from qtoda.serialize import seed_to_dot
+from qtoda.torus import RationalLaurent
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
 
 
@@ -123,6 +126,13 @@ def test_frozen_mutation_rejected():
         mutate_seed(s, 2)
 
 
+def test_mutation_at_unknown_vertex_rejected():
+    s = qseed("A", 2, (0,))
+    for k in (9, 0, "1"):
+        with pytest.raises(ValueError, match="no vertex"):
+            mutate_seed(s, k)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutation_involution_randomized(data):
@@ -205,6 +215,37 @@ def test_ensemble_naturality_on_rank2_seeds():
         s = qseed("A", 2, q)
         for k in s.labels:
             assert check_ensemble_naturality(s, k)
+
+
+def test_ensemble_naturality_matches_sympy_oracle():
+    # every (seed, vertex) of types A and C at ranks 2-3; the oracle
+    # feeds sympy symbols through the same operator-only functions
+    pairs = 0
+    for kind in ("A", "C"):
+        for n in (2, 3):
+            for w in enumerate_double_coxeter(n):
+                s = seed_from_word(kind, w)
+                a_sym = {l: sympy.Symbol(f"a_{l}", positive=True) for l in s.labels}
+                for k in s.labels:
+                    lhs = mutate_X_classical(ensemble_substitution(s, a_sym), s, k)
+                    rhs = ensemble_substitution(mutate_seed(s, k), mutate_A_classical(a_sym, s, k))
+                    oracle = all(sympy.simplify(lhs[i] - rhs[i]) == 0 for i in s.labels)
+                    assert oracle
+                    assert check_ensemble_naturality(s, k) is oracle, (kind, w, k)
+                    # negative control: the right-hand side read off the
+                    # unmutated seed
+                    a_vals = a_assignment(s)
+                    lhs = mutate_X_classical(ensemble_substitution(s, a_vals), s, k)
+                    rhs = ensemble_substitution(s, mutate_A_classical(a_vals, s, k))
+                    assert not all(lhs[i] == rhs[i] for i in s.labels), (kind, w, k)
+                    pairs += 1
+    assert pairs == 132
+    # no arrows: every ensemble image is the field's one, not the int 1,
+    # so mutating at it gives no float 1.0
+    s = Seed((1, 2), {}, {1: 1, 2: 1})
+    images = ensemble_substitution(s, a_assignment(s))
+    assert all(isinstance(v, RationalLaurent) for v in images.values())
+    assert check_ensemble_naturality(s, 1)
 
 
 def test_classical_x_mutation_branches():

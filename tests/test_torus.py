@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoda.torus import (
+    CommutativeLaurent,
     MonomialMap,
+    RationalLaurent,
     TorusContext,
     TorusElement,
     classical_context,
@@ -199,6 +201,74 @@ def test_poisson_jacobi(va, vb, vc):
         + poisson_bracket(h, poisson_bracket(f, g, b), b)
     )
     assert total.is_zero()
+
+
+# -- rational functions over the commutative layer ---------------------------
+
+
+def _xy():
+    ctx = classical_context(("x", "y"))
+    one = RationalLaurent(classical_monomial(ctx, (0, 0)))
+    x = RationalLaurent(classical_monomial(ctx, (1, 0)))
+    y = RationalLaurent(classical_monomial(ctx, (0, 1)))
+    return ctx, one, x, y
+
+
+def test_rational_equality_cross_multiplies_unreduced_fractions():
+    _, _, x, y = _xy()
+    q = (x * x + (-1)) / (x + (-1))
+    assert q == x + 1
+    assert q.den == (x + (-1)).num  # stored as given, never reduced
+    assert q != x
+    assert (x * y) / (y * y) == x / y
+    assert x / x == 1 and 1 == x / x
+
+
+def test_rational_zero_denominator_raises():
+    ctx, one, x, _ = _xy()
+    zero = CommutativeLaurent(ctx, {})
+    with pytest.raises(ZeroDivisionError):
+        RationalLaurent(one.num, zero)
+    with pytest.raises(ZeroDivisionError):
+        x / (x + (-1) * x)
+    with pytest.raises(ZeroDivisionError):
+        1 / (x * 0)
+    with pytest.raises(ZeroDivisionError):
+        (x * 0) ** -1
+
+
+def test_rational_accepts_ints_on_both_sides():
+    _, one, x, _ = _xy()
+    assert 1 + x == x + 1 == x + one
+    assert 3 * x == x * 3 == x + x + x
+    assert (2 / x) * x == 2
+    assert (x / 2) * 2 == x
+    assert (2 * x) / x == 2
+
+
+def test_rational_integer_powers():
+    _, one, x, y = _xy()
+    assert x ** 0 == 1
+    assert (x / y) ** -2 == (y * y) / (x * x)
+    assert (1 + x) ** -1 * (1 + x) == 1
+    assert ((1 + x) ** 3) * ((1 + x) ** -3) == one
+
+
+_coeffs = st.integers(min_value=-3, max_value=3)
+_laurent = st.dictionaries(st.tuples(small_exp, small_exp), _coeffs, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_laurent, g=_laurent, h=_laurent)
+def test_rational_division_round_trip(f, g, h):
+    ctx = classical_context(("x", "y"))
+    f, g, h = (RationalLaurent(CommutativeLaurent(ctx, t)) for t in (f, g, h))
+    if g.num.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f / g
+        return
+    assert (f / g) * g == f
+    assert f / g + h == (f + h * g) / g
 
 
 # -- monomial maps -----------------------------------------------------------
