@@ -12,6 +12,7 @@ from .torus import (
     TorusContext,
     TorusElement,
     ZLaurent,
+    commutator,
     commutes,
     poisson_bracket,
     specialize_classical,
@@ -32,6 +33,7 @@ __all__ = [
     "TorusContext",
     "TorusElement",
     "ZLaurent",
+    "commutator",
     "commutes",
     "enumerate_double_coxeter",
     "index_vector_of",

@@ -4,8 +4,9 @@ Subcommands: words, network, quiver, hamiltonians, verify, mutate.
 Exit codes of the ``qtoda`` command: 0 all passed, 1 verification
 failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
 ``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K`` or one at no
-vertex of the seed included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
-reported as one line on stderr.  ``main`` returns codes 0-2 and lets the
+vertex of the seed, an ``--index`` outside 1..count of the Hamiltonians
+included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``), reported
+as one line on stderr.  ``main`` returns codes 0-2 and lets the
 RuntimeError of an exceeded limit reach its caller; ``console`` is the
 command's entry point and turns that error into code 3.
 """
@@ -155,6 +156,15 @@ def _lax_params(cfg: RunConfig, word: DoubleWord):
     return laxmod.lax_context(word.n), tuple(qvec) + (0,)
 
 
+def _indices(cfg: RunConfig, count: int) -> list[int]:
+    """The Hamiltonian indices to print: ``--index`` if given, else all."""
+    if cfg.index is None:
+        return list(range(1, count + 1))
+    if not 1 <= cfg.index <= count:
+        raise SystemExit2(f"--index must be between 1 and {count}, got {cfg.index}")
+    return [cfg.index]
+
+
 def cmd_hamiltonians(cfg: RunConfig) -> int:
     # on the lax/recursive routes of type A, --rank counts the chain
     # sites, one more than the network rank of the underlying word
@@ -164,12 +174,13 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
     out = {}
     if cfg.route == "network":
         net = build_network(cfg.kind, word)
-        top = net.num_rows
-        indices = [cfg.index] if cfg.index else range(1, top + 1)
+        indices = _indices(cfg, net.num_rows)
         for i in indices:
             out[f"H_{i}"] = network_hamiltonian(net, i)
     else:
         ctx, kvec = _lax_params(cfg, word)
+        count = len(kvec) + 1 if cfg.kind == "A" else 2 * len(kvec) + 1
+        indices = _indices(cfg, count)
         if cfg.route == "lax":
             hams = laxmod.lax_hamiltonians(ctx, kvec, cfg.kind)
         else:
@@ -178,9 +189,7 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
                 if cfg.kind == "A"
                 else laxmod.hamiltonian_recursive_C
             )
-            count = len(kvec) + 1 if cfg.kind == "A" else 2 * len(kvec) + 1
             hams = [rec(ctx, kvec, i) for i in range(1, count + 1)]
-        indices = [cfg.index] if cfg.index else range(1, len(hams) + 1)
         for i in indices:
             out[f"H_{i}"] = hams[i - 1]
     payload = {
@@ -285,10 +294,14 @@ def cmd_mutate(cfg: RunConfig) -> int:
     seed = seed_from_word(cfg.kind, word)
     applied = []
     for tag, v in cfg.sequence:
-        if tag == "tau":
-            seed, _ = mutate_swap(seed, v)
-        else:
-            seed = mutate_seed(seed, v)
+        try:
+            if tag == "tau":
+                seed, _ = mutate_swap(seed, v)
+            else:
+                seed = mutate_seed(seed, v)
+        except ValueError as exc:
+            # tau:K mutates at -K: name the move as typed
+            raise SystemExit2(f"--seq move {tag}:{v} cannot be applied: {exc}") from None
         applied.append([tag, v])
     if cfg.fmt == "dot":
         print(serialize.seed_to_dot(seed))

@@ -186,15 +186,19 @@ def network_hamiltonian_in_lax(net: Network, i: int) -> TorusElement:
 # the equivalence checks
 
 
-def _first_diff(a: TorusElement, b: TorusElement):
-    diff = a - b
-    if diff.is_zero():
-        return None
-    vec = sorted(diff.terms)[0]
+def _compare(lhs: TorusElement, rhs: TorusElement) -> dict:
+    """The "ok" and "first_diff" fields of one check.  The witness is the
+    least exponent vector where the sides differ, built only on failure."""
+    if lhs == rhs:
+        return {"ok": True, "first_diff": None}
+    vec = min((lhs - rhs).terms)
     return {
-        "exponents": list(vec),
-        "lhs_coeff": [[str(q), c] for q, c in sorted(a.coefficient(vec).items())],
-        "rhs_coeff": [[str(q), c] for q, c in sorted(b.coefficient(vec).items())],
+        "ok": False,
+        "first_diff": {
+            "exponents": list(vec),
+            "lhs_coeff": [[str(q), c] for q, c in sorted(lhs.coefficient(vec).items())],
+            "rhs_coeff": [[str(q), c] for q, c in sorted(rhs.coefficient(vec).items())],
+        },
     }
 
 
@@ -218,9 +222,7 @@ def verify_equivalence_A(word: DoubleWord) -> dict:
     for i in range(1, n + 1):
         lhs = wmap.apply(label_hamiltonian(alg, i))
         rhs = pref * hams[i]  # hams[i] is H_{i+1}
-        checks.append(
-            {"index": i, "ok": lhs == rhs, "first_diff": _first_diff(lhs, rhs)}
-        )
+        checks.append({"index": i, **_compare(lhs, rhs)})
     return {
         "kind": "A",
         "rank": n,
@@ -250,9 +252,7 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
     for i in range(1, n + 1):
         lhs = wmap.apply(label_hamiltonian(alg, i))
         rhs = hams[i]  # index i+1
-        checks.append(
-            {"index": i, "ok": lhs == rhs, "first_diff": _first_diff(lhs, rhs)}
-        )
+        checks.append({"index": i, **_compare(lhs, rhs)})
     sub_checks = []
     if subnetworks:
         for m in range(2, n + 1):
@@ -267,14 +267,7 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
             for i in range(1, m + 1):
                 lhs = smap.apply(label_hamiltonian(salg, i))
                 rhs = embed.apply(pref * shams[i])
-                sub_checks.append(
-                    {
-                        "rows": [1, m],
-                        "index": i,
-                        "ok": lhs == rhs,
-                        "first_diff": _first_diff(lhs, rhs),
-                    }
-                )
+                sub_checks.append({"rows": [1, m], "index": i, **_compare(lhs, rhs)})
         for m2 in range(n + 1, 2 * n):
             r = 2 * n + 1 - m2
             sub = subnetwork(net, m2, 2 * n)
@@ -288,14 +281,7 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
             for i in range(1, r + 1):
                 lhs = smap.apply(label_hamiltonian(salg, i))
                 rhs = embed.apply(pref * shams[r - i])  # H_{r+1-i}
-                sub_checks.append(
-                    {
-                        "rows": [m2, 2 * n],
-                        "index": i,
-                        "ok": lhs == rhs,
-                        "first_diff": _first_diff(lhs, rhs),
-                    }
-                )
+                sub_checks.append({"rows": [m2, 2 * n], "index": i, **_compare(lhs, rhs)})
     return {
         "kind": "C",
         "rank": n,

@@ -11,14 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .torus import MonomialMap, TorusContext, TorusElement, ZLaurent
 from .words import IndexVector
 
 
+@lru_cache(maxsize=None)
 def lax_context(n: int) -> TorusContext:
-    """Torus on w_1..w_n, D_1..D_n with s(D_i, w_i) = 1/2."""
+    """Torus on w_1..w_n, D_1..D_n with s(D_i, w_i) = 1/2.
+
+    Memoized: contexts are immutable, and one object per rank lets
+    elements built by different callers compare on the ``is`` fast path.
+    """
     names = tuple(f"w_{i}" for i in range(1, n + 1)) + tuple(
         f"D_{i}" for i in range(1, n + 1)
     )
@@ -135,6 +141,34 @@ def double_monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
     return acc * monodromy(ctx, kvec)
 
 
+def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent:
+    """The (1,1) entry of ``monodromy`` (type A) or ``double_monodromy``
+    (type C), without the full 2x2 products.
+
+    Type A carries the row e_1^T L_n through L_(n-1) ... L_1.  Type C
+    carries the column T e_1 = L_n (... (L_1 e_1)) and returns
+    (-1)^n sum_k T_k1(1/z) T_k1(z), the (1,1) entry of (-1)^n T(1/z)^T T(z).
+    """
+    n = ctx.rank // 2
+    if len(kvec) != n:
+        raise ValueError("index vector length must match the context rank")
+    if kind not in ("A", "C"):
+        raise ValueError(f"unknown kind {kind!r}")
+    mats = [local_lax(ctx, site, k) for site, k in zip(range(n, 0, -1), kvec)]
+    if kind == "A":
+        x, y = mats[0][0, 0], mats[0][0, 1]
+        for m in mats[1:-1]:
+            x, y = x * m[0, 0] + y * m[1, 0], x * m[0, 1] + y * m[1, 1]
+        if n == 1:
+            return x
+        m = mats[-1]  # only the first entry of the last row is read
+        return x * m[0, 0] + y * m[1, 0]
+    x, y = mats[-1][0, 0], mats[-1][1, 0]
+    for m in reversed(mats[:-1]):
+        x, y = m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y
+    return (x.z_inverted() * x + y.z_inverted() * y).scaled((-1) ** n)
+
+
 def sigma_doubled(kvec: IndexVector) -> int:
     """2 * sum s_i with s_i = (k_i - 1)/2."""
     return sum(k - 1 for k in kvec)
@@ -176,11 +210,7 @@ def normalized_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> li
 
 def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, normalized: bool = True) -> list[TorusElement]:
     """Hamiltonians of the (double) monodromy for an index vector."""
-    if kind == "A":
-        t = monodromy(ctx, kvec)
-    else:
-        t = double_monodromy(ctx, kvec)
-    entry = t[0, 0]
+    entry = monodromy_entry(ctx, kvec, kind)
     if normalized:
         return normalized_hamiltonians(entry, kvec, kind)
     return extract_hamiltonians(entry, kvec, kind)

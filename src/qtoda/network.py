@@ -333,22 +333,28 @@ def quantized_path_weight(net: Network, path: LabeledPath) -> TorusElement:
 def path_families(net: Network, size: int):
     """Vertex-disjoint families with sources = sinks = I, |I| = size."""
     cap = int(os.environ.get(FAMILY_CAP_ENV, "1000000"))
-    by_row: dict[int, list[LabeledPath]] = {}
+    # vertex (i, row) of ``LabeledPath.vertices`` is bit i*(row_hi+1) + row
+    width = net.row_hi + 1
+    by_row: dict[int, list[tuple[LabeledPath, int]]] = {}
     for p in enumerate_labeled_paths(net):
-        by_row.setdefault(p.source, []).append(p)
+        m = len(p.rows) - 1
+        mask = 0
+        for i, r in enumerate(p.rows):
+            mask |= 1 << (i % m * width + r)
+        by_row.setdefault(p.source, []).append((p, mask))
     count = 0
     rows = [r for r in net.rows if r in by_row]
     for subset in combinations(rows, size):
-        partial: list[list[LabeledPath]] = [[]]
+        # partial families with the union of their members' masks
+        partial: list[tuple[tuple[LabeledPath, ...], int]] = [((), 0)]
         for r in subset:
-            nxt = []
-            for fam in partial:
-                for p in by_row[r]:
-                    pv = p.vertices()
-                    if all(pv.isdisjoint(q.vertices()) for q in fam):
-                        nxt.append(fam + [p])
-            partial = nxt
-        for fam in partial:
+            partial = [
+                (fam + (p,), used | mask)
+                for fam, used in partial
+                for p, mask in by_row[r]
+                if not used & mask
+            ]
+        for fam, _ in partial:
             count += 1
             if count > cap:
                 # a plain RuntimeError for library callers; ``limit`` names
@@ -356,7 +362,7 @@ def path_families(net: Network, size: int):
                 exc = RuntimeError(f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}")
                 exc.limit = FAMILY_CAP_ENV
                 raise exc
-            yield tuple(fam)
+            yield fam
 
 
 def family_weight(net: Network, family) -> TorusElement:

@@ -49,6 +49,16 @@ def _grid_key(x: Fraction) -> QKey:
     return x.numerator if x.denominator == 1 else x
 
 
+def _pairing_row(rows: tuple[dict[int, int], ...], a: Vec) -> list[tuple[int, int]]:
+    """Nonzero entries (j, r_j) of r = den * (a s), so den*<a,b> = sum_j r_j b_j."""
+    r: dict[int, int] = {}
+    for i, ai in enumerate(a):
+        if ai:
+            for j, s in rows[i].items():
+                r[j] = r.get(j, 0) + ai * s
+    return [(j, x) for j, x in r.items() if x]
+
+
 def _nonzero(terms: dict[Vec, dict[QKey, int]]) -> dict[Vec, dict[QKey, int]]:
     """Drop zero coefficients, then empty coefficient maps."""
     out = {}
@@ -278,13 +288,7 @@ class TorusElement:
         rows = self.ctx.rows
         out: dict[Vec, dict[QKey, int]] = {}
         for a, ca in self._terms.items():
-            # den*<a,b> = sum_j r_j b_j with r = den * (a s)
-            r: dict[int, int] = {}
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, s in rows[i].items():
-                        r[j] = r.get(j, 0) + ai * s
-            r_items = [(j, x) for j, x in r.items() if x]
+            r_items = _pairing_row(rows, a)
             for b, cb in other._terms.items():
                 shift = 0
                 for j, x in r_items:
@@ -364,9 +368,41 @@ class TorusElement:
         return " + ".join(bits)
 
 
+def commutator(a: TorusElement, b: TorusElement) -> TorusElement:
+    """ab - ba in one pass over term pairs.
+
+    E(u)E(v) - E(v)E(u) = (q^<u,v> - q^-<u,v>) E(u+v), so a pair with
+    <u,v> = 0 contributes nothing, and neither does a u with u s = 0;
+    neither product is built.
+    """
+    a._check(b)
+    rows = a.ctx.rows
+    out: dict[Vec, dict[QKey, int]] = {}
+    for u, cu in a._terms.items():
+        r_items = _pairing_row(rows, u)
+        if not r_items:
+            continue
+        for v, cv in b._terms.items():
+            shift = 0
+            for j, x in r_items:
+                shift += x * v[j]
+            if not shift:
+                continue
+            vec = _vec_add(u, v)
+            acc = out.get(vec)
+            if acc is None:
+                out[vec] = acc = {}
+            for qa, xa in cu.items():
+                for qb, xb in cv.items():
+                    k, c = qa + qb, xa * xb
+                    acc[k + shift] = acc.get(k + shift, 0) + c
+                    acc[k - shift] = acc.get(k - shift, 0) - c
+    return TorusElement._make(a.ctx, _nonzero(out))
+
+
 def commutes(a: TorusElement, b: TorusElement) -> bool:
     """True iff ab - ba = 0 exactly."""
-    return (a * b - b * a).is_zero()
+    return commutator(a, b).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,40 @@ def test_mutate_sequence(capsys):
     assert json.loads(out)["applied"] == [["tau", 2]]
 
 
+@pytest.mark.parametrize(
+    "route, kind, rank, count",
+    [
+        ("network", "A", "2", 3),
+        ("network", "C", "2", 4),
+        ("lax", "A", "3", 4),
+        ("recursive", "A", "3", 4),
+        ("lax", "C", "2", 5),
+        ("recursive", "C", "2", 5),
+    ],
+)
+def test_hamiltonian_index_is_checked(capsys, route, kind, rank, count):
+    base = ["hamiltonians", "--route", route, "--type", kind, "--rank", rank, "--qvec", "0"]
+    for bad in (0, count + 1, -1):
+        assert main(base + ["--index", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --index must be between 1 and {count}, got {bad}\n"
+    code, out = run(capsys, *base)
+    every = json.loads(out)["hamiltonians"]
+    assert code == 0 and sorted(every) == [f"H_{i}" for i in range(1, count + 1)]
+    for i in (1, count):
+        code, out = run(capsys, *base, "--index", str(i))
+        assert code == 0
+        assert json.loads(out)["hamiltonians"] == {f"H_{i}": every[f"H_{i}"]}
+
+
+def test_mutate_error_names_the_typed_move(capsys):
+    assert main(["mutate", "--rank", "2", "--qvec", "0", "--seq", "tau:2,tau:9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --seq move tau:9 cannot be applied: no vertex -9 to mutate at\n"
+
+
 def test_usage_errors():
     assert main(["hamiltonians", "--rank", "2"]) == 2  # no selector
     with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import pytest
 
 from qtoda import lax as laxmod
 from qtoda.correspondence import (
+    _compare,
     build_weight_map,
     label_algebra,
     label_hamiltonian,
@@ -145,6 +146,20 @@ def test_equivalence_A_small():
 def test_equivalence_A_has_negative_control():
     rep = verify_equivalence_A(word_of_quiver_vector(2, (1,)))
     assert all(c["first_diff"] is None for c in rep["checks"])
+
+
+def test_failed_check_keeps_its_first_diff():
+    ctx = laxmod.lax_context(2)
+    w1, d1 = ctx.generator(0), ctx.generator(2)
+    assert _compare(w1 + d1, d1 + w1) == {"ok": True, "first_diff": None}
+    # the witness is the least exponent vector where the sides differ
+    assert _compare(w1 + d1, w1 + d1.q_shift(1)) == {
+        "ok": False,
+        "first_diff": {"exponents": [0, 0, 1, 0], "lhs_coeff": [["0", 1]], "rhs_coeff": [["1", 1]]},
+    }
+    assert _compare(w1 + d1, w1.q_shift(1))["first_diff"] == {
+        "exponents": [0, 0, 1, 0], "lhs_coeff": [["0", 1]], "rhs_coeff": []
+    }
 
 
 def test_equivalence_C_small():

@@ -17,6 +17,7 @@ from qtoda.lax import (
     lax_hamiltonians,
     local_lax,
     monodromy,
+    monodromy_entry,
     w_index,
 )
 from qtoda.torus import ZLaurent, commutes, identity_map
@@ -104,6 +105,24 @@ def test_double_monodromy_transpose_route_asserted():
             t = monodromy(ctx, kv)
             alt = (t.z_inverted().transpose() * t).scaled((-1) ** n)
             assert double_monodromy(ctx, kv) == alt, kv
+
+
+def test_monodromy_entry_matches_full_products():
+    # the full 2x2 products are the oracle for the row/column route
+    for n in (1, 2, 3, 4):
+        ctx = lax_context(n)
+        for kv in all_kvecs(n):
+            assert monodromy_entry(ctx, kv, "A") == monodromy(ctx, kv)[0, 0], kv
+            assert monodromy_entry(ctx, kv, "C") == double_monodromy(ctx, kv)[0, 0], kv
+    with pytest.raises(ValueError):
+        monodromy_entry(lax_context(2), (0, 0), "B")
+    with pytest.raises(ValueError):
+        monodromy_entry(lax_context(2), (0,), "A")
+
+
+def test_lax_context_is_shared_per_rank():
+    assert lax_context(3) is lax_context(3)
+    assert lax_context(2) is not lax_context(3)
 
 
 def test_recursion_A_equals_direct_up_to_rank3():

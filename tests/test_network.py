@@ -188,6 +188,41 @@ def test_subnetwork_bottom_rows_of_c_look_type_a():
     assert labels_sub == labels_a
 
 
+def _reference_families(net, size):
+    """path_families through vertex sets: every member disjoint from
+    every earlier one."""
+    by_row = {}
+    for p in enumerate_labeled_paths(net):
+        by_row.setdefault(p.source, []).append(p)
+    rows = [r for r in net.rows if r in by_row]
+    out = []
+    for subset in combinations(rows, size):
+        partial = [()]
+        for r in subset:
+            partial = [
+                fam + (p,)
+                for fam in partial
+                for p in by_row[r]
+                if all(p.vertices().isdisjoint(q.vertices()) for q in fam)
+            ]
+        out.extend(partial)
+    return out
+
+
+def test_path_families_match_vertex_set_reference():
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in all_words(n):
+                net = build_network(kind, w)
+                for lo in net.rows:
+                    for hi in range(lo, net.row_hi + 1):
+                        sub = subnetwork(net, lo, hi)
+                        for size in range(1, sub.num_rows + 1):
+                            assert list(path_families(sub, size)) == _reference_families(sub, size), (
+                                kind, w.letters, lo, hi, size
+                            )
+
+
 def test_family_cap_env(monkeypatch):
     monkeypatch.setenv(FAMILY_CAP_ENV, "1")
     net = build_network("A", standard_word(2))

@@ -12,6 +12,7 @@ from qtoda.torus import (
     TorusElement,
     classical_context,
     classical_monomial,
+    commutator,
     commutes,
     identity_map,
     poisson_bracket,
@@ -78,6 +79,20 @@ def test_commutes_predicate():
     x, y = ctx.generator(0), ctx.generator(1)
     assert commutes(x, x)
     assert not commutes(x, y)
+
+
+def test_commutator_of_noncommuting_generators():
+    # negative control: xy - yx = (q - q^-1) E(1,1) when s_12 = 1
+    ctx = ctx2(Fraction(1))
+    x, y = ctx.generator(0), ctx.generator(1)
+    c = commutator(x, y)
+    assert not c.is_zero()
+    assert c == x * y - y * x
+    assert c == TorusElement(ctx, {(1, 1): {Fraction(1): 1, Fraction(-1): -1}})
+    assert commutator(y, x) == -c
+    assert commutator(x, x).is_zero() and commutator(ctx.one(), y).is_zero()
+    with pytest.raises(ValueError):
+        commutator(x, ctx2(Fraction(2)).generator(1))
 
 
 def test_context_validation_and_grid():
@@ -423,6 +438,24 @@ def test_kernel_matches_fraction_reference(data):
     # products of off-grid and on-grid terms, re-associated
     c = TorusElement(ctx, data.draw(raw_terms(ctx)))
     assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_commutator_matches_both_products(data):
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    ra = data.draw(raw_terms(ctx))
+    rb = data.draw(raw_terms(ctx))
+    a, b = TorusElement(ctx, ra), TorusElement(ctx, rb)
+    ra, rb = _ref_clean(ra), _ref_clean(rb)
+    c = commutator(a, b)
+    assert c == a * b - b * a
+    ref = _ref_add(_ref_mul(ctx, ra, rb), _ref_scale(_ref_mul(ctx, rb, ra), 0, -1))
+    assert _ref_terms(c) == ref
+    assert commutes(a, b) == (not ref)
+    # a central part (the unit term) and the element itself drop out
+    assert commutator(a + ctx.one(), b) == c
+    assert commutator(a, a).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
