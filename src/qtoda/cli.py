@@ -3,10 +3,10 @@
 Subcommands: words, network, quiver, hamiltonians, verify, mutate.
 Exit codes of the ``qtoda`` command: 0 all passed, 1 verification
 failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
-``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K`` or one at no
-vertex of the seed, an ``--index`` outside 1..count of the Hamiltonians
-included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``), reported
-as one line on stderr.  ``main`` returns codes 0-2 and lets the
+``--depth -1``, ``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K``
+or one at no vertex of the seed, an ``--index`` outside 1..count of the
+Hamiltonians included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
+reported as one line on stderr.  ``main`` returns codes 0-2 and lets the
 RuntimeError of an exceeded limit reach its caller; ``console`` is the
 command's entry point and turns that error into code 3.
 """
@@ -275,8 +275,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     words = _select_words(cfg)
     tasks = [(cfg.kind, cfg.check, list(w.letters)) for w in words]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool forks all its workers up front: no more than there are words
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_check_one_word, tasks))
     else:
         reports = [_check_one_word(t) for t in tasks]
@@ -386,9 +388,13 @@ def main(argv=None) -> int:
             jobs=getattr(args, "jobs", 1),
             sequence=_parse_seq(getattr(args, "seq", "")),
         )
-        for flag, value in (("--rank", cfg.rank), ("--jobs", cfg.jobs)):
-            if value < 1:
-                raise SystemExit2(f"{flag} must be at least 1, got {value}")
+        for flag, value, least in (
+            ("--rank", cfg.rank, 1),
+            ("--jobs", cfg.jobs, 1),
+            ("--depth", cfg.depth, 0),
+        ):
+            if value < least:
+                raise SystemExit2(f"{flag} must be at least {least}, got {value}")
         return handlers[cfg.command](cfg)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -57,17 +57,30 @@ def label_algebra(net: Network) -> LabelAlgebra:
 
 def label_hamiltonian(alg: LabelAlgebra, i: int) -> TorusElement:
     """Network Hamiltonian written over the label torus: sum over
-    vertex-disjoint families of the label product, top row first."""
+    vertex-disjoint families of the label product, top row first.
+
+    ``path_families`` yields members bottom row first, so the product
+    X_(i_1) ... X_(i_r) runs over the reversed tuple: its q-key is
+    sum_{s<t} rows[i_s][i_t] and its exponent vector the indicator of
+    the family's labels.  Both go straight into one term map.
+    """
     index = {label: k for k, label in enumerate(alg.labels)}
-    return TorusElement.sum(
-        alg.ctx,
-        [
-            alg.ctx.plain_product(
-                [(index[p.label], 1) for p in sorted(fam, key=lambda p: -p.source)]
-            )
-            for fam in path_families(alg.net, i)
-        ],
-    )
+    rows = alg.ctx.rows
+    zero = [0] * alg.ctx.rank
+    out: dict = {}
+    for fam in path_families(alg.net, i):
+        idx = [index[p.label] for p in reversed(fam)]
+        key = 0
+        for s, a in enumerate(idx):
+            row = rows[a]
+            for b in idx[s + 1:]:
+                key += row.get(b, 0)
+        vec = zero[:]
+        for a in idx:
+            vec[a] = 1
+        coeffs = out.setdefault(tuple(vec), {})
+        coeffs[key] = coeffs.get(key, 0) + 1
+    return TorusElement._make(alg.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +268,21 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
         checks.append({"index": i, **_compare(lhs, rhs)})
     sub_checks = []
     if subnetworks:
+        # the band on rows 1..r and the top r rows share the Lax context,
+        # the index vector (Q_{r-1}, ..., Q_1, 0), and so the type A
+        # Hamiltonians and the embedding: one per r for this verdict
+        bands = {}
+        for r in range(2, n + 1):
+            sub_ctx = laxmod.lax_context(r)
+            kv = tuple(qvec[n - r:]) + (0,)
+            shams = laxmod.lax_hamiltonians(sub_ctx, kv, "A")
+            bands[r] = (sub_ctx, shams, _embed_map(sub_ctx, ctx))
         for m in range(2, n + 1):
             sub = subnetwork(net, 1, m)
             salg = label_algebra(sub)
             smap = build_weight_map(sub, salg)
-            kv = tuple(qvec[n - m:]) + (0,)  # (Q_{m-1}, ..., Q_1, 0)
-            sub_ctx = laxmod.lax_context(m)
-            shams = laxmod.lax_hamiltonians(sub_ctx, kv, "A")
+            sub_ctx, shams, embed = bands[m]
             pref = _w_prefactor(sub_ctx, m, -1)
-            embed = _embed_map(sub_ctx, ctx)
             for i in range(1, m + 1):
                 lhs = smap.apply(label_hamiltonian(salg, i))
                 rhs = embed.apply(pref * shams[i])
@@ -273,11 +292,8 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
             sub = subnetwork(net, m2, 2 * n)
             salg = label_algebra(sub)
             smap = build_weight_map(sub, salg)
-            kv = tuple(qvec[n - r:]) + (0,)  # (Q_{r-1}, ..., Q_1, 0)
-            sub_ctx = laxmod.lax_context(r)
-            shams = laxmod.lax_hamiltonians(sub_ctx, kv, "A")
+            sub_ctx, shams, embed = bands[r]
             pref = _w_prefactor(sub_ctx, r, 1)
-            embed = _embed_map(sub_ctx, ctx)
             for i in range(1, r + 1):
                 lhs = smap.apply(label_hamiltonian(salg, i))
                 rhs = embed.apply(pref * shams[r - i])  # H_{r+1-i}

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .torus import MonomialMap, TorusContext, TorusElement, ZLaurent
+from .torus import MonomialMap, TorusContext, TorusElement, ZLaurent, both_orders
 from .words import IndexVector
 
 
@@ -148,6 +148,8 @@ def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent
     Type A carries the row e_1^T L_n through L_(n-1) ... L_1.  Type C
     carries the column T e_1 = L_n (... (L_1 e_1)) and returns
     (-1)^n sum_k T_k1(1/z) T_k1(z), the (1,1) entry of (-1)^n T(1/z)^T T(z).
+    Each x(1/z) x(z) = sum_{e,f} x_e x_f z^(f-e) takes x_e x_e once and
+    both orders of each pair e < f from one ``both_orders`` pass.
     """
     n = ctx.rank // 2
     if len(kvec) != n:
@@ -166,7 +168,19 @@ def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent
     x, y = mats[-1][0, 0], mats[-1][1, 0]
     for m in reversed(mats[:-1]):
         x, y = m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y
-    return (x.z_inverted() * x + y.z_inverted() * y).scaled((-1) ** n)
+    parts: dict[int, list[TorusElement]] = {}
+    for col in (x, y):
+        items = sorted(col.terms.items())
+        for s, (e, xe) in enumerate(items):
+            parts.setdefault(0, []).append(xe * xe)
+            for f, xf in items[s + 1:]:
+                ef, fe = both_orders(xe, xf)
+                parts.setdefault(f - e, []).append(ef)
+                parts.setdefault(e - f, []).append(fe)
+    sign = (-1) ** n
+    return ZLaurent(
+        ctx, {d: TorusElement.sum(ctx, ps).q_shift(0, sign) for d, ps in parts.items()}
+    )
 
 
 def sigma_doubled(kvec: IndexVector) -> int:

@@ -12,7 +12,7 @@ cross the cut once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,12 +55,19 @@ def cartan_matrix(kind: str, n: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Network:
+    """Chip network on rows row_lo..row_hi with its strand table.
+
+    ``strands`` is the sorted table of ``enumerate_labeled_paths``, found
+    once by ``build_network`` and filtered by ``subnetwork``.
+    """
+
     kind: str
     n: int
     word: DoubleWord
     ctx: TorusContext
     row_lo: int
     row_hi: int
+    strands: tuple[LabeledPath, ...] = field(compare=False, repr=False)
 
     @property
     def rows(self) -> range:
@@ -168,7 +175,8 @@ def build_network(kind: str, word: DoubleWord) -> Network:
     n = word.n
     rows = n + 1 if kind == "A" else 2 * n
     ctx = weight_context(kind, word)
-    return Network(kind, n, word, ctx, 1, rows)
+    net = Network(kind, n, word, ctx, 1, rows, ())
+    return replace(net, strands=_search_strands(net))
 
 
 def weight_context(kind: str, word: DoubleWord) -> TorusContext:
@@ -297,12 +305,18 @@ def face_weights(kind: str, word: DoubleWord, disk: bool = False):
 # paths, families, Hamiltonians
 
 
-def enumerate_labeled_paths(net: Network) -> list[LabeledPath]:
-    """All closed strands, one cut crossing, grouped by (low, source) label.
+def enumerate_labeled_paths(net: Network) -> tuple[LabeledPath, ...]:
+    """All closed strands, one cut crossing, sorted by (low, source) label.
 
-    Raises if two distinct strands share a label; the correspondence
-    machinery relies on labels determining strands uniquely.
+    The table is stored on the network; ``build_network`` raises if two
+    distinct strands share a label, since the correspondence machinery
+    relies on labels determining strands uniquely.
     """
+    return net.strands
+
+
+def _search_strands(net: Network) -> tuple[LabeledPath, ...]:
+    """Depth-first search for the strand table of ``enumerate_labeled_paths``."""
     paths: list[LabeledPath] = []
     table = net.transition_table()
     for source in net.rows:
@@ -322,7 +336,7 @@ def enumerate_labeled_paths(net: Network) -> list[LabeledPath]:
         if p.label in seen:
             raise RuntimeError(f"two distinct paths share label {p.label}")
         seen[p.label] = p
-    return sorted(paths, key=lambda p: p.label)
+    return tuple(sorted(paths, key=lambda p: p.label))
 
 
 def quantized_path_weight(net: Network, path: LabeledPath) -> TorusElement:
@@ -383,10 +397,15 @@ def network_hamiltonian(net: Network, i: int) -> TorusElement:
 
 
 def subnetwork(net: Network, lo: int, hi: int) -> Network:
-    """Induced network on rows lo..hi; edges leaving the range removed."""
+    """Induced network on rows lo..hi; edges leaving the range removed.
+
+    Its strands are the parent's strands that stay inside the band: the
+    band's transitions are the parent's on those rows.
+    """
     if not (net.row_lo <= lo <= hi <= net.row_hi):
         raise ValueError("row range out of bounds")
-    return replace(net, row_lo=lo, row_hi=hi)
+    strands = tuple(p for p in net.strands if lo <= p.low and max(p.rows) <= hi)
+    return replace(net, row_lo=lo, row_hi=hi, strands=strands)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ hash and compare equal, so both kinds of key share one code path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -37,7 +38,7 @@ QKey = int | Fraction  # den * q-exponent
 
 
 def _vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _vec_scale(a: Vec, k: int) -> Vec:
@@ -286,10 +287,17 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
         rows = self.ctx.rows
+        # build pairing rows on the side with fewer terms: den*<a,b> is
+        # sum_j r(a)_j b_j, and also -sum_j r(b)_j a_j
+        outer, inner, flip = self._terms, other._terms, False
+        if len(inner) < len(outer):
+            outer, inner, flip = inner, outer, True
         out: dict[Vec, dict[QKey, int]] = {}
-        for a, ca in self._terms.items():
+        for a, ca in outer.items():
             r_items = _pairing_row(rows, a)
-            for b, cb in other._terms.items():
+            if flip:
+                r_items = [(j, -x) for j, x in r_items]
+            for b, cb in inner.items():
                 shift = 0
                 for j, x in r_items:
                     shift += x * b[j]
@@ -308,6 +316,8 @@ class TorusElement:
         """Multiply by the central scalar ``scale * q^qpow``."""
         if not scale:
             return self.ctx.zero()
+        if scale == 1 and not qpow:
+            return self  # elements are immutable
         shift = self.ctx._qkey(qpow)
         return TorusElement._make(
             self.ctx,
@@ -398,6 +408,37 @@ def commutator(a: TorusElement, b: TorusElement) -> TorusElement:
                     acc[k + shift] = acc.get(k + shift, 0) + c
                     acc[k - shift] = acc.get(k - shift, 0) - c
     return TorusElement._make(a.ctx, _nonzero(out))
+
+
+def both_orders(a: TorusElement, b: TorusElement) -> tuple[TorusElement, TorusElement]:
+    """(ab, ba) in one pass over term pairs.
+
+    E(u)E(v) = q^<u,v> E(u+v) and E(v)E(u) = q^-<u,v> E(u+v), so each
+    pair's pairing is computed once and feeds both products.
+    """
+    a._check(b)
+    rows = a.ctx.rows
+    ab: dict[Vec, dict[QKey, int]] = {}
+    ba: dict[Vec, dict[QKey, int]] = {}
+    for u, cu in a._terms.items():
+        r_items = _pairing_row(rows, u)
+        for v, cv in b._terms.items():
+            shift = 0
+            for j, x in r_items:
+                shift += x * v[j]
+            vec = _vec_add(u, v)
+            acc = ab.get(vec)
+            if acc is None:
+                ab[vec] = acc = {}
+                ba[vec] = rev = {}
+            else:
+                rev = ba[vec]
+            for qa, xa in cu.items():
+                for qb, xb in cv.items():
+                    k, c = qa + qb, xa * xb
+                    acc[k + shift] = acc.get(k + shift, 0) + c
+                    rev[k - shift] = rev.get(k - shift, 0) + c
+    return TorusElement._make(a.ctx, _nonzero(ab)), TorusElement._make(a.ctx, _nonzero(ba))
 
 
 def commutes(a: TorusElement, b: TorusElement) -> bool:

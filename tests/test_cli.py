@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qtoda import cli
 from qtoda.cli import console, main
 from qtoda.network import FAMILY_CAP_ENV
 
@@ -198,6 +199,46 @@ def test_flag_values_below_one_are_usage_errors(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {flag} must be at least 1, got {argv[argv.index(flag) + 1]}\n"
+
+
+def test_negative_depth_is_a_usage_error(capsys):
+    # not a failed search: the seeds were never compared
+    argv = ["verify", "--check", "mutation-equiv", "--type", "A", "--rank", "2", "--depth", "-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --depth must be at least 0, got -3\n"
+    code, out = run(capsys, *argv[:-1], "0")
+    assert code in (0, 1) and json.loads(out)["check"] == "mutation-equiv"
+
+
+def test_jobs_never_exceed_the_word_count(capsys, monkeypatch):
+    # a recorder in place of the pool: it starts no process
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    code, out = run(capsys, "verify", "--check", "alpha", "--rank", "2", "--qvec", "0", "--jobs", "64")
+    assert code == 0 and len(json.loads(out)["reports"]) == 1
+    assert started == []  # one word runs in process
+    code, out = run(capsys, "verify", "--check", "alpha", "--rank", "2", "--all-words", "--jobs", "64")
+    words = len(json.loads(out)["reports"])
+    assert code == 0 and words > 1
+    assert started == [words]
+    code, out = run(capsys, "verify", "--check", "alpha", "--rank", "2", "--all-words", "--jobs", "2")
+    assert code == 0 and started == [words, 2]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

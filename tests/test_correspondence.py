@@ -15,8 +15,8 @@ from qtoda.correspondence import (
     verify_equivalence_C,
     verify_weight_map,
 )
-from qtoda.network import build_network, network_hamiltonian, path_families
-from qtoda.torus import MonomialMap, commutes
+from qtoda.network import build_network, network_hamiltonian, path_families, subnetwork
+from qtoda.torus import MonomialMap, TorusElement, commutes
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
 
 
@@ -134,6 +134,29 @@ def test_label_hamiltonian_equals_folded_generator_products():
                         term = term * alg.generator(p.label)
                     acc = acc + term
                 assert label_hamiltonian(alg, i) == acc, (kind, w.letters, i)
+
+
+def test_folded_label_hamiltonian_equals_plain_product_sum():
+    # the q-key and indicator vector folded over path_families against one
+    # plain_product per family, top row first, on every row band and size
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in enumerate_double_coxeter(n):
+                net = build_network(kind, w)
+                for lo in net.rows:
+                    for hi in range(lo, net.row_hi + 1):
+                        alg = label_algebra(subnetwork(net, lo, hi))
+                        for i in range(1, alg.net.num_rows + 1):
+                            ref = TorusElement.sum(
+                                alg.ctx,
+                                [
+                                    alg.ctx.plain_product(
+                                        [(alg.index(p.label), 1) for p in sorted(fam, key=lambda p: -p.source)]
+                                    )
+                                    for fam in path_families(alg.net, i)
+                                ],
+                            )
+                            assert label_hamiltonian(alg, i) == ref, (kind, w.letters, lo, hi, i)
 
 
 def test_equivalence_A_small():

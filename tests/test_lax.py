@@ -120,6 +120,20 @@ def test_monodromy_entry_matches_full_products():
         monodromy_entry(lax_context(2), (0,), "A")
 
 
+def test_type_c_entry_matches_inverted_column_products():
+    # each unordered z-pair taken once against the full z_inverted()
+    # products of the first column of T, and the double monodromy
+    for n in (1, 2, 3, 4):
+        ctx = lax_context(n)
+        for kv in all_kvecs(n):
+            t = monodromy(ctx, kv)
+            x, y = t[0, 0], t[1, 0]
+            ref = (x.z_inverted() * x + y.z_inverted() * y).scaled((-1) ** n)
+            got = monodromy_entry(ctx, kv, "C")
+            assert got == ref, kv
+            assert got == double_monodromy(ctx, kv)[0, 0], kv
+
+
 def test_lax_context_is_shared_per_rank():
     assert lax_context(3) is lax_context(3)
     assert lax_context(2) is not lax_context(3)

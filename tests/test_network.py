@@ -4,6 +4,7 @@ import pytest
 
 from qtoda.network import (
     FAMILY_CAP_ENV,
+    _search_strands,
     build_network,
     classical_matrix,
     enumerate_labeled_paths,
@@ -186,6 +187,22 @@ def test_subnetwork_bottom_rows_of_c_look_type_a():
     labels_sub = {p.label for p in enumerate_labeled_paths(sub)}
     labels_a = {p.label for p in enumerate_labeled_paths(neta)}
     assert labels_sub == labels_a
+
+
+def test_subnetwork_strands_match_a_fresh_search():
+    # the stored table filtered to a band against a depth-first search
+    # of the band itself, on every row band of every word
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in all_words(n):
+                net = build_network(kind, w)
+                assert enumerate_labeled_paths(net) == _search_strands(net)
+                for lo in net.rows:
+                    for hi in range(lo, net.row_hi + 1):
+                        sub = subnetwork(net, lo, hi)
+                        assert enumerate_labeled_paths(sub) == _search_strands(sub), (
+                            kind, w.letters, lo, hi
+                        )
 
 
 def _reference_families(net, size):

@@ -10,6 +10,7 @@ from qtoda.torus import (
     RationalLaurent,
     TorusContext,
     TorusElement,
+    both_orders,
     classical_context,
     classical_monomial,
     commutator,
@@ -456,6 +457,43 @@ def test_commutator_matches_both_products(data):
     # a central part (the unit term) and the element itself drop out
     assert commutator(a + ctx.one(), b) == c
     assert commutator(a, a).is_zero()
+
+
+def sized_terms(ctx, min_size, max_size):
+    """Raw terms with exactly min_size..max_size nonzero exponent vectors."""
+    vec = st.tuples(*[small_exp] * ctx.rank)
+    nonzero = st.integers(min_value=-3, max_value=3).filter(bool)
+    coeffs = st.dictionaries(oracle_qpow, nonzero, min_size=1, max_size=3)
+    return st.dictionaries(vec, coeffs, min_size=min_size, max_size=max_size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mul_builds_pairing_rows_on_either_side(data):
+    # a has more terms than b, so a*b builds rows for b and b*a for b too,
+    # from the left: both branches of the smaller-side choice run
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    rb = data.draw(sized_terms(ctx, 1, 3))
+    ra = data.draw(sized_terms(ctx, len(rb) + 1, 5))
+    a, b = TorusElement(ctx, ra), TorusElement(ctx, rb)
+    assert len(a.terms) > len(b.terms)
+    assert _ref_terms(a * b) == _ref_mul(ctx, ra, rb)
+    assert _ref_terms(b * a) == _ref_mul(ctx, rb, ra)
+    assert a.q_shift(0, 1) is a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_both_orders_matches_both_products(data):
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    ra = data.draw(raw_terms(ctx))
+    rb = data.draw(raw_terms(ctx))
+    a, b = TorusElement(ctx, ra), TorusElement(ctx, rb)
+    ra, rb = _ref_clean(ra), _ref_clean(rb)
+    ab, ba = both_orders(a, b)
+    assert ab == a * b and ba == b * a
+    assert _ref_terms(ab) == _ref_mul(ctx, ra, rb)
+    assert _ref_terms(ba) == _ref_mul(ctx, rb, ra)
 
 
 @settings(max_examples=60, deadline=None)
