@@ -6,9 +6,11 @@ failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
 ``--depth -1``, ``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K``
 or one at no vertex of the seed, an ``--index`` outside 1..count of the
 Hamiltonians included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
-reported as one line on stderr.  ``main`` returns codes 0-2 and lets the
-RuntimeError of an exceeded limit reach its caller; ``console`` is the
-command's entry point and turns that error into code 3.
+4 internal error (a fault of the program, not of its input), each
+reported as one line on stderr.  ``main`` returns codes 0-2 and lets
+any other exception, such as the RuntimeError of an exceeded limit,
+reach its caller; ``console`` is the command's entry point and turns an
+exceeded limit into code 3 and any other exception into code 4.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from . import lax as laxmod
 from . import serialize
 from .cluster import mutate_seed, mutate_swap, mutation_equivalent, seed_from_word
 from .correspondence import (
-    build_weight_map,
-    label_algebra,
-    label_hamiltonian,
+    lax_params,
+    lax_strand_table,
     verify_equivalence_A,
     verify_equivalence_C,
     verify_weight_map,
@@ -35,6 +36,7 @@ from .fixtures import seed_manifest
 from .network import (
     build_network,
     classical_matrix,
+    fold_hamiltonian,
     matrix_product,
     network_hamiltonian,
     reference_chip_matrices,
@@ -43,7 +45,6 @@ from .torus import commutes
 from .words import (
     DoubleWord,
     enumerate_double_coxeter,
-    index_vector_of,
     quiver_vector_of,
     word_of_quiver_vector,
 )
@@ -93,9 +94,20 @@ def _select_words(cfg: RunConfig) -> list[DoubleWord]:
         raise SystemExit2("exactly one of --word, --qvec, --all-words is required")
     if cfg.all_words:
         return enumerate_double_coxeter(cfg.rank)
-    if cfg.word is not None:
-        return [DoubleWord(cfg.rank, cfg.word)]
-    return [word_of_quiver_vector(cfg.rank, cfg.qvec)]
+    try:
+        if cfg.word is not None:
+            return [DoubleWord(cfg.rank, cfg.word)]
+        return [word_of_quiver_vector(cfg.rank, cfg.qvec)]
+    except ValueError as exc:
+        flag = "--word" if cfg.word is not None else "--qvec"
+        raise SystemExit2(f"{flag}: {exc}") from None
+
+
+def _one_word(cfg: RunConfig) -> DoubleWord:
+    words = _select_words(cfg)
+    if len(words) != 1:
+        raise SystemExit2(f"{cfg.command} takes one word; --all-words selects {len(words)}")
+    return words[0]
 
 
 class SystemExit2(Exception):
@@ -129,7 +141,7 @@ def cmd_words(cfg: RunConfig) -> int:
 
 
 def cmd_network(cfg: RunConfig) -> int:
-    (word,) = _select_words(cfg)
+    word = _one_word(cfg)
     net = build_network(cfg.kind, word)
     if cfg.fmt == "dot":
         print(serialize.network_to_dot(net))
@@ -139,21 +151,13 @@ def cmd_network(cfg: RunConfig) -> int:
 
 
 def cmd_quiver(cfg: RunConfig) -> int:
-    (word,) = _select_words(cfg)
+    word = _one_word(cfg)
     seed = seed_from_word(cfg.kind, word)
     if cfg.fmt == "dot":
         print(serialize.seed_to_dot(seed))
     else:
         print(serialize.dumps(serialize.seed_to_dict(seed)))
     return 0
-
-
-def _lax_params(cfg: RunConfig, word: DoubleWord):
-    qvec = quiver_vector_of(word)
-    if cfg.kind == "A":
-        kvec = index_vector_of(qvec)
-        return laxmod.lax_context(word.n + 1), kvec
-    return laxmod.lax_context(word.n), tuple(qvec) + (0,)
 
 
 def _indices(cfg: RunConfig, count: int) -> list[int]:
@@ -169,8 +173,10 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
     # on the lax/recursive routes of type A, --rank counts the chain
     # sites, one more than the network rank of the underlying word
     if cfg.route != "network" and cfg.kind == "A":
+        if cfg.rank < 2:
+            raise SystemExit2(f"--rank must be at least 2 on the {cfg.route} route of type A, got {cfg.rank}")
         cfg = RunConfig(**{**cfg.__dict__, "rank": cfg.rank - 1})
-    (word,) = _select_words(cfg)
+    word = _one_word(cfg)
     out = {}
     if cfg.route == "network":
         net = build_network(cfg.kind, word)
@@ -178,7 +184,7 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
         for i in indices:
             out[f"H_{i}"] = network_hamiltonian(net, i)
     else:
-        ctx, kvec = _lax_params(cfg, word)
+        ctx, kvec = lax_params(cfg.kind, word)
         count = len(kvec) + 1 if cfg.kind == "A" else 2 * len(kvec) + 1
         indices = _indices(cfg, count)
         if cfg.route == "lax":
@@ -220,9 +226,8 @@ def _check_one_word(args) -> dict:
     if check == "alpha":
         return verify_weight_map(net)
     if check == "commute":
-        alg = label_algebra(net)
-        wmap = build_weight_map(net, alg)
-        hs = [wmap.apply(label_hamiltonian(alg, i)) for i in range(1, word.n + 1)]
+        table = lax_strand_table(net)
+        hs = [fold_hamiltonian(net, i, table) for i in range(1, word.n + 1)]
         bad = [
             [a + 1, b + 1]
             for a, b in combinations(range(len(hs)), 2)
@@ -292,7 +297,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_mutate(cfg: RunConfig) -> int:
-    (word,) = _select_words(cfg)
+    word = _one_word(cfg)
     seed = seed_from_word(cfg.kind, word)
     applied = []
     for tag, v in cfg.sequence:
@@ -399,21 +404,20 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 def console(argv=None) -> int:
     """Entry point of the ``qtoda`` command: ``main``, with an exceeded
-    resource limit reported as one stderr line and exit code 3."""
+    resource limit reported as one stderr line and exit code 3, and any
+    other exception as one line and exit code 4."""
     try:
         return main(argv)
-    except RuntimeError as exc:
-        if getattr(exc, "limit", None) is None:
-            raise
-        print(f"resource limit exceeded: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        if getattr(exc, "limit", None) is not None:
+            print(f"resource limit exceeded: {exc}", file=sys.stderr)
+            return 3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,7 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lax as laxmod
-from .network import Network, build_network, enumerate_labeled_paths, path_families, subnetwork
+from .network import (
+    Network,
+    StrandTable,
+    build_network,
+    enumerate_labeled_paths,
+    fold_hamiltonian,
+    path_families,
+    strand_table,
+    subnetwork,
+    weight_vector,
+)
 from .torus import MonomialMap, TorusContext, TorusElement
 from .words import DoubleWord, QuiverVector, index_vector_of, quiver_vector_of
 
@@ -41,12 +51,7 @@ class LabelAlgebra:
 def label_algebra(net: Network) -> LabelAlgebra:
     paths = enumerate_labeled_paths(net)
     labels = tuple(p.label for p in paths)
-    weights = {}
-    for p in paths:
-        vec = [0] * net.ctx.rank
-        for g, e in p.letters:
-            vec[g] += e
-        weights[p.label] = tuple(vec)
+    weights = {p.label: weight_vector(net, p) for p in paths}
     names = tuple(f"X[{a},{b}]" for a, b in labels)
     skew = tuple(
         tuple(net.ctx.pairing(weights[r], weights[c]) for c in labels)
@@ -147,16 +152,33 @@ def label_image(kind: str, n: int, qvec: QuiverVector, lax_ctx: TorusContext, la
     raise ValueError(f"label {label} is not covered by the weight table")
 
 
+def lax_params(kind: str, word: DoubleWord) -> tuple[TorusContext, tuple[int, ...]]:
+    """The Lax torus and index vector matched to a word's network: type A
+    (0, Q, 0) on n+1 sites, type C (Q_{n-1}, ..., Q_1, 0) on n sites."""
+    qvec = quiver_vector_of(word)
+    if kind == "A":
+        return laxmod.lax_context(word.n + 1), index_vector_of(qvec)
+    return laxmod.lax_context(word.n), tuple(qvec) + (0,)
+
+
+def _lax_images(net: Network):
+    """The Lax torus of ``net`` and the map label -> ``label_image``."""
+    lax_ctx, _ = lax_params(net.kind, net.word)
+    qvec = quiver_vector_of(net.word)
+    return lax_ctx, lambda label: label_image(net.kind, net.n, qvec, lax_ctx, label)
+
+
 def build_weight_map(net: Network, alg: LabelAlgebra | None = None) -> MonomialMap:
     """Monomial map from the label torus into the Lax torus."""
     alg = alg or label_algebra(net)
-    qvec = quiver_vector_of(net.word)
-    rank = net.n + 1 if net.kind == "A" else net.n
-    lax_ctx = laxmod.lax_context(rank)
-    images = tuple(
-        label_image(net.kind, net.n, qvec, lax_ctx, lab) for lab in alg.labels
-    )
-    return MonomialMap(alg.ctx, lax_ctx, images)
+    lax_ctx, image = _lax_images(net)
+    return MonomialMap(alg.ctx, lax_ctx, tuple(map(image, alg.labels)))
+
+
+def lax_strand_table(net: Network) -> StrandTable:
+    """Strand table of ``net`` with each label's image in the Lax torus.
+    Its bands reuse it: a label's image depends only on (kind, n, Q)."""
+    return strand_table(net, *_lax_images(net))
 
 
 def verify_weight_map(net: Network) -> dict:
@@ -190,9 +212,7 @@ def verify_weight_map(net: Network) -> dict:
 
 def network_hamiltonian_in_lax(net: Network, i: int) -> TorusElement:
     """Network Hamiltonian pushed through the label substitution."""
-    alg = label_algebra(net)
-    wmap = build_weight_map(net, alg)
-    return wmap.apply(label_hamiltonian(alg, i))
+    return fold_hamiltonian(net, i, lax_strand_table(net))
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +244,14 @@ def verify_equivalence_A(word: DoubleWord) -> dict:
     exactly, for i = 1..n."""
     n = word.n
     net = build_network("A", word)
-    alg = label_algebra(net)
-    wmap = build_weight_map(net, alg)
+    table = lax_strand_table(net)
     qvec = quiver_vector_of(word)
-    kvec = index_vector_of(qvec)
-    ctx = wmap.target
+    ctx, kvec = lax_params("A", word)
     hams = laxmod.lax_hamiltonians(ctx, kvec, "A")
     pref = _w_prefactor(ctx, n + 1, -1)
     checks = []
     for i in range(1, n + 1):
-        lhs = wmap.apply(label_hamiltonian(alg, i))
+        lhs = fold_hamiltonian(net, i, table)
         rhs = pref * hams[i]  # hams[i] is H_{i+1}
         checks.append({"index": i, **_compare(lhs, rhs)})
     return {
@@ -246,24 +264,19 @@ def verify_equivalence_A(word: DoubleWord) -> dict:
     }
 
 
-def _c_index_vector(qvec: QuiverVector) -> tuple[int, ...]:
-    """(Q_{n-1}, ..., Q_1, 0) for the type C identification."""
-    return tuple(qvec) + (0,)
-
-
 def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
     """H_i(network) = H_{i+1}(double Lax, (Q, 0)) for i = 1..n, plus the
     subnetwork identities on the bottom and top row bands."""
     n = word.n
     net = build_network("C", word)
-    alg = label_algebra(net)
-    wmap = build_weight_map(net, alg)
+    # the bands' strands are the parent's, with the same Lax images
+    table = lax_strand_table(net)
     qvec = quiver_vector_of(word)
-    ctx = wmap.target
-    hams = laxmod.lax_hamiltonians(ctx, _c_index_vector(qvec), "C")
+    ctx, kvec = lax_params("C", word)
+    hams = laxmod.lax_hamiltonians(ctx, kvec, "C")
     checks = []
     for i in range(1, n + 1):
-        lhs = wmap.apply(label_hamiltonian(alg, i))
+        lhs = fold_hamiltonian(net, i, table)
         rhs = hams[i]  # index i+1
         checks.append({"index": i, **_compare(lhs, rhs)})
     sub_checks = []
@@ -271,33 +284,24 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
         # the band on rows 1..r and the top r rows share the Lax context,
         # the index vector (Q_{r-1}, ..., Q_1, 0), and so the type A
         # Hamiltonians and the embedding: one per r for this verdict
-        bands = {}
+        by_size = {}
         for r in range(2, n + 1):
             sub_ctx = laxmod.lax_context(r)
             kv = tuple(qvec[n - r:]) + (0,)
             shams = laxmod.lax_hamiltonians(sub_ctx, kv, "A")
-            bands[r] = (sub_ctx, shams, _embed_map(sub_ctx, ctx))
-        for m in range(2, n + 1):
-            sub = subnetwork(net, 1, m)
-            salg = label_algebra(sub)
-            smap = build_weight_map(sub, salg)
-            sub_ctx, shams, embed = bands[m]
-            pref = _w_prefactor(sub_ctx, m, -1)
-            for i in range(1, m + 1):
-                lhs = smap.apply(label_hamiltonian(salg, i))
-                rhs = embed.apply(pref * shams[i])
-                sub_checks.append({"rows": [1, m], "index": i, **_compare(lhs, rhs)})
-        for m2 in range(n + 1, 2 * n):
-            r = 2 * n + 1 - m2
-            sub = subnetwork(net, m2, 2 * n)
-            salg = label_algebra(sub)
-            smap = build_weight_map(sub, salg)
-            sub_ctx, shams, embed = bands[r]
-            pref = _w_prefactor(sub_ctx, r, 1)
+            by_size[r] = (sub_ctx, shams, _embed_map(sub_ctx, ctx))
+        # (rows lo..hi, size r, prefactor sign): bottom bands, then top bands
+        bands = [(1, m, m, -1) for m in range(2, n + 1)]
+        bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
+        for lo, hi, r, sign in bands:
+            sub = subnetwork(net, lo, hi)
+            sub_ctx, shams, embed = by_size[r]
+            pref = _w_prefactor(sub_ctx, r, sign)
             for i in range(1, r + 1):
-                lhs = smap.apply(label_hamiltonian(salg, i))
-                rhs = embed.apply(pref * shams[r - i])  # H_{r+1-i}
-                sub_checks.append({"rows": [m2, 2 * n], "index": i, **_compare(lhs, rhs)})
+                lhs = fold_hamiltonian(sub, i, table)
+                # H_{i+1} on the bottom bands, H_{r+1-i} on the top ones
+                rhs = embed.apply(pref * shams[i if sign < 0 else r - i])
+                sub_checks.append({"rows": [lo, hi], "index": i, **_compare(lhs, rhs)})
     return {
         "kind": "C",
         "rank": n,

@@ -143,11 +143,17 @@ def double_monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
 
 def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent:
     """The (1,1) entry of ``monodromy`` (type A) or ``double_monodromy``
-    (type C), without the full 2x2 products.
+    (type C), without the full 2x2 products."""
+    entry = _unsigned_entry(ctx, kvec, kind)
+    return entry.scaled(-1) if kind == "C" and len(kvec) % 2 else entry
+
+
+def _unsigned_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent:
+    """``monodromy_entry`` without the (-1)^n of type C.
 
     Type A carries the row e_1^T L_n through L_(n-1) ... L_1.  Type C
     carries the column T e_1 = L_n (... (L_1 e_1)) and returns
-    (-1)^n sum_k T_k1(1/z) T_k1(z), the (1,1) entry of (-1)^n T(1/z)^T T(z).
+    sum_k T_k1(1/z) T_k1(z), the (1,1) entry of T(1/z)^T T(z).
     Each x(1/z) x(z) = sum_{e,f} x_e x_f z^(f-e) takes x_e x_e once and
     both orders of each pair e < f from one ``both_orders`` pass.
     """
@@ -177,10 +183,7 @@ def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent
                 ef, fe = both_orders(xe, xf)
                 parts.setdefault(f - e, []).append(ef)
                 parts.setdefault(e - f, []).append(fe)
-    sign = (-1) ** n
-    return ZLaurent(
-        ctx, {d: TorusElement.sum(ctx, ps).q_shift(0, sign) for d, ps in parts.items()}
-    )
+    return ZLaurent(ctx, {d: TorusElement.sum(ctx, ps) for d, ps in parts.items()})
 
 
 def sigma_doubled(kvec: IndexVector) -> int:
@@ -211,23 +214,31 @@ def extract_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> list[
     return [entry.coeff(d) for d in window]
 
 
+def _normal_sign(kind: str, n: int, i: int) -> int:
+    """The alternating sign of H_i in the direct expansion."""
+    return (-1) ** (n + 1 - i if kind == "A" else i - 1)
+
+
 def normalized_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> list[TorusElement]:
     """Sign-normalized coefficients, the convention of the explicit lists:
     the alternating sign of the direct expansion is stripped, type A by
     (-1)^(n+1-i) and type C by (-1)^(i-1)."""
     raw = extract_hamiltonians(entry, kvec, kind)
-    n = len(kvec)
-    if kind == "A":
-        return [h.q_shift(0, (-1) ** (n + 1 - i)) for i, h in enumerate(raw, start=1)]
-    return [h.q_shift(0, (-1) ** (i - 1)) for i, h in enumerate(raw, start=1)]
+    return [h.q_shift(0, _normal_sign(kind, len(kvec), i)) for i, h in enumerate(raw, start=1)]
 
 
 def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, normalized: bool = True) -> list[TorusElement]:
-    """Hamiltonians of the (double) monodromy for an index vector."""
-    entry = monodromy_entry(ctx, kvec, kind)
-    if normalized:
-        return normalized_hamiltonians(entry, kvec, kind)
-    return extract_hamiltonians(entry, kvec, kind)
+    """Hamiltonians of the (double) monodromy for an index vector: the
+    coefficients of ``monodromy_entry``, normalized as by
+    ``normalized_hamiltonians`` unless ``normalized`` is false.  Each is
+    signed once, the type C (-1)^n of the entry included."""
+    raw = extract_hamiltonians(_unsigned_entry(ctx, kvec, kind), kvec, kind)
+    n = len(kvec)
+    outer = (-1) ** n if kind == "C" else 1
+    return [
+        h.q_shift(0, outer * _normal_sign(kind, n, i) if normalized else outer)
+        for i, h in enumerate(raw, start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------

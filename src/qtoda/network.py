@@ -14,12 +14,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 
 from .torus import (
     CommutativeLaurent,
     TorusContext,
     TorusElement,
+    Vec,
+    _grid_key,
+    _pairing_row,
+    _vec_add,
     classical_context,
     classical_monomial,
 )
@@ -344,56 +347,128 @@ def quantized_path_weight(net: Network, path: LabeledPath) -> TorusElement:
     return net.ctx.weyl(path.letters)
 
 
-def path_families(net: Network, size: int):
-    """Vertex-disjoint families with sources = sinks = I, |I| = size."""
+def weight_vector(net: Network, path: LabeledPath) -> Vec:
+    """Exponent vector of ``quantized_path_weight``."""
+    (vec,) = quantized_path_weight(net, path).terms
+    return vec
+
+
+def _vertex_mask(path: LabeledPath, width: int) -> int:
+    """``path.vertices()`` as one int: vertex (i, row) is bit i*width + row."""
+    return sum(1 << (i * width + r) for i, r in path.vertices())
+
+
+def _fold_families(net: Network, size: int, entries: dict, start, step):
+    """Fold ``step`` from ``start`` over the members, bottom row first, of
+    each vertex-disjoint family with sources = sinks = I, |I| = size.
+
+    ``entries`` maps strand labels to (vertex mask, datum); only this
+    network's strands are read, so a band can pass its parent's entries.
+    Row subsets come depth first in ``combinations`` order, so a partial
+    family (its members' mask union and fold) serves every subset that
+    begins with its rows.
+    """
     cap = int(os.environ.get(FAMILY_CAP_ENV, "1000000"))
-    # vertex (i, row) of ``LabeledPath.vertices`` is bit i*(row_hi+1) + row
-    width = net.row_hi + 1
-    by_row: dict[int, list[tuple[LabeledPath, int]]] = {}
-    for p in enumerate_labeled_paths(net):
-        m = len(p.rows) - 1
-        mask = 0
-        for i, r in enumerate(p.rows):
-            mask |= 1 << (i % m * width + r)
-        by_row.setdefault(p.source, []).append((p, mask))
+    by_row: dict[int, list] = {}
+    for p in net.strands:
+        by_row.setdefault(p.source, []).append(entries[p.label])
+    rows = [by_row[r] for r in net.rows if r in by_row]
     count = 0
-    rows = [r for r in net.rows if r in by_row]
-    for subset in combinations(rows, size):
-        # partial families with the union of their members' masks
-        partial: list[tuple[tuple[LabeledPath, ...], int]] = [((), 0)]
-        for r in subset:
-            partial = [
-                (fam + (p,), used | mask)
-                for fam, used in partial
-                for p, mask in by_row[r]
+    stack = [([(0, start)], 0)]  # per chosen row: partial families, next row
+    while stack:
+        partial, k = stack[-1]
+        left = size + 1 - len(stack)
+        if not left:
+            stack.pop()
+            for _, acc in partial:
+                count += 1
+                if count > cap:
+                    # a plain RuntimeError for library callers; ``limit`` names
+                    # the cap, so the command line reports a resource limit
+                    exc = RuntimeError(f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}")
+                    exc.limit = FAMILY_CAP_ENV
+                    raise exc
+                yield acc
+        elif k > len(rows) - left:
+            stack.pop()
+        else:
+            stack[-1] = (partial, k + 1)
+            grown = [
+                (used | mask, step(acc, datum))
+                for used, acc in partial
+                for mask, datum in rows[k]
                 if not used & mask
             ]
-        for fam, _ in partial:
-            count += 1
-            if count > cap:
-                # a plain RuntimeError for library callers; ``limit`` names
-                # the cap, so the command line reports a resource limit
-                exc = RuntimeError(f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}")
-                exc.limit = FAMILY_CAP_ENV
-                raise exc
-            yield fam
+            if grown:
+                stack.append((grown, k + 1))
 
 
-def family_weight(net: Network, family) -> TorusElement:
-    """Product of member weights, top row first."""
-    acc = net.ctx.one()
-    for p in sorted(family, key=lambda p: -p.source):
-        acc = acc * quantized_path_weight(net, p)
-    return acc
+def path_families(net: Network, size: int):
+    """Vertex-disjoint families with sources = sinks = I, |I| = size, as
+    member tuples, bottom row first."""
+    width = net.row_hi + 1
+    entries = {p.label: (_vertex_mask(p, width), p) for p in net.strands}
+    return _fold_families(net, size, entries, (), lambda fam, p: fam + (p,))
+
+
+@dataclass(frozen=True)
+class StrandTable:
+    """Per-strand data of ``strand_table`` for folds into ``target``."""
+
+    target: TorusContext
+    entries: dict
+
+
+def strand_table(net: Network, target: TorusContext | None = None, image=None) -> StrandTable:
+    """Per strand label: vertex mask and (w + v, r, p) for the weight
+    vector w, the pairing row r = den*(w s) * key_scale and the image
+    q^p E(v) in ``target`` (p a target q-key; ``image(label)`` gives
+    (q-power, v), by default the identity).  key_scale = target.den /
+    net.ctx.den as in ``MonomialMap``.  Bands of ``net`` reuse the table."""
+    target = target or net.ctx
+    scale = _grid_key(Fraction(target.den, net.ctx.den))
+    width = net.row_hi + 1
+    entries = {}
+    for p in net.strands:
+        w = weight_vector(net, p)
+        qp, v = image(p.label) if image else (0, w)
+        r = [(j, x * scale) for j, x in _pairing_row(net.ctx.rows, w)]
+        entries[p.label] = (_vertex_mask(p, width), (w + v, r, target._qkey(qp)))
+    return StrandTable(target, entries)
+
+
+def _extend(acc, datum):
+    """Put a strand left of a family: E(w) E(W) = q^<w,W> E(w + W)."""
+    WT, key = acc
+    wv, r, p = datum
+    for j, x in r:
+        key += x * WT[j]
+    return _vec_add(WT, wv), key + p
+
+
+def fold_hamiltonian(net: Network, i: int, table: StrandTable) -> TorusElement:
+    """Sum over size-i vertex-disjoint families of the image in
+    ``table.target`` of their weight product, top row first.
+
+    A family folds W + T = sum (w + v) and the q-key K key_scale + P,
+    with K = den * sum <w_s, w_t> over members s above t and P = sum p.
+    Its term q^(K key_scale + P) E(T) is ``MonomialMap.apply`` of its
+    product on the label torus.
+    """
+    if not 1 <= i <= net.num_rows:
+        raise ValueError(f"hamiltonian index {i} out of range")
+    m = net.ctx.rank
+    out: dict = {}
+    start = (net.ctx.unit_vec() + table.target.unit_vec(), 0)
+    for WT, key in _fold_families(net, i, table.entries, start, _extend):
+        coeffs = out.setdefault(WT[m:], {})
+        coeffs[key] = coeffs.get(key, 0) + 1
+    return TorusElement._make(table.target, out)
 
 
 def network_hamiltonian(net: Network, i: int) -> TorusElement:
     """Sum over size-i vertex-disjoint families of their weights."""
-    if not 1 <= i <= net.num_rows:
-        raise ValueError(f"hamiltonian index {i} out of range")
-    return TorusElement.sum(
-        net.ctx, [family_weight(net, fam) for fam in path_families(net, i)]
-    )
+    return fold_hamiltonian(net, i, strand_table(net))
 
 
 def subnetwork(net: Network, lo: int, hi: int) -> Network:

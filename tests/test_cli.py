@@ -257,3 +257,35 @@ def test_family_cap_is_a_resource_limit(capsys, monkeypatch, jobs):
 def test_console_passes_other_codes_through(capsys):
     assert console(["words", "--type", "A", "--rank", "2"]) == 0
     assert console(["words", "--rank", "0"]) == 2
+
+
+def test_internal_faults_are_not_usage_errors(capsys, monkeypatch):
+    def fault(*args, **kwargs):
+        raise ValueError("z-support [9] outside the predicted window")
+
+    monkeypatch.setattr(cli.laxmod, "lax_hamiltonians", fault)
+    argv = ["hamiltonians", "--route", "lax", "--type", "A", "--rank", "3", "--qvec", "0"]
+    with pytest.raises(ValueError, match="predicted window"):
+        main(argv)  # library callers see the error itself
+    capsys.readouterr()
+    assert console(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: z-support [9] outside the predicted window\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("network", "--rank", "2", "--all-words"), "network takes one word; --all-words selects 3"),
+        (("hamiltonians", "--route", "network", "--rank", "2", "--all-words"), "hamiltonians takes one word; --all-words selects 3"),
+        (("hamiltonians", "--route", "lax", "--rank", "1", "--all-words"), "--rank must be at least 2 on the lax route of type A, got 1"),
+        (("network", "--rank", "2", "--word=1,-1,2,-2"), "--word: word must be unmixed: negative letters first"),
+        (("quiver", "--rank", "3", "--qvec", "1,2"), "--qvec: quiver vector entries must be -1, 0 or 1"),
+    ],
+)
+def test_bad_selections_are_usage_errors(capsys, argv, message):
+    assert console(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"

@@ -10,12 +10,13 @@ from qtoda.correspondence import (
     label_algebra,
     label_hamiltonian,
     label_image,
+    lax_strand_table,
     network_hamiltonian_in_lax,
     verify_equivalence_A,
     verify_equivalence_C,
     verify_weight_map,
 )
-from qtoda.network import build_network, network_hamiltonian, path_families, subnetwork
+from qtoda.network import build_network, fold_hamiltonian, network_hamiltonian, path_families, subnetwork
 from qtoda.torus import MonomialMap, TorusElement, commutes
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
 
@@ -157,6 +158,26 @@ def test_folded_label_hamiltonian_equals_plain_product_sum():
                                 ],
                             )
                             assert label_hamiltonian(alg, i) == ref, (kind, w.letters, lo, hi, i)
+
+
+def test_fold_matches_the_label_torus_route_on_every_band():
+    # the parent's one strand table, folded over each row band, against
+    # the band's label Hamiltonian pushed through its weight map
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in enumerate_double_coxeter(n):
+                net = build_network(kind, w)
+                table = lax_strand_table(net)
+                for lo in net.rows:
+                    for hi in range(lo, net.row_hi + 1):
+                        sub = subnetwork(net, lo, hi)
+                        alg = label_algebra(sub)
+                        wmap = build_weight_map(sub, alg)
+                        for i in range(1, sub.num_rows + 1):
+                            ref = wmap.apply(label_hamiltonian(alg, i))
+                            assert fold_hamiltonian(sub, i, table) == ref, (kind, w.letters, lo, hi, i)
+                for i in range(1, net.num_rows + 1):
+                    assert network_hamiltonian_in_lax(net, i) == fold_hamiltonian(net, i, table)
 
 
 def test_equivalence_A_small():

@@ -18,6 +18,7 @@ from qtoda.lax import (
     local_lax,
     monodromy,
     monodromy_entry,
+    normalized_hamiltonians,
     w_index,
 )
 from qtoda.torus import ZLaurent, commutes, identity_map
@@ -118,6 +119,19 @@ def test_monodromy_entry_matches_full_products():
         monodromy_entry(lax_context(2), (0, 0), "B")
     with pytest.raises(ValueError):
         monodromy_entry(lax_context(2), (0,), "A")
+
+
+def test_lax_hamiltonians_match_the_two_step_route():
+    # signs applied once per coefficient against extracting from the
+    # signed (1,1) entry, then normalizing
+    for n in (1, 2, 3, 4):
+        ctx = lax_context(n)
+        for kv in all_kvecs(n):
+            for kind in ("A", "C"):
+                entry = monodromy_entry(ctx, kv, kind)
+                assert lax_hamiltonians(ctx, kv, kind) == normalized_hamiltonians(entry, kv, kind), (kind, kv)
+                raw = extract_hamiltonians(entry, kv, kind)
+                assert lax_hamiltonians(ctx, kv, kind, normalized=False) == raw, (kind, kv)
 
 
 def test_type_c_entry_matches_inverted_column_products():

@@ -2,12 +2,15 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from qtoda import network
+from qtoda.correspondence import lax_strand_table
 from qtoda.network import (
     FAMILY_CAP_ENV,
     _search_strands,
     build_network,
     classical_matrix,
     enumerate_labeled_paths,
+    fold_hamiltonian,
     matrix_product,
     network_hamiltonian,
     path_families,
@@ -16,7 +19,7 @@ from qtoda.network import (
     subnetwork,
 )
 from qtoda.serialize import network_to_dict, network_to_dot
-from qtoda.torus import CommutativeLaurent, specialize_classical
+from qtoda.torus import CommutativeLaurent, TorusElement, specialize_classical
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
 
 
@@ -245,6 +248,76 @@ def test_family_cap_env(monkeypatch):
     net = build_network("A", standard_word(2))
     with pytest.raises(RuntimeError):
         list(path_families(net, 1))
+
+
+def _count_until_cap(items):
+    """Items taken before the family cap stops them, and its error."""
+    count = 0
+    try:
+        for _ in items:
+            count += 1
+    except RuntimeError as exc:
+        return count, exc
+    return count, None
+
+
+def test_fold_meets_the_family_cap_where_path_families_does(monkeypatch):
+    # count the families fold_hamiltonian takes from the enumeration core
+    taken = []
+
+    def counted(*args):
+        for acc in fold_families(*args):
+            taken.append(acc)
+            yield acc
+
+    fold_families = network._fold_families
+    monkeypatch.setattr(network, "_fold_families", counted)
+    # at most 35 families of one size on the A4 word, 93 on the C3 one
+    for kind, q in (("A", (-1, -1, -1)), ("C", (1, -1))):
+        net = build_network(kind, word_of_quiver_vector(len(q) + 1, q))
+        table = lax_strand_table(net)
+        monkeypatch.delenv(FAMILY_CAP_ENV, raising=False)
+        totals = [len(list(path_families(net, i))) for i in range(1, net.num_rows + 1)]
+        for cap in (1, 5, 37):
+            monkeypatch.setenv(FAMILY_CAP_ENV, str(cap))
+            for i, total in enumerate(totals, start=1):
+                fams, fam_exc = _count_until_cap(path_families(net, i))
+                taken.clear()
+                try:
+                    fold_hamiltonian(net, i, table)
+                    fold_exc = None
+                except RuntimeError as exc:
+                    fold_exc = exc
+                assert len(taken) == fams == min(total, cap), (kind, q, cap, i)
+                if total <= cap:
+                    assert fam_exc is fold_exc is None
+                    continue
+                assert str(fold_exc) == str(fam_exc) == f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}"
+                assert fold_exc.limit == fam_exc.limit == FAMILY_CAP_ENV
+
+
+def family_weight(net, family):
+    """Product of member weights multiplied one at a time, top row first."""
+    acc = net.ctx.one()
+    for p in sorted(family, key=lambda p: -p.source):
+        acc = acc * quantized_path_weight(net, p)
+    return acc
+
+
+def test_network_hamiltonian_equals_family_weight_products():
+    # the fold with identity images against one product per family
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in all_words(n):
+                net = build_network(kind, w)
+                for lo in net.rows:
+                    for hi in range(lo, net.row_hi + 1):
+                        sub = subnetwork(net, lo, hi)
+                        for i in range(1, sub.num_rows + 1):
+                            ref = TorusElement.sum(
+                                sub.ctx, [family_weight(sub, fam) for fam in path_families(sub, i)]
+                            )
+                            assert network_hamiltonian(sub, i) == ref, (kind, w.letters, lo, hi, i)
 
 
 def test_hamiltonian_index_range():
