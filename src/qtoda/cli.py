@@ -175,6 +175,11 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
     if cfg.route != "network" and cfg.kind == "A":
         if cfg.rank < 2:
             raise SystemExit2(f"--rank must be at least 2 on the {cfg.route} route of type A, got {cfg.rank}")
+        if cfg.qvec is not None and len(cfg.qvec) != cfg.rank - 2:
+            raise SystemExit2(
+                f"--qvec: --rank {cfg.rank} on the {cfg.route} route of type A takes the quiver "
+                f"vector of the rank-{cfg.rank - 1} word, {cfg.rank - 2} entries; got {len(cfg.qvec)}"
+            )
         cfg = RunConfig(**{**cfg.__dict__, "rank": cfg.rank - 1})
     word = _one_word(cfg)
     out = {}

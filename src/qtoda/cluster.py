@@ -1,17 +1,19 @@
 """Cluster seeds, quiver extraction from networks, mutation machinery.
 
 A seed stores the exchange matrix over an arbitrary hashable index set
-together with symmetrizers and a frozen subset.  Entries may be exact
-rationals before amalgamation (the half-weight boundary arrows of the
-face rules); cylinder seeds are integral.  Edge weights in the drawn
-quiver are w_ij = eps_ij d_j.
+together with symmetrizers and a frozen subset.  Entries are exact:
+cylinder seeds are integral and store plain ints, and a ``Fraction``
+appears only for the half-weight entries of disk seeds (the boundary
+arrows of the face rules, before amalgamation).  Mutation, the
+canonical key and the constructor check touch the nonzero entries
+only.  Edge weights in the drawn quiver are w_ij = eps_ij d_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .network import cartan_matrix, face_weights, symmetrizers
 from .torus import (
@@ -32,17 +34,16 @@ class Seed:
     frozen: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        for i in self.labels:
-            for j in self.labels:
-                a = self.eps.get((i, j), Fraction(0))
-                b = self.eps.get((j, i), Fraction(0))
-                if a * self.d[j] != -b * self.d[i]:
-                    raise ValueError(f"eps not skew-symmetrizable at {(i, j)}")
+        # eps_ij d_j = -eps_ji d_i; a pair with both entries zero holds
+        eps, d = self.eps, self.d
+        for (i, j), a in eps.items():
+            if a and a * d[j] != -eps.get((j, i), 0) * d[i]:
+                raise ValueError(f"eps not skew-symmetrizable at {(i, j)}")
 
-    def entry(self, i, j) -> Fraction:
-        return self.eps.get((i, j), Fraction(0))
+    def entry(self, i, j) -> int | Fraction:
+        return self.eps.get((i, j), 0)
 
-    def weight(self, i, j) -> Fraction:
+    def weight(self, i, j) -> int | Fraction:
         """Drawn edge weight w_ij = eps_ij d_j."""
         return self.entry(i, j) * self.d[j]
 
@@ -68,43 +69,31 @@ class Seed:
     def canonical_key(self):
         """Lexicographically minimal encoding over d-preserving bijections.
 
-        Vertices are first partitioned by (d, sorted row multiset) to cut
-        the permutation search down; quivers are compared only up to
-        relabeling.
+        Vertices are first partitioned by (d, frozen, sorted multiset of
+        nonzero (eps_ij, d_j) in the row) to cut the permutation search
+        down; quivers are compared only up to relabeling.
         """
-        labs = list(self.labels)
-        sig = {}
-        for i in labs:
-            row = sorted(
-                (self.entry(i, j), self.d[j]) for j in labs if j != i
-            )
-            sig[i] = (self.d[i], i in self.frozen, tuple(row))
+        eps, d, frozen = self.eps, self.d, self.frozen
+        rows = {i: [] for i in self.labels}
+        for (i, j), v in eps.items():
+            if v:
+                rows[i].append((v, d[j]))
         groups: dict = {}
-        for i in labs:
-            groups.setdefault(sig[i], []).append(i)
-        blocks = [groups[k] for k in sorted(groups, key=repr)]
-
+        for i in self.labels:
+            sig = (d[i], i in frozen, tuple(sorted(rows[i])))
+            groups.setdefault(sig, []).append(i)
+        blocks = [groups[k] for k in sorted(groups)]
+        # d and the frozen flags are constant on each block
+        order = [v for block in blocks for v in block]
+        dkey = tuple(d[v] for v in order)
+        fkey = tuple(v in frozen for v in order)
         best = None
-        def assignments(bs):
-            if not bs:
-                yield []
-                return
-            head, *rest = bs
-            for perm in permutations(head):
-                for tail in assignments(rest):
-                    yield list(perm) + tail
-
-        for picked in assignments(blocks):
-            key = tuple(
-                tuple(self.entry(picked[i], picked[j]) for j in range(len(picked)))
-                for i in range(len(picked))
-            )
-            dkey = tuple(self.d[v] for v in picked)
-            fkey = tuple(v in self.frozen for v in picked)
-            cand = (dkey, fkey, key)
-            if best is None or cand < best:
-                best = cand
-        return best
+        for perms in product(*map(permutations, blocks)):
+            picked = [v for perm in perms for v in perm]
+            key = tuple(tuple(eps.get((a, b), 0) for b in picked) for a in picked)
+            if best is None or key < best:
+                best = key
+        return dkey, fkey, best
 
     def is_isomorphic(self, other: "Seed") -> bool:
         return self.canonical_key() == other.canonical_key()
@@ -123,7 +112,7 @@ def seed_from_word(kind: str, word: DoubleWord) -> Seed:
         val = Fraction(w, d[j])
         if val.denominator != 1:
             raise ValueError(f"non-integer exchange entry at {(i, j)}")
-        eps[(i, j)] = val
+        eps[(i, j)] = val.numerator
     return Seed(labels, eps, d, frozenset())
 
 
@@ -141,7 +130,8 @@ def disk_seed_from_word(kind: str, word: DoubleWord) -> Seed:
         d[l] = d_roots[abs(l) - 1] if isinstance(l, int) else d_roots[l[1] - 1]
     eps = {}
     for (i, j), w in omega.items():
-        eps[(i, j)] = Fraction(w, d[j])
+        val = Fraction(w, d[j])
+        eps[(i, j)] = val if val.denominator != 1 else val.numerator
     return Seed(labels, eps, d, frozenset(l for l in labels if not isinstance(l, int)))
 
 
@@ -153,8 +143,8 @@ def standard_exchange_matrix(kind: str, n: int):
     for a in range(n):
         for b in range(n):
             if c[a][b]:
-                eps[(-(a + 1), b + 1)] = Fraction(c[a][b])
-                eps[(a + 1, -(b + 1))] = Fraction(-c[a][b])
+                eps[(-(a + 1), b + 1)] = c[a][b]
+                eps[(a + 1, -(b + 1))] = -c[a][b]
     return labels, eps
 
 
@@ -179,7 +169,7 @@ def amalgamate(q1: Seed, q2: Seed, glue: list[tuple]) -> Seed:
     eps: dict = dict(q1.eps)
     for (i, j), v in q2.eps.items():
         key = (rename.get(i, i), rename.get(j, j))
-        eps[key] = eps.get(key, Fraction(0)) + v
+        eps[key] = eps.get(key, 0) + v
     frozen = (q1.frozen - glued) | frozenset(
         l for l in q2.frozen if l not in rename
     )
@@ -210,7 +200,7 @@ def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
         a, b = rename.get(i, i), rename.get(j, j)
         if a == b:
             continue
-        eps[(a, b)] = eps.get((a, b), Fraction(0)) + v
+        eps[(a, b)] = eps.get((a, b), 0) + v
     frozen = frozenset(rename.get(l, l) for l in seed.frozen) - set(rename.values())
     return Seed(tuple(labels), {k: v for k, v in eps.items() if v != 0}, d, frozen)
 
@@ -225,19 +215,26 @@ def mutate_seed(seed: Seed, k) -> Seed:
         raise ValueError(f"no vertex {k!r} to mutate at")
     if k in seed.frozen:
         raise ValueError(f"cannot mutate at frozen index {k!r}")
+    # flip row and column k; eps_ij gains sgn(eps_ik) eps_ik eps_kj only
+    # where eps_ik and eps_kj are nonzero with one sign
     eps = {}
-    for i in seed.labels:
-        for j in seed.labels:
-            if i == j:
-                continue
-            v = seed.entry(i, j)
-            if i == k or j == k:
-                nv = -v
-            else:
-                a, b = seed.entry(i, k), seed.entry(k, j)
-                nv = v + (a * abs(b) + abs(a) * b) / 2
-            if nv:
-                eps[(i, j)] = nv
+    col, row = [], []
+    for (i, j), v in seed.eps.items():
+        if not v:
+            continue
+        if i == k:
+            row.append((j, v))
+        elif j == k:
+            col.append((i, v))
+        eps[(i, j)] = -v if k in (i, j) else v
+    for i, a in col:
+        for j, b in row:
+            if i != j and (a > 0) == (b > 0):
+                nv = eps.get((i, j), 0) + (a * b if a > 0 else -a * b)
+                if nv:
+                    eps[(i, j)] = nv
+                else:
+                    del eps[(i, j)]
     return Seed(seed.labels, eps, seed.d, seed.frozen)
 
 

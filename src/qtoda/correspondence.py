@@ -283,24 +283,23 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
     if subnetworks:
         # the band on rows 1..r and the top r rows share the Lax context,
         # the index vector (Q_{r-1}, ..., Q_1, 0), and so the type A
-        # Hamiltonians and the embedding: one per r for this verdict
+        # Hamiltonians: one set per r for this verdict
         by_size = {}
         for r in range(2, n + 1):
             sub_ctx = laxmod.lax_context(r)
             kv = tuple(qvec[n - r:]) + (0,)
-            shams = laxmod.lax_hamiltonians(sub_ctx, kv, "A")
-            by_size[r] = (sub_ctx, shams, _embed_map(sub_ctx, ctx))
+            by_size[r] = (sub_ctx, laxmod.lax_hamiltonians(sub_ctx, kv, "A"))
         # (rows lo..hi, size r, prefactor sign): bottom bands, then top bands
         bands = [(1, m, m, -1) for m in range(2, n + 1)]
         bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
         for lo, hi, r, sign in bands:
             sub = subnetwork(net, lo, hi)
-            sub_ctx, shams, embed = by_size[r]
+            sub_ctx, shams = by_size[r]
             pref = _w_prefactor(sub_ctx, r, sign)
             for i in range(1, r + 1):
                 lhs = fold_hamiltonian(sub, i, table)
                 # H_{i+1} on the bottom bands, H_{r+1-i} on the top ones
-                rhs = embed.apply(pref * shams[i if sign < 0 else r - i])
+                rhs = _pad_lax(pref * shams[i if sign < 0 else r - i], ctx)
                 sub_checks.append({"rows": [lo, hi], "index": i, **_compare(lhs, rhs)})
     return {
         "kind": "C",
@@ -313,10 +312,13 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
     }
 
 
-def _embed_map(small: TorusContext, big: TorusContext) -> MonomialMap:
-    """Inclusion of a lower-rank Lax torus into a bigger one, matching
-    generators by name."""
-    images = []
-    for name in small.names:
-        images.append((Fraction(0), big.basis_vec(big.index(name))))
-    return MonomialMap(small, big, tuple(images))
+def _pad_lax(el: TorusElement, big: TorusContext) -> TorusElement:
+    """A Lax element of rank r read in the rank-n Lax context, n >= r.
+
+    w_1..w_r, D_1..D_r keep their names, so each exponent vector is
+    zero-padded after its w and its D half.  Every Lax context has
+    den 2, so the q-keys carry over unchanged.
+    """
+    r, n = el.ctx.rank // 2, big.rank // 2
+    pad = (0,) * (n - r)
+    return TorusElement._make(big, {v[:r] + pad + v[r:] + pad: c for v, c in el._terms.items()})

@@ -451,13 +451,22 @@ def commutes(a: TorusElement, b: TorusElement) -> bool:
 
 
 class CommutativeLaurent:
-    """Laurent polynomial with exact rational coefficients."""
+    """Laurent polynomial with exact rational coefficients.
+
+    An ``int`` coefficient stays an ``int``; any other (a ``Fraction``,
+    or a float, read exactly) is kept as a ``Fraction``.  The two kinds
+    mix exactly under ``+`` and ``*`` and compare equal by value.
+    """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: TorusContext, terms: Mapping[Vec, Fraction]):
+    def __init__(self, ctx: TorusContext, terms: Mapping[Vec, int | Fraction]):
         self.ctx = ctx
-        self.terms = {tuple(v): Fraction(c) for v, c in terms.items() if c != 0}
+        self.terms = {
+            tuple(v): c if type(c) is int else Fraction(c)
+            for v, c in terms.items()
+            if c != 0
+        }
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -475,7 +484,7 @@ class CommutativeLaurent:
     def __add__(self, other: "CommutativeLaurent") -> "CommutativeLaurent":
         out = dict(self.terms)
         for v, c in other.terms.items():
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
         return CommutativeLaurent(self.ctx, out)
 
     def __neg__(self) -> "CommutativeLaurent":
@@ -485,11 +494,11 @@ class CommutativeLaurent:
         return self + (-other)
 
     def __mul__(self, other: "CommutativeLaurent") -> "CommutativeLaurent":
-        out: dict[Vec, Fraction] = {}
+        out: dict[Vec, int | Fraction] = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 v = _vec_add(a, b)
-                out[v] = out.get(v, Fraction(0)) + ca * cb
+                out[v] = out.get(v, 0) + ca * cb
         return CommutativeLaurent(self.ctx, out)
 
     def __repr__(self) -> str:
@@ -514,7 +523,7 @@ def classical_context(names: Sequence[str]) -> TorusContext:
 
 
 def classical_monomial(ctx: TorusContext, vec: Sequence[int], coeff=1) -> CommutativeLaurent:
-    return CommutativeLaurent(ctx, {tuple(vec): Fraction(coeff)})
+    return CommutativeLaurent(ctx, {tuple(vec): coeff})
 
 
 class RationalLaurent:

@@ -1,12 +1,14 @@
 
+import hashlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtoda.cli import main
 from qtoda.cluster import (
     Seed,
     a_assignment,
@@ -32,6 +34,119 @@ from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_
 
 def qseed(kind, n, q):
     return seed_from_word(kind, word_of_quiver_vector(n, q))
+
+
+# -- all-pairs references for the sparse seed operations -----------------------
+
+
+def ref_skew_symmetrizable(labels, eps, d) -> bool:
+    """eps_ij d_j = -eps_ji d_i on every ordered pair of labels."""
+    for i in labels:
+        for j in labels:
+            a = eps.get((i, j), Fraction(0))
+            b = eps.get((j, i), Fraction(0))
+            if a * d[j] != -b * d[i]:
+                return False
+    return True
+
+
+def ref_mutate_eps(seed, k) -> dict:
+    """Matrix mutation at k over all pairs, in exact Fractions."""
+    eps = {}
+    for i in seed.labels:
+        for j in seed.labels:
+            if i == j:
+                continue
+            v = Fraction(seed.entry(i, j))
+            if i == k or j == k:
+                nv = -v
+            else:
+                a, b = Fraction(seed.entry(i, k)), Fraction(seed.entry(k, j))
+                nv = v + (a * abs(b) + abs(a) * b) / 2
+            if nv:
+                eps[(i, j)] = nv
+    return eps
+
+
+def ref_canonical_key(seed):
+    """Minimal (d, frozen, matrix) encoding over the bijections that
+    keep the (d, frozen, full sorted row) partition, blocks in repr order."""
+    labs = list(seed.labels)
+    groups = {}
+    for i in labs:
+        row = sorted((Fraction(seed.entry(i, j)), seed.d[j]) for j in labs if j != i)
+        groups.setdefault((seed.d[i], i in seed.frozen, tuple(row)), []).append(i)
+    blocks = [groups[k] for k in sorted(groups, key=repr)]
+
+    def assignments(bs):
+        if not bs:
+            yield []
+            return
+        head, *rest = bs
+        for perm in permutations(head):
+            for tail in assignments(rest):
+                yield list(perm) + tail
+
+    best = None
+    for picked in assignments(blocks):
+        cand = (
+            tuple(seed.d[v] for v in picked),
+            tuple(v in seed.frozen for v in picked),
+            tuple(tuple(Fraction(seed.entry(a, b)) for b in picked) for a in picked),
+        )
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+_ENTRIES = [Fraction(x, 2) for x in range(-4, 5)]
+
+
+@st.composite
+def random_seeds(draw, max_vertices=5):
+    """Skew-symmetrizable seeds: d in {1, 2}, integral or half-integral
+    entries held as ints or Fractions, and some frozen labels."""
+    m = draw(st.integers(min_value=1, max_value=max_vertices))
+    labels = tuple(range(1, m + 1))
+    d = {l: draw(st.sampled_from([1, 2])) for l in labels}
+    halves = draw(st.booleans())
+    as_fraction = draw(st.booleans())
+
+    def store(x):
+        return x if as_fraction or x.denominator != 1 else x.numerator
+
+    eps = {}
+    for i in labels:
+        for j in labels:
+            if i >= j:
+                continue
+            v = draw(st.sampled_from(_ENTRIES if halves else _ENTRIES[::2]))
+            back = -v * d[j] / d[i]
+            if v and (back * (2 if halves else 1)).denominator == 1:
+                eps[(i, j)], eps[(j, i)] = store(v), store(back)
+    frozen = frozenset(l for l in labels if draw(st.booleans()) and l != 1)
+    return Seed(labels, eps, d, frozen)
+
+
+@st.composite
+def seed_pairs(draw):
+    """A seed and a second seed: a relabeled copy, a relabeled copy with
+    other frozen labels, one mutation away, or drawn independently."""
+    s = draw(random_seeds())
+    how = draw(st.sampled_from(["relabel", "refreeze", "mutate", "fresh"]))
+    if how in ("relabel", "refreeze"):
+        t = s
+        if how == "refreeze":
+            t = Seed(s.labels, s.eps, s.d, frozenset(l for l in s.labels if draw(st.booleans())))
+        image = draw(st.permutations(s.labels))
+        t = t.relabeled(dict(zip(s.labels, image)))
+        # the same seed listed in another vertex order
+        return s, Seed(tuple(draw(st.permutations(t.labels))), t.eps, t.d, t.frozen)
+    if how == "mutate":
+        k = draw(st.sampled_from([l for l in s.labels if l not in s.frozen]))
+        return s, mutate_seed(s, k)
+    t = draw(random_seeds())
+    return s, t
 
 
 # -- quiver extraction --------------------------------------------------------
@@ -74,6 +189,7 @@ def test_vertex_count_and_integrality():
                 s = seed_from_word(kind, w)
                 assert len(s.labels) == 2 * n
                 assert s.is_integral()
+                assert all(type(v) is int for v in s.eps.values())
 
 
 def test_disk_amalgamation_reproduces_cylinder():
@@ -81,6 +197,8 @@ def test_disk_amalgamation_reproduces_cylinder():
         for n in (1, 2, 3):
             for w in enumerate_double_coxeter(n):
                 disk = disk_seed_from_word(kind, w)
+                # a Fraction only where the entry is a half
+                assert all(type(v) is int or v.denominator != 1 for v in disk.eps.values())
                 pairs = [(("L", k), ("R", k)) for k in range(1, n + 1)]
                 glued = amalgamate_pairs(disk, pairs, list(range(1, n + 1)))
                 cyl = seed_from_word(kind, w)
@@ -154,10 +272,109 @@ def test_mutation_involution_randomized(data):
     assert mutate_seed(mutate_seed(s, k), k).eps == s.eps
 
 
-def test_mutation_preserves_symmetrizability():
+def test_mutation_preserves_symmetrizability(monkeypatch):
     s = qseed("C", 3, (1, -1))
+    checked = []
+    validate = Seed.__post_init__
+
+    def counting(seed):
+        checked.append(seed)
+        validate(seed)
+
+    monkeypatch.setattr(Seed, "__post_init__", counting)
     for k in s.labels:
-        mutate_seed(s, k)  # Seed constructor validates skew-symmetrizability
+        m = mutate_seed(s, k)
+        # the mutated seed went through the constructor's check
+        assert checked[-1] is m
+        assert ref_skew_symmetrizable(m.labels, m.eps, m.d)
+    assert len(checked) == len(s.labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=random_seeds())
+def test_sparse_mutation_matches_all_pairs_reference(s):
+    for k in s.labels:
+        if k in s.frozen:
+            continue
+        m = mutate_seed(s, k)
+        assert m.eps == ref_mutate_eps(s, k)
+        assert all(v != 0 for v in m.eps.values())
+        assert ref_skew_symmetrizable(m.labels, m.eps, m.d)
+        # integral input stays in plain ints
+        if all(type(v) is int for v in s.eps.values()):
+            assert all(type(v) is int for v in m.eps.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=random_seeds(), data=st.data())
+def test_constructor_check_matches_all_pairs_reference(s, data):
+    i = data.draw(st.sampled_from(s.labels))
+    j = data.draw(st.sampled_from(s.labels))
+    v = data.draw(st.sampled_from(_ENTRIES))
+    eps = dict(s.eps)
+    eps[(i, j)] = v if data.draw(st.booleans()) or v.denominator != 1 else v.numerator
+    if ref_skew_symmetrizable(s.labels, eps, s.d):
+        assert Seed(s.labels, eps, s.d, s.frozen).eps == eps
+    else:
+        with pytest.raises(ValueError, match="skew-symmetrizable"):
+            Seed(s.labels, eps, s.d, s.frozen)
+
+
+@pytest.mark.parametrize(
+    "eps, d",
+    [
+        ({(1, 2): 1}, {1: 1, 2: 1}),  # one-sided entry
+        ({(2, 1): Fraction(-1, 2)}, {1: 1, 2: 1}),  # one-sided, the other way round
+        ({(1, 1): 1}, {1: 1, 2: 1}),  # nonzero diagonal
+        ({(1, 2): 1, (2, 1): -1}, {1: 1, 2: 2}),  # symmetrizer ratio 1:2, entries 1:1
+        ({(1, 2): 2, (2, 1): -1}, {1: 1, 2: 2}),  # ratio right, the sign wrong way round
+    ],
+)
+def test_constructor_rejects_non_skew_symmetrizable(eps, d):
+    assert not ref_skew_symmetrizable((1, 2), eps, d)
+    with pytest.raises(ValueError, match="skew-symmetrizable"):
+        Seed((1, 2), eps, d)
+
+
+def test_constructor_accepts_zero_pairs_and_weighted_pairs():
+    Seed((1, 2), {(1, 2): 0, (2, 1): 0}, {1: 1, 2: 1})
+    Seed((1, 2), {(1, 2): 2, (2, 1): -1}, {1: 2, 2: 1})
+    Seed((1, 2), {(1, 2): Fraction(1, 2), (2, 1): -1}, {1: 1, 2: 2})
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=seed_pairs())
+def test_canonical_key_partition_matches_reference(pair):
+    s, t = pair
+    assert s.is_isomorphic(t) == (ref_canonical_key(s) == ref_canonical_key(t))
+    assert s.is_isomorphic(s.relabeled({l: ("r", l) for l in s.labels}))
+
+
+def test_isomorphism_reads_d_and_frozen_per_vertex():
+    # arrowless vertices share a row signature; their symmetrizers and
+    # frozen flags must still travel with them in any listing order
+    d = {1: 1, 2: 2}
+    assert Seed((1, 2), {}, d).is_isomorphic(Seed((2, 1), {}, d))
+    assert not Seed((1, 2), {}, d).is_isomorphic(Seed((1, 2), {}, {1: 2, 2: 2}))
+    same = {1: 1, 2: 1}
+    assert Seed((1, 2), {}, same, frozenset([1])).is_isomorphic(Seed((2, 1), {}, same, frozenset([1])))
+    assert not Seed((1, 2), {}, same, frozenset([1])).is_isomorphic(Seed((1, 2), {}, same))
+
+
+@pytest.mark.parametrize(
+    "kind, rank, code, sha",
+    [
+        ("A", 3, 0, "010736c0571ba595a824b3cc9eaca2c9bb1ec3e6dc031740dba74e9560d59066"),
+        ("C", 3, 0, "51b092a5e10802e075c9aaeddb3a22747cefdad074acf26a60fa2384b4f0a79a"),
+        ("A", 4, 1, "c3fc6b13cff2f6f45923a6106a956f0240bc96518981be3b6f30e69ad65dddf5"),
+    ],
+)
+def test_mutation_equiv_json_is_pinned(capsys, kind, rank, code, sha):
+    # the all-pairs Fraction implementation gave these bytes at depth 6:
+    # the same seeds are visited in the same order, with the same
+    # witnesses (A4 leaves 3 words unreached at this depth, so exit 1)
+    assert main(["verify", "--check", "mutation-equiv", "--type", kind, "--rank", str(rank), "--depth", "6"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
 def test_swap_fixes_other_indices():

@@ -6,6 +6,8 @@ import pytest
 from qtoda import lax as laxmod
 from qtoda.correspondence import (
     _compare,
+    _pad_lax,
+    _w_prefactor,
     build_weight_map,
     label_algebra,
     label_hamiltonian,
@@ -18,7 +20,7 @@ from qtoda.correspondence import (
 )
 from qtoda.network import build_network, fold_hamiltonian, network_hamiltonian, path_families, subnetwork
 from qtoda.torus import MonomialMap, TorusElement, commutes
-from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
+from qtoda.words import enumerate_double_coxeter, quiver_vector_of, standard_word, word_of_quiver_vector
 
 
 def lax_ctx(kind, n):
@@ -204,6 +206,36 @@ def test_failed_check_keeps_its_first_diff():
     assert _compare(w1 + d1, w1.q_shift(1))["first_diff"] == {
         "exponents": [0, 0, 1, 0], "lhs_coeff": [["0", 1]], "rhs_coeff": []
     }
+
+
+def _embed_map(small, big):
+    """Inclusion of a lower-rank Lax torus into a bigger one, matching
+    generators by name, as a monomial map."""
+    images = [(Fraction(0), big.basis_vec(big.index(name))) for name in small.names]
+    return MonomialMap(small, big, tuple(images))
+
+
+def test_band_padding_matches_the_embedding_map():
+    # every band of every C2-C4 word: the zero-padded Lax side equals the
+    # one pushed through the name-matching inclusion map
+    checked = 0
+    for n in (2, 3, 4):
+        ctx = laxmod.lax_context(n)
+        for w in enumerate_double_coxeter(n):
+            qvec = quiver_vector_of(w)
+            bands = [(m, -1) for m in range(2, n + 1)]
+            bands += [(2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
+            for r, sign in bands:
+                sub_ctx = laxmod.lax_context(r)
+                embed = _embed_map(sub_ctx, ctx)
+                assert embed.is_homomorphism()
+                shams = laxmod.lax_hamiltonians(sub_ctx, tuple(qvec[n - r:]) + (0,), "A")
+                pref = _w_prefactor(sub_ctx, r, sign)
+                for i in range(1, r + 1):
+                    el = pref * shams[i if sign < 0 else r - i]
+                    assert _pad_lax(el, ctx) == embed.apply(el), (w.letters, r, sign, i)
+                    checked += 1
+    assert checked == 3 * 2 * 2 + 9 * 2 * (2 + 3) + 27 * 2 * (2 + 3 + 4)
 
 
 def test_equivalence_C_small():

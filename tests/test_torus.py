@@ -287,6 +287,89 @@ def test_rational_division_round_trip(f, g, h):
     assert f / g + h == (f + h * g) / g
 
 
+def test_commutative_coefficients_keep_their_kind():
+    ctx = classical_context(("x", "y"))
+    ints = CommutativeLaurent(ctx, {(1, 0): 2, (0, 1): -3})
+    assert all(type(c) is int for c in ints.terms.values())
+    assert all(type(c) is int for c in (ints * ints + ints).terms.values())
+    assert type(classical_monomial(ctx, (0, 0)).terms[(0, 0)]) is int
+    fracs = CommutativeLaurent(ctx, {(1, 0): Fraction(2), (0, 1): Fraction(1, 3)})
+    assert all(type(c) is Fraction for c in fracs.terms.values())
+    assert type(classical_monomial(ctx, (0, 0), Fraction(2)).terms[(0, 0)]) is Fraction
+    # ints and Fractions mix exactly and compare by value
+    mixed = ints + fracs
+    assert mixed.terms == {(1, 0): 4, (0, 1): Fraction(-8, 3)}
+    assert type(mixed.terms[(1, 0)]) is Fraction
+    assert ints == CommutativeLaurent(ctx, {(1, 0): Fraction(2), (0, 1): Fraction(-3)})
+    assert (ints * fracs).terms[(2, 0)] == 4
+    # a float is read as the exact Fraction of its binary value
+    half = CommutativeLaurent(ctx, {(0, 0): 0.5, (1, 1): 0.1})
+    assert half.terms[(0, 0)] == Fraction(1, 2) and type(half.terms[(0, 0)]) is Fraction
+    assert half.terms[(1, 1)] == Fraction(0.1) != Fraction(1, 10)
+    assert CommutativeLaurent(ctx, {(0, 0): 0, (1, 0): Fraction(0), (0, 1): 0.0}).is_zero()
+
+
+def _frac_add(f, g):
+    out = {}
+    for t in (f, g):
+        for v, c in t.items():
+            out[v] = out.get(v, Fraction(0)) + Fraction(c)
+    return {v: c for v, c in out.items() if c}
+
+
+def _frac_mul(f, g):
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            v = (a[0] + b[0], a[1] + b[1])
+            out[v] = out.get(v, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {v: c for v, c in out.items() if c}
+
+
+_mixed_coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_mixed_laurent = st.dictionaries(st.tuples(small_exp, small_exp), _mixed_coeffs, max_size=4)
+
+
+def _as_fractions(ctx, t):
+    return CommutativeLaurent(ctx, {v: Fraction(c) for v, c in t.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_mixed_laurent, g=_mixed_laurent)
+def test_commutative_ring_ops_match_fraction_reference(f, g):
+    ctx = classical_context(("x", "y"))
+    F, G = CommutativeLaurent(ctx, f), CommutativeLaurent(ctx, g)
+    assert (F + G).terms == _frac_add(f, g)
+    assert (F * G).terms == _frac_mul(f, g)
+    assert (F - G).terms == _frac_add(f, {v: -c for v, c in g.items()})
+    assert F + G == _as_fractions(ctx, f) + _as_fractions(ctx, g)
+    if all(type(c) is int for c in (*f.values(), *g.values())):
+        assert all(type(c) is int for c in (F * G + F).terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_mixed_laurent, g=_mixed_laurent, h=_mixed_laurent, k=_mixed_laurent)
+def test_rational_equality_matches_fraction_reference(f, g, h, k):
+    ctx = classical_context(("x", "y"))
+    if not _frac_add(g, {}) or not _frac_add(k, {}):
+        return
+
+    def rat(num, den, conv):
+        return RationalLaurent(conv(ctx, num), conv(ctx, den))
+
+    lhs, rhs = rat(f, g, CommutativeLaurent), rat(h, k, CommutativeLaurent)
+    ref_lhs, ref_rhs = rat(f, g, _as_fractions), rat(h, k, _as_fractions)
+    # the Fraction-coefficient verdict, and the cross-multiplication by hand
+    verdict = _frac_mul(f, k) == _frac_mul(h, g)
+    assert (lhs == rhs) is (ref_lhs == ref_rhs) is verdict
+    # an equal pair that is not written the same way
+    if _frac_add(h, {}):
+        assert lhs == rat(_frac_mul(f, h), _frac_mul(g, h), _as_fractions)
+
+
 # -- monomial maps -----------------------------------------------------------
 
 
