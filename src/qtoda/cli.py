@@ -253,7 +253,8 @@ def _check_one_word(args) -> dict:
 
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.check == "rtt":
-        ctx = laxmod.lax_context(max(cfg.rank, 2))
+        n = max(cfg.rank, 2)
+        ctx = laxmod.lax_context(n)
         reports = []
         for i in (1, 2):
             for k in (-1, 0, 1):
@@ -262,7 +263,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                     reports.append(
                         {"site": i, "k": k, "barred": barred, "ok": laxmod.check_rtt(m)}
                     )
-        for kv in [(0, 1), (0, 0), (-1, 1)]:
+        inner = (0,) * (n - 2)
+        for kv in [(0,) + inner + (1,), (0,) * n, (-1,) + inner + (1,)]:
             reports.append(
                 {"monodromy": list(kv), "ok": laxmod.check_rtt(laxmod.monodromy(ctx, kv))}
             )

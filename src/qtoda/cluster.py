@@ -211,10 +211,17 @@ def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
 
 def mutate_seed(seed: Seed, k) -> Seed:
     """Matrix mutation at a mutable index; symmetrizers unchanged."""
+    return _mutated(seed, k, {})
+
+
+def _mutated(seed: Seed, k, rename: dict) -> Seed:
+    """Mutation at k with every label l renamed to rename.get(l, l), as
+    one seed: the renamed entries are written in the mutation pass."""
     if k not in seed.labels:
         raise ValueError(f"no vertex {k!r} to mutate at")
     if k in seed.frozen:
         raise ValueError(f"cannot mutate at frozen index {k!r}")
+    ren = rename.get
     # flip row and column k; eps_ij gains sgn(eps_ik) eps_ik eps_kj only
     # where eps_ik and eps_kj are nonzero with one sign
     eps = {}
@@ -222,11 +229,12 @@ def mutate_seed(seed: Seed, k) -> Seed:
     for (i, j), v in seed.eps.items():
         if not v:
             continue
+        ri, rj = ren(i, i), ren(j, j)
         if i == k:
-            row.append((j, v))
+            row.append((rj, v))
         elif j == k:
-            col.append((i, v))
-        eps[(i, j)] = -v if k in (i, j) else v
+            col.append((ri, v))
+        eps[(ri, rj)] = -v if k in (i, j) else v
     for i, a in col:
         for j, b in row:
             if i != j and (a > 0) == (b > 0):
@@ -235,22 +243,23 @@ def mutate_seed(seed: Seed, k) -> Seed:
                     eps[(i, j)] = nv
                 else:
                     del eps[(i, j)]
-    return Seed(seed.labels, eps, seed.d, seed.frozen)
-
-
-def swap_signs(seed: Seed, k: int) -> Seed:
-    """Relabel k <-> -k, all other indices fixed."""
-    return seed.relabeled({k: -k, -k: k})
+    return Seed(
+        tuple(ren(l, l) for l in seed.labels),
+        eps,
+        {ren(l, l): v for l, v in seed.d.items()},
+        frozenset(ren(l, l) for l in seed.frozen),
+    )
 
 
 def mutate_swap(seed: Seed, k: int) -> tuple[Seed, dict]:
-    """Mutation at vertex -k followed by the k <-> -k relabeling.
+    """Mutation at vertex -k followed by the k <-> -k relabeling, built
+    as one seed.
 
     Returns the new seed and the relabeling applied, so callers can
     track index bookkeeping across sequences of moves.
     """
-    out = swap_signs(mutate_seed(seed, -k), k)
-    return out, {k: -k, -k: k}
+    swap = {k: -k, -k: k}
+    return _mutated(seed, -k, swap), swap
 
 
 def mutation_equivalent(s1: Seed, s2: Seed, max_depth: int, moves: str = "tau"):

@@ -5,6 +5,15 @@ D's separately commuting and D_i w_i = q w_i D_i.  Matrix entries are
 Laurent polynomials in a central spectral variable z with half-integer
 exponents, stored doubled.  The (1,1) entry of an ordered product of
 local matrices expands into Hamiltonians as coefficients of z-powers.
+
+The verifiers read that entry as a path sum (``monodromy_entry``): a
+walk over the sites extends each partial product by one monomial of the
+next local matrix and updates its exponent vector and q-key with one
+pairing, E(A) E(a) = q^<A,a> E(A + a), so no Laurent product is built.
+Type C contracts the first column of T with itself, taking each term
+with itself once and each unordered pair of terms once for both orders.
+The full 2x2 products (``monodromy``, ``double_monodromy``) stay for the
+RTT check and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +23,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .torus import MonomialMap, TorusContext, TorusElement, ZLaurent, both_orders
+from .torus import (
+    MonomialMap,
+    QKey,
+    TorusContext,
+    TorusElement,
+    Vec,
+    ZLaurent,
+    _nonzero,
+    _pairing_row,
+    _vec_add,
+)
 from .words import IndexVector
 
 
@@ -149,41 +168,120 @@ def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent
 
 
 def _unsigned_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent:
-    """``monodromy_entry`` without the (-1)^n of type C.
+    """``monodromy_entry`` without the (-1)^n of type C, as a path sum.
 
-    Type A carries the row e_1^T L_n through L_(n-1) ... L_1.  Type C
-    carries the column T e_1 = L_n (... (L_1 e_1)) and returns
-    sum_k T_k1(1/z) T_k1(z), the (1,1) entry of T(1/z)^T T(z).
-    Each x(1/z) x(z) = sum_{e,f} x_e x_f z^(f-e) takes x_e x_e once and
-    both orders of each pair e < f from one ``both_orders`` pass.
+    A walk over the sites keeps, per end state (row or column 0 or 1), a
+    map (doubled z-degree, exponent vector A) -> {q-key: coefficient}.
+    Each step extends every partial product by one term q^p E(a) z^e of
+    the next local matrix.  On the right, E(A) E(a) = q^<A,a> E(A + a),
+    so the key gains -r(a).A with r(a) = den*(a s) the pairing row of a;
+    on the left it gains +r(a).A.  Every pairing comes from ``ctx.rows``.
+
+    Type A carries the row e_1^T through L_n ... L_1 and reads state 0.
+    Type C carries the column L_1 e_1 up through L_n, which gives the
+    first column T_k1 of T, and contracts sum_k T_k1(1/z) T_k1(z), the
+    (1,1) entry of T(1/z)^T T(z).  In x(1/z) x(z) = sum_{e,f} x_e x_f
+    z^(f-e) each flat term c q^k E(u) z^e of a column meets itself once,
+    at z^0 with key 2k and vector 2u, and each unordered pair of terms at
+    (e, u) and (f, v) once: its shift den*<u,v> is computed once and
+    enters with + at z^(f-e) and with - at z^(e-f), since E(v) E(u) =
+    q^-<u,v> E(u + v).
     """
     n = ctx.rank // 2
     if len(kvec) != n:
         raise ValueError("index vector length must match the context rank")
     if kind not in ("A", "C"):
         raise ValueError(f"unknown kind {kind!r}")
-    mats = [local_lax(ctx, site, k) for site, k in zip(range(n, 0, -1), kvec)]
+    sites = list(zip(range(n, 0, -1), kvec))
+    states = [{(0, ctx.unit_vec()): {0: 1}}, {}]
+    parts: dict[int, dict[Vec, dict[QKey, int]]] = {}
     if kind == "A":
-        x, y = mats[0][0, 0], mats[0][0, 1]
-        for m in mats[1:-1]:
-            x, y = x * m[0, 0] + y * m[1, 0], x * m[0, 1] + y * m[1, 1]
-        if n == 1:
-            return x
-        m = mats[-1]  # only the first entry of the last row is read
-        return x * m[0, 0] + y * m[1, 0]
-    x, y = mats[-1][0, 0], mats[-1][1, 0]
-    for m in reversed(mats[:-1]):
-        x, y = m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y
-    parts: dict[int, list[TorusElement]] = {}
-    for col in (x, y):
-        items = sorted(col.terms.items())
-        for s, (e, xe) in enumerate(items):
-            parts.setdefault(0, []).append(xe * xe)
-            for f, xf in items[s + 1:]:
-                ef, fe = both_orders(xe, xf)
-                parts.setdefault(f - e, []).append(ef)
-                parts.setdefault(e - f, []).append(fe)
-    return ZLaurent(ctx, {d: TorusElement.sum(ctx, ps) for d, ps in parts.items()})
+        for s, (site, k) in enumerate(sites):
+            ends = (0,) if s == n - 1 else (0, 1)  # the last step reads state 0
+            states = _walk(ctx, states, site, k, ends, right=True)
+        for (e, vec), coeffs in states[0].items():
+            parts.setdefault(e, {})[vec] = coeffs
+    else:
+        for site, k in reversed(sites):
+            states = _walk(ctx, states, site, k, (0, 1), right=False)
+        for col in states:
+            _contract(ctx, col, parts)
+    return ZLaurent(
+        ctx, {e: TorusElement._make(ctx, _nonzero(terms)) for e, terms in parts.items()}
+    )
+
+
+def _site_terms(ctx: TorusContext, site: int, k: int, sign: int):
+    """Per cell (i, j) of ``local_lax(ctx, site, k)``, its terms as
+    (doubled z-degree, vector a, q-key, coefficient, sign * r(a))."""
+    m = local_lax(ctx, site, k)
+    rows = ctx.rows
+    return {
+        (i, j): [
+            (e, a, key, c, [(t, sign * x) for t, x in _pairing_row(rows, a)])
+            for e, el in m[i, j].terms.items()
+            for a, coeffs in el._terms.items()
+            for key, c in coeffs.items()
+        ]
+        for i in range(2)
+        for j in range(2)
+    }
+
+
+def _walk(ctx: TorusContext, states: list[dict], site: int, k: int, ends, right: bool) -> list[dict]:
+    """One site of the path sum: the new state j sums, over old states i,
+    each partial product A extended by each term a of cell (i, j) of the
+    site's matrix on the right (the key gains -r(a).A), or of cell (j, i)
+    on the left (the key gains r(a).A)."""
+    cells = _site_terms(ctx, site, k, -1 if right else 1)
+    out = []
+    for j in ends:
+        acc: dict = {}
+        for i, state in enumerate(states):
+            local = cells[i, j] if right else cells[j, i]
+            if not local:
+                continue
+            for (e, A), coeffs in state.items():
+                for f, a, p, c, r in local:
+                    shift = p
+                    for t, x in r:
+                        shift += x * A[t]
+                    key = (e + f, _vec_add(A, a))
+                    tgt = acc.get(key)
+                    if tgt is None:
+                        acc[key] = tgt = {}
+                    for qk, ck in coeffs.items():
+                        qk += shift
+                        tgt[qk] = tgt.get(qk, 0) + ck * c
+        out.append(acc)
+    return out
+
+
+def _contract(ctx: TorusContext, col: dict, parts: dict) -> None:
+    """Add x(1/z) x(z) for the column entry ``col`` into ``parts`` (per
+    doubled z-degree, a term map), over the flat terms c q^k E(u) z^e of
+    ``col``: each term with itself once, each unordered pair once, both
+    orders from one shift."""
+    rows = ctx.rows
+    terms = [
+        (e, u, k, c, _pairing_row(rows, u))
+        for (e, u), coeffs in col.items()
+        for k, c in coeffs.items()
+    ]
+    zero = parts.setdefault(0, {})
+    for s, (e, u, k1, c1, r) in enumerate(terms):
+        tgt = zero.setdefault(_vec_add(u, u), {})
+        tgt[2 * k1] = tgt.get(2 * k1, 0) + c1 * c1
+        for f, v, k2, c2, _ in terms[s + 1:]:
+            shift = 0
+            for t, x in r:
+                shift += x * v[t]
+            vec = _vec_add(u, v)
+            k, c = k1 + k2, c1 * c2
+            up = parts.setdefault(f - e, {}).setdefault(vec, {})
+            up[k + shift] = up.get(k + shift, 0) + c
+            down = parts.setdefault(e - f, {}).setdefault(vec, {})
+            down[k - shift] = down.get(k - shift, 0) + c
 
 
 def sigma_doubled(kvec: IndexVector) -> int:

@@ -410,37 +410,6 @@ def commutator(a: TorusElement, b: TorusElement) -> TorusElement:
     return TorusElement._make(a.ctx, _nonzero(out))
 
 
-def both_orders(a: TorusElement, b: TorusElement) -> tuple[TorusElement, TorusElement]:
-    """(ab, ba) in one pass over term pairs.
-
-    E(u)E(v) = q^<u,v> E(u+v) and E(v)E(u) = q^-<u,v> E(u+v), so each
-    pair's pairing is computed once and feeds both products.
-    """
-    a._check(b)
-    rows = a.ctx.rows
-    ab: dict[Vec, dict[QKey, int]] = {}
-    ba: dict[Vec, dict[QKey, int]] = {}
-    for u, cu in a._terms.items():
-        r_items = _pairing_row(rows, u)
-        for v, cv in b._terms.items():
-            shift = 0
-            for j, x in r_items:
-                shift += x * v[j]
-            vec = _vec_add(u, v)
-            acc = ab.get(vec)
-            if acc is None:
-                ab[vec] = acc = {}
-                ba[vec] = rev = {}
-            else:
-                rev = ba[vec]
-            for qa, xa in cu.items():
-                for qb, xb in cv.items():
-                    k, c = qa + qb, xa * xb
-                    acc[k + shift] = acc.get(k + shift, 0) + c
-                    rev[k - shift] = rev.get(k - shift, 0) + c
-    return TorusElement._make(a.ctx, _nonzero(ab)), TorusElement._make(a.ctx, _nonzero(ba))
-
-
 def commutes(a: TorusElement, b: TorusElement) -> bool:
     """True iff ab - ba = 0 exactly."""
     return commutator(a, b).is_zero()

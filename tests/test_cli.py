@@ -73,6 +73,21 @@ def test_verify_exit_codes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_rtt_check_at_every_rank(capsys, rank):
+    # the monodromy checks use index vectors of the context's length
+    code, out = run(capsys, "verify", "--check", "rtt", "--rank", str(rank))
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    n = max(rank, 2)
+    inner = [0] * (n - 2)
+    assert [r["monodromy"] for r in payload["reports"] if "monodromy" in r] == [
+        [0] + inner + [1],
+        [0] * n,
+        [-1] + inner + [1],
+    ]
+
+
 def test_verify_alpha_parallel(capsys):
     code, out = run(
         capsys,

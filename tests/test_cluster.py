@@ -384,6 +384,50 @@ def test_swap_fixes_other_indices():
     assert set(t.labels) == set(s.labels)
 
 
+def two_step_swap(seed, k):
+    """The tau move as two seeds: mutation at -k, then the k <-> -k relabeling."""
+    return mutate_seed(seed, -k).relabeled({k: -k, -k: k})
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=random_seeds(max_vertices=6))
+def test_tau_move_matches_mutation_then_relabeling(s):
+    # labels 1..m become 1, -1, 2, -2, ...: some k have both signs present
+    signed = s.relabeled({l: (l + 1) // 2 * (1 if l % 2 else -1) for l in s.labels})
+    for k in sorted({abs(l) for l in signed.labels}):
+        if -k not in signed.labels or -k in signed.frozen:
+            with pytest.raises(ValueError):
+                mutate_swap(signed, k)
+            continue
+        t, applied = mutate_swap(signed, k)
+        assert applied == {k: -k, -k: k}
+        # same labels in the same order, entries, symmetrizers and frozen set
+        assert t == two_step_swap(signed, k)
+
+
+def test_tau_move_builds_one_checked_seed(monkeypatch):
+    s = qseed("C", 3, (1, -1))
+    checked = []
+    validate = Seed.__post_init__
+
+    def counting(seed):
+        checked.append(seed)
+        validate(seed)
+
+    monkeypatch.setattr(Seed, "__post_init__", counting)
+    for k in (1, 2, 3):
+        t, _ = mutate_swap(s, k)
+        # one seed per move, and it went through the constructor's check
+        assert checked[-1] is t
+        assert ref_skew_symmetrizable(t.labels, t.eps, t.d)
+    assert len(checked) == 3
+    # a seed whose entries stopped being skew-symmetrizable after it was built
+    bad = Seed((1, -1), {(1, -1): 1, (-1, 1): -1}, {1: 1, -1: 1})
+    bad.eps[(-1, 1)] = 1
+    with pytest.raises(ValueError, match="skew-symmetrizable"):
+        mutate_swap(bad, 1)
+
+
 def test_signed_moves_shift_the_quiver_vector():
     # tau at the top index carries Q=0 to Q=1 exactly, and Q=-1 to Q=0;
     # iterating leaves the three-seed family, so the move is not an

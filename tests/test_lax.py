@@ -1,9 +1,15 @@
+import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoda.lax import (
     LaxMatrix,
+    _contract,
+    _walk,
     bar_w,
     boundary_gauge,
     check_rtt,
@@ -21,7 +27,7 @@ from qtoda.lax import (
     normalized_hamiltonians,
     w_index,
 )
-from qtoda.torus import ZLaurent, commutes, identity_map
+from qtoda.torus import TorusElement, ZLaurent, _nonzero, commutes, identity_map
 
 
 def all_kvecs(m):
@@ -146,6 +152,85 @@ def test_type_c_entry_matches_inverted_column_products():
             got = monodromy_entry(ctx, kv, "C")
             assert got == ref, kv
             assert got == double_monodromy(ctx, kv)[0, 0], kv
+
+
+def test_path_sum_matches_full_products_at_rank5():
+    # type A on every index vector; type C, whose double monodromy costs
+    # about 0.1 s at this rank, on a seeded sample and the constant vectors
+    ctx = lax_context(5)
+    for kv in all_kvecs(5):
+        assert monodromy_entry(ctx, kv, "A") == monodromy(ctx, kv)[0, 0], kv
+    kvecs = random.Random(5).sample(all_kvecs(5), 10) + [(0,) * 5, (1,) * 5, (-1,) * 5]
+    for kv in kvecs:
+        assert monodromy_entry(ctx, kv, "C") == double_monodromy(ctx, kv)[0, 0], kv
+
+
+# -- the walk and the contraction on entries with several q-keys per term ------
+# The Lax columns of every index vector tried (types A and C, ranks 4-6)
+# carry one q-power per (z-degree, vector), so these entries are drawn.
+# A walk or a contraction that flips the sign of every pairing still gives
+# the same (1,1) entry on every index vector tried, so only these tests,
+# which compare single steps, tell the two signs apart.
+
+WALK_CTX = lax_context(2)
+_qpow = st.sampled_from([Fraction(x, 2) for x in range(-3, 4)])
+_coeffs = st.dictionaries(_qpow, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+_vecs = st.tuples(*[st.integers(-2, 2)] * WALK_CTX.rank)
+
+
+@st.composite
+def z_entries(draw):
+    """A ZLaurent over WALK_CTX whose terms may carry several q-powers,
+    and one vector may sit at several z-degrees."""
+    vecs = draw(st.lists(_vecs, min_size=1, max_size=3))
+    terms = {}
+    for e in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
+        picked = draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3, unique=True))
+        terms[e] = TorusElement(WALK_CTX, {v: draw(_coeffs) for v in picked})
+    return ZLaurent(WALK_CTX, terms)
+
+
+def as_state(x: ZLaurent) -> dict:
+    return {(e, u): dict(c) for e, el in x.terms.items() for u, c in el._terms.items()}
+
+
+def from_parts(parts: dict) -> ZLaurent:
+    return ZLaurent(WALK_CTX, {e: TorusElement._make(WALK_CTX, _nonzero(t)) for e, t in parts.items()})
+
+
+def _by_degree(state: dict) -> dict:
+    parts = {}
+    for (e, u), c in state.items():
+        parts.setdefault(e, {})[u] = c
+    return parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=z_entries(), y=z_entries())
+def test_contraction_matches_inverted_products(x, y):
+    # each term with itself, each unordered pair once, both orders
+    parts = {}
+    _contract(WALK_CTX, as_state(x), parts)
+    _contract(WALK_CTX, as_state(y), parts)
+    assert from_parts(parts) == x.z_inverted() * x + y.z_inverted() * y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=z_entries(),
+    y=z_entries(),
+    site=st.sampled_from([1, 2]),
+    k=st.sampled_from([-1, 0, 1]),
+)
+def test_walk_step_matches_row_and_column_products(x, y, site, k):
+    # a row extended on the right, a column extended on the left
+    m = local_lax(WALK_CTX, site, k)
+    states = [as_state(x), as_state(y)]
+    row = _walk(WALK_CTX, states, site, k, (0, 1), right=True)
+    col = _walk(WALK_CTX, states, site, k, (0, 1), right=False)
+    for j in range(2):
+        assert from_parts(_by_degree(row[j])) == x * m[0, j] + y * m[1, j]
+        assert from_parts(_by_degree(col[j])) == m[j, 0] * x + m[j, 1] * y
 
 
 def test_lax_context_is_shared_per_rank():

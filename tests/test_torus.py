@@ -10,7 +10,9 @@ from qtoda.torus import (
     RationalLaurent,
     TorusContext,
     TorusElement,
-    both_orders,
+    _nonzero,
+    _pairing_row,
+    _vec_add,
     classical_context,
     classical_monomial,
     commutator,
@@ -563,6 +565,38 @@ def test_mul_builds_pairing_rows_on_either_side(data):
     assert _ref_terms(a * b) == _ref_mul(ctx, ra, rb)
     assert _ref_terms(b * a) == _ref_mul(ctx, rb, ra)
     assert a.q_shift(0, 1) is a
+
+
+def both_orders(a: TorusElement, b: TorusElement) -> tuple[TorusElement, TorusElement]:
+    """(ab, ba) in one pass over term pairs.
+
+    E(u)E(v) = q^<u,v> E(u+v) and E(v)E(u) = q^-<u,v> E(u+v), so each
+    pair's pairing is computed once and feeds both products.  The same rule
+    gives both orders of each unordered pair in ``lax._contract``.
+    """
+    a._check(b)
+    rows = a.ctx.rows
+    ab: dict = {}
+    ba: dict = {}
+    for u, cu in a._terms.items():
+        r_items = _pairing_row(rows, u)
+        for v, cv in b._terms.items():
+            shift = 0
+            for j, x in r_items:
+                shift += x * v[j]
+            vec = _vec_add(u, v)
+            acc = ab.get(vec)
+            if acc is None:
+                ab[vec] = acc = {}
+                ba[vec] = rev = {}
+            else:
+                rev = ba[vec]
+            for qa, xa in cu.items():
+                for qb, xb in cv.items():
+                    k, c = qa + qb, xa * xb
+                    acc[k + shift] = acc.get(k + shift, 0) + c
+                    rev[k - shift] = rev.get(k - shift, 0) + c
+    return TorusElement._make(a.ctx, _nonzero(ab)), TorusElement._make(a.ctx, _nonzero(ba))
 
 
 @settings(max_examples=80, deadline=None)
