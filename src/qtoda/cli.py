@@ -26,6 +26,7 @@ from . import lax as laxmod
 from . import serialize
 from .cluster import mutate_seed, mutate_swap, mutation_equivalent, seed_from_word
 from .correspondence import (
+    commutator_witness,
     lax_params,
     lax_strand_table,
     verify_equivalence_A,
@@ -36,10 +37,10 @@ from .fixtures import seed_manifest
 from .network import (
     build_network,
     classical_matrix,
-    fold_hamiltonian,
+    fold_hamiltonians,
     matrix_product,
-    network_hamiltonian,
     reference_chip_matrices,
+    strand_table,
 )
 from .torus import commutes
 from .words import (
@@ -186,8 +187,9 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
     if cfg.route == "network":
         net = build_network(cfg.kind, word)
         indices = _indices(cfg, net.num_rows)
+        hams = fold_hamiltonians(net, indices, strand_table(net))
         for i in indices:
-            out[f"H_{i}"] = network_hamiltonian(net, i)
+            out[f"H_{i}"] = hams[i]
     else:
         ctx, kvec = lax_params(cfg.kind, word)
         count = len(kvec) + 1 if cfg.kind == "A" else 2 * len(kvec) + 1
@@ -231,14 +233,15 @@ def _check_one_word(args) -> dict:
     if check == "alpha":
         return verify_weight_map(net)
     if check == "commute":
-        table = lax_strand_table(net)
-        hs = [fold_hamiltonian(net, i, table) for i in range(1, word.n + 1)]
-        bad = [
-            [a + 1, b + 1]
-            for a, b in combinations(range(len(hs)), 2)
-            if not commutes(hs[a], hs[b])
-        ]
-        return {"word": list(letters), "ok": not bad, "noncommuting_pairs": bad}
+        hs = fold_hamiltonians(net, range(1, word.n + 1), lax_strand_table(net))
+        bad = [[a, b] for a, b in combinations(hs, 2) if not commutes(hs[a], hs[b])]
+        report = {"word": list(letters), "ok": not bad, "noncommuting_pairs": bad}
+        if bad:
+            # per failing pair, the least term of its commutator
+            report["witnesses"] = [
+                {"pair": [a, b], **commutator_witness(hs[a], hs[b])} for a, b in bad
+            ]
+        return report
     if check == "oracle":
         got = classical_matrix(net)
         ref = matrix_product(reference_chip_matrices(net))

@@ -22,13 +22,14 @@ from .network import (
     StrandTable,
     build_network,
     enumerate_labeled_paths,
+    fold_bands,
     fold_hamiltonian,
+    fold_hamiltonians,
     path_families,
     strand_table,
-    subnetwork,
     weight_vector,
 )
-from .torus import MonomialMap, TorusContext, TorusElement
+from .torus import MonomialMap, TorusContext, TorusElement, commutator
 from .words import DoubleWord, QuiverVector, index_vector_of, quiver_vector_of
 
 
@@ -92,14 +93,6 @@ def label_hamiltonian(alg: LabelAlgebra, i: int) -> TorusElement:
 # label substitution into the Lax algebra
 
 
-def _term_of(el: TorusElement):
-    (vec, coeffs), = el.terms.items()
-    (qp, c), = coeffs.items()
-    if c != 1:
-        raise ValueError("expected a unit monomial")
-    return qp, vec
-
-
 def _q_entry(qvec_desc: QuiverVector, n: int, l: int) -> int:
     """Q_l with Q_l = 0 outside 1..n-1; qvec is stored descending."""
     if 1 <= l <= n - 1:
@@ -108,48 +101,62 @@ def _q_entry(qvec_desc: QuiverVector, n: int, l: int) -> int:
 
 
 def label_image(kind: str, n: int, qvec: QuiverVector, lax_ctx: TorusContext, label):
-    """(q-power, exponent vector) of a path label in the Lax torus."""
+    """(q-power, exponent vector) of a path label in the Lax torus: the
+    ``Fraction`` view of ``_label_term``."""
+    key, vec = _label_term(kind, n, qvec, lax_ctx.rank // 2, label)
+    return Fraction(key, 2), vec
+
+
+def _label_term(kind: str, n: int, qvec: QuiverVector, sites: int, label) -> tuple[int, tuple[int, ...]]:
+    """(q-key, exponent vector) of a path label's image on a Lax torus of
+    ``sites`` sites, in closed form.
+
+    Each image is a plain product w^u D^d of w-letters, then D-letters,
+    times q^e.  The only pairings are s(w_l, D_l) = -1/2, so on the Lax
+    grid (den 2) its q-key is 2e - u.d.
+    """
     i, j = label
-    w = lambda l: laxmod.w_index(lax_ctx, l)
-    d = lambda l: laxmod.d_index(lax_ctx, l)
-    Q = lambda l: _q_entry(qvec, n, l)
+    u, d = [0] * sites, [0] * sites
+    extra = 0
 
-    def term(letters, extra_q=0):
-        return _term_of(lax_ctx.plain_product(letters, qpow=Fraction(extra_q)))
+    def dip(lo: int, hi: int, offset: int):
+        """w_l^(-Q_(l-1)+offset) for l = lo..hi."""
+        for l in range(lo, hi + 1):
+            u[l - 1] += -_q_entry(qvec, n, l - 1) + offset
 
-    if kind == "A":
+    if kind == "A" or j <= n:
         if i == j:
-            return term([(w(i), -2)])
-        letters = [(w(l), -Q(l - 1) - 1) for l in range(i, j + 1)]
-        letters += [(d(i), 1), (d(j), -1)]
-        return term(letters)
-
-    if i == j:
-        if i <= n:
-            return term([(w(i), -2)])
-        return term([(w(2 * n + 1 - i), 2)])
-    if j <= n:
-        letters = [(w(l), -Q(l - 1) - 1) for l in range(i, j + 1)]
-        letters += [(d(i), 1), (d(j), -1)]
-        return term(letters)
-    if j == n + 1 and i < n:
-        letters = [(w(l), -Q(l - 1) - 1) for l in range(i, n + 1)]
-        letters += [(d(i), 1), (d(n), 1)]
-        return term(letters, extra_q=-1)
-    if i == n and j == n + 1:
-        qq = Q(n - 1)
-        return term([(w(n), -2 * qq), (d(n), 2)], extra_q=-qq)
-    if i == n:
+            u[i - 1] = -2
+        else:
+            dip(i, j, -1)
+            d[i - 1] += 1
+            d[j - 1] -= 1
+    elif i == j:
+        u[2 * n - i] = 2  # w_(2n+1-i)^2 on the mirrored diagonal
+    elif j == n + 1 and i < n:
+        dip(i, n, -1)
+        d[i - 1] += 1
+        d[n - 1] += 1
+        extra = -1
+    elif i == n and j == n + 1:
+        qq = _q_entry(qvec, n, n - 1)
+        u[n - 1] = -2 * qq
+        d[n - 1] = 2
+        extra = -qq
+    elif i == n:
         a = 2 * n + 1 - j
-        letters = [(w(l), -Q(l - 1) + 1) for l in range(a, n + 1)]
-        letters += [(d(a), 1), (d(n), 1)]
-        return term(letters, extra_q=1)
-    if i >= n + 1:
+        dip(a, n, 1)
+        d[a - 1] += 1
+        d[n - 1] += 1
+        extra = 1
+    elif i >= n + 1:
         a, b = 2 * n + 1 - j, 2 * n + 1 - i
-        letters = [(w(l), -Q(l - 1) + 1) for l in range(a, b + 1)]
-        letters += [(d(a), 1), (d(b), -1)]
-        return term(letters)
-    raise ValueError(f"label {label} is not covered by the weight table")
+        dip(a, b, 1)
+        d[a - 1] += 1
+        d[b - 1] -= 1
+    else:
+        raise ValueError(f"label {label} is not covered by the weight table")
+    return 2 * extra - sum(x * y for x, y in zip(u, d)), tuple(u) + tuple(d)
 
 
 def lax_params(kind: str, word: DoubleWord) -> tuple[TorusContext, tuple[int, ...]]:
@@ -161,24 +168,22 @@ def lax_params(kind: str, word: DoubleWord) -> tuple[TorusContext, tuple[int, ..
     return laxmod.lax_context(word.n), tuple(qvec) + (0,)
 
 
-def _lax_images(net: Network):
-    """The Lax torus of ``net`` and the map label -> ``label_image``."""
-    lax_ctx, _ = lax_params(net.kind, net.word)
-    qvec = quiver_vector_of(net.word)
-    return lax_ctx, lambda label: label_image(net.kind, net.n, qvec, lax_ctx, label)
-
-
 def build_weight_map(net: Network, alg: LabelAlgebra | None = None) -> MonomialMap:
     """Monomial map from the label torus into the Lax torus."""
     alg = alg or label_algebra(net)
-    lax_ctx, image = _lax_images(net)
-    return MonomialMap(alg.ctx, lax_ctx, tuple(map(image, alg.labels)))
+    lax_ctx, _ = lax_params(net.kind, net.word)
+    qvec = quiver_vector_of(net.word)
+    images = tuple(label_image(net.kind, net.n, qvec, lax_ctx, label) for label in alg.labels)
+    return MonomialMap(alg.ctx, lax_ctx, images)
 
 
 def lax_strand_table(net: Network) -> StrandTable:
-    """Strand table of ``net`` with each label's image in the Lax torus.
-    Its bands reuse it: a label's image depends only on (kind, n, Q)."""
-    return strand_table(net, *_lax_images(net))
+    """Strand table of ``net`` with each label's image in the Lax torus,
+    as the int (q-key, vector) of ``_label_term``.  Its bands reuse it:
+    a label's image depends only on (kind, n, Q)."""
+    lax_ctx, _ = lax_params(net.kind, net.word)
+    qvec, sites = quiver_vector_of(net.word), lax_ctx.rank // 2
+    return strand_table(net, lax_ctx, lambda label: _label_term(net.kind, net.n, qvec, sites, label))
 
 
 def verify_weight_map(net: Network) -> dict:
@@ -219,6 +224,12 @@ def network_hamiltonian_in_lax(net: Network, i: int) -> TorusElement:
 # the equivalence checks
 
 
+def _coeff_list(el: TorusElement, vec) -> list:
+    """The q-coefficients of ``el`` at ``vec`` as [q-exponent, coefficient]
+    pairs, q-exponents as strings."""
+    return [[str(q), c] for q, c in sorted(el.coefficient(vec).items())]
+
+
 def _compare(lhs: TorusElement, rhs: TorusElement) -> dict:
     """The "ok" and "first_diff" fields of one check.  The witness is the
     least exponent vector where the sides differ, built only on failure."""
@@ -229,10 +240,19 @@ def _compare(lhs: TorusElement, rhs: TorusElement) -> dict:
         "ok": False,
         "first_diff": {
             "exponents": list(vec),
-            "lhs_coeff": [[str(q), c] for q, c in sorted(lhs.coefficient(vec).items())],
-            "rhs_coeff": [[str(q), c] for q, c in sorted(rhs.coefficient(vec).items())],
+            "lhs_coeff": _coeff_list(lhs, vec),
+            "rhs_coeff": _coeff_list(rhs, vec),
         },
     }
+
+
+def commutator_witness(a: TorusElement, b: TorusElement) -> dict:
+    """The least nonzero term of ab - ba: its exponents and q-coefficients,
+    in the shape of ``_compare``'s first_diff.  For a pair that does not
+    commute; a commuting pair has no witness."""
+    c = commutator(a, b)
+    vec = min(c.terms)
+    return {"exponents": list(vec), "coeff": _coeff_list(c, vec)}
 
 
 def _w_prefactor(ctx: TorusContext, upto: int, sign: int) -> TorusElement:
@@ -249,9 +269,10 @@ def verify_equivalence_A(word: DoubleWord) -> dict:
     ctx, kvec = lax_params("A", word)
     hams = laxmod.lax_hamiltonians(ctx, kvec, "A")
     pref = _w_prefactor(ctx, n + 1, -1)
+    folds = fold_hamiltonians(net, range(1, n + 1), table)
     checks = []
     for i in range(1, n + 1):
-        lhs = fold_hamiltonian(net, i, table)
+        lhs = folds[i]
         rhs = pref * hams[i]  # hams[i] is H_{i+1}
         checks.append({"index": i, **_compare(lhs, rhs)})
     return {
@@ -274,33 +295,37 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
     qvec = quiver_vector_of(word)
     ctx, kvec = lax_params("C", word)
     hams = laxmod.lax_hamiltonians(ctx, kvec, "C")
+    # (rows lo..hi, size r, prefactor sign): bottom bands, then top bands
+    bands = []
+    if subnetworks:
+        bands = [(1, m, m, -1) for m in range(2, n + 1)]
+        bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
+    # one family search of the network folds it and every band
+    spans = {(1, 2 * n): range(1, n + 1)}
+    spans.update({(lo, hi): range(1, r + 1) for lo, hi, r, _ in bands})
+    folds = fold_bands(net, spans, table)
     checks = []
     for i in range(1, n + 1):
-        lhs = fold_hamiltonian(net, i, table)
+        lhs = folds[1, 2 * n][i]
         rhs = hams[i]  # index i+1
         checks.append({"index": i, **_compare(lhs, rhs)})
     sub_checks = []
-    if subnetworks:
-        # the band on rows 1..r and the top r rows share the Lax context,
-        # the index vector (Q_{r-1}, ..., Q_1, 0), and so the type A
-        # Hamiltonians: one set per r for this verdict
-        by_size = {}
-        for r in range(2, n + 1):
-            sub_ctx = laxmod.lax_context(r)
-            kv = tuple(qvec[n - r:]) + (0,)
-            by_size[r] = (sub_ctx, laxmod.lax_hamiltonians(sub_ctx, kv, "A"))
-        # (rows lo..hi, size r, prefactor sign): bottom bands, then top bands
-        bands = [(1, m, m, -1) for m in range(2, n + 1)]
-        bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
-        for lo, hi, r, sign in bands:
-            sub = subnetwork(net, lo, hi)
-            sub_ctx, shams = by_size[r]
-            pref = _w_prefactor(sub_ctx, r, sign)
-            for i in range(1, r + 1):
-                lhs = fold_hamiltonian(sub, i, table)
-                # H_{i+1} on the bottom bands, H_{r+1-i} on the top ones
-                rhs = _pad_lax(pref * shams[i if sign < 0 else r - i], ctx)
-                sub_checks.append({"rows": [lo, hi], "index": i, **_compare(lhs, rhs)})
+    # the band on rows 1..r and the top r rows share the Lax context,
+    # the index vector (Q_{r-1}, ..., Q_1, 0), and so the type A
+    # Hamiltonians: one set per r for this verdict
+    by_size = {}
+    for r in sorted({r for _, _, r, _ in bands}):
+        sub_ctx = laxmod.lax_context(r)
+        kv = tuple(qvec[n - r:]) + (0,)
+        by_size[r] = (sub_ctx, laxmod.lax_hamiltonians(sub_ctx, kv, "A"))
+    for lo, hi, r, sign in bands:
+        sub_ctx, shams = by_size[r]
+        pref = _w_prefactor(sub_ctx, r, sign)
+        for i in range(1, r + 1):
+            lhs = folds[lo, hi][i]
+            # H_{i+1} on the bottom bands, H_{r+1-i} on the top ones
+            rhs = _pad_lax(pref * shams[i if sign < 0 else r - i], ctx)
+            sub_checks.append({"rows": [lo, hi], "index": i, **_compare(lhs, rhs)})
     return {
         "kind": "C",
         "rank": n,

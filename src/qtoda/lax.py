@@ -10,10 +10,14 @@ The verifiers read that entry as a path sum (``monodromy_entry``): a
 walk over the sites extends each partial product by one monomial of the
 next local matrix and updates its exponent vector and q-key with one
 pairing, E(A) E(a) = q^<A,a> E(A + a), so no Laurent product is built.
-Type C contracts the first column of T with itself, taking each term
-with itself once and each unordered pair of terms once for both orders.
-The full 2x2 products (``monodromy``, ``double_monodromy``) stay for the
-RTT check and as the tests' oracle.
+Each site's monomials, with their q-keys and pairing rows, are ints read
+off the closed form of ``local_lax`` (``_site_terms``); no site matrix
+is built.  Type C contracts the first column of T with itself, taking
+each term with itself once and each unordered pair of terms once for
+both orders.  ``lax_hamiltonians`` signs each coefficient as it closes
+the path sum's term map for that z-degree.  The local matrices and the
+full 2x2 products (``local_lax``, ``monodromy``, ``double_monodromy``)
+stay for the RTT check and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -163,19 +167,21 @@ def double_monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
 def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent:
     """The (1,1) entry of ``monodromy`` (type A) or ``double_monodromy``
     (type C), without the full 2x2 products."""
-    entry = _unsigned_entry(ctx, kvec, kind)
-    return entry.scaled(-1) if kind == "C" and len(kvec) % 2 else entry
+    parts = _entry_parts(ctx, kvec, kind)
+    sign = -1 if kind == "C" and len(kvec) % 2 else 1
+    return ZLaurent(ctx, {e: _closed(ctx, terms, sign) for e, terms in parts.items()})
 
 
-def _unsigned_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent:
-    """``monodromy_entry`` without the (-1)^n of type C, as a path sum.
+def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str) -> dict[int, dict[Vec, dict[QKey, int]]]:
+    """``monodromy_entry`` without the (-1)^n of type C, as a path sum:
+    per doubled z-degree a term map, zero coefficients not yet dropped.
 
     A walk over the sites keeps, per end state (row or column 0 or 1), a
     map (doubled z-degree, exponent vector A) -> {q-key: coefficient}.
     Each step extends every partial product by one term q^p E(a) z^e of
     the next local matrix.  On the right, E(A) E(a) = q^<A,a> E(A + a),
     so the key gains -r(a).A with r(a) = den*(a s) the pairing row of a;
-    on the left it gains +r(a).A.  Every pairing comes from ``ctx.rows``.
+    on the left it gains +r(a).A.
 
     Type A carries the row e_1^T through L_n ... L_1 and reads state 0.
     Type C carries the column L_1 e_1 up through L_n, which gives the
@@ -206,25 +212,46 @@ def _unsigned_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent
             states = _walk(ctx, states, site, k, (0, 1), right=False)
         for col in states:
             _contract(ctx, col, parts)
-    return ZLaurent(
-        ctx, {e: TorusElement._make(ctx, _nonzero(terms)) for e, terms in parts.items()}
-    )
+    return parts
+
+
+def _closed(ctx: TorusContext, terms: dict[Vec, dict[QKey, int]], sign: int) -> TorusElement:
+    """A z-coefficient of ``_entry_parts`` as an element, times ``sign``,
+    with its zero coefficients dropped in the same pass."""
+    if sign == 1:
+        return TorusElement._make(ctx, _nonzero(terms))
+    out = {}
+    for vec, coeffs in terms.items():
+        kept = {k: sign * c for k, c in coeffs.items() if c}
+        if kept:
+            out[vec] = kept
+    return TorusElement._make(ctx, out)
 
 
 def _site_terms(ctx: TorusContext, site: int, k: int, sign: int):
     """Per cell (i, j) of ``local_lax(ctx, site, k)``, its terms as
-    (doubled z-degree, vector a, q-key, coefficient, sign * r(a))."""
-    m = local_lax(ctx, site, k)
-    rows = ctx.rows
+    (doubled z-degree, nonzero entries (t, a_t) of the vector a, q-key,
+    coefficient, sign * r(a)), read off the closed form of that matrix.
+
+    Every term is a plain product w^x D^y of the site's generators.  With
+    s(w, D) = -1/2 on the Lax grid (den 2), its q-key is -x*y and its
+    pairing row r(a) = den*(a s) is {D: -x, w: y}.
+    """
+    if k not in (-1, 0, 1):
+        raise ValueError("local index must be -1, 0 or 1")
+    wi, di = w_index(ctx, site), d_index(ctx, site)
+
+    def term(e: int, x: int, y: int, c: int):
+        a = [(t, v) for t, v in ((wi, x), (di, y)) if v]
+        r = [(t, sign * v) for t, v in ((di, -x), (wi, y)) if v]
+        return (e, a, -x * y, c, r)
+
+    s2 = k - 1  # doubled s
     return {
-        (i, j): [
-            (e, a, key, c, [(t, sign * x) for t, x in _pairing_row(rows, a)])
-            for e, el in m[i, j].terms.items()
-            for a, coeffs in el._terms.items()
-            for key, c in coeffs.items()
-        ]
-        for i in range(2)
-        for j in range(2)
+        (0, 0): [term(s2 + 2, -1, 0, 1), term(s2, 1, 0, -1)],
+        (0, 1): [term(s2 + 2, -k, -1, 1)],
+        (1, 0): [term(s2, -k, 1, -1)],
+        (1, 1): [term(0, -k, 0, -k)] if k else [],
     }
 
 
@@ -246,7 +273,10 @@ def _walk(ctx: TorusContext, states: list[dict], site: int, k: int, ends, right:
                     shift = p
                     for t, x in r:
                         shift += x * A[t]
-                    key = (e + f, _vec_add(A, a))
+                    vec = list(A)
+                    for t, x in a:
+                        vec[t] += x
+                    key = (e + f, tuple(vec))
                     tgt = acc.get(key)
                     if tgt is None:
                         acc[key] = tgt = {}
@@ -289,13 +319,8 @@ def sigma_doubled(kvec: IndexVector) -> int:
     return sum(k - 1 for k in kvec)
 
 
-def extract_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> list[TorusElement]:
-    """Coefficient list of the (1,1) monodromy entry.
-
-    Type A: H_i = coefficient of z^(sigma_n + i - 1), i = 1..n+1.
-    Type C: H_i = coefficient of z^(-n + i - 1), i = 1..2n+1.
-    Raises if the z-support leaves the predicted window.
-    """
+def _window(kvec: IndexVector, kind: str) -> list[int]:
+    """The doubled z-degrees of H_1, H_2, ... in the (1,1) entry."""
     n = len(kvec)
     if kind == "A":
         lo2 = sigma_doubled(kvec)
@@ -305,7 +330,17 @@ def extract_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> list[
         count = 2 * n + 1
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    window = [lo2 + 2 * (i - 1) for i in range(1, count + 1)]
+    return [lo2 + 2 * (i - 1) for i in range(1, count + 1)]
+
+
+def extract_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> list[TorusElement]:
+    """Coefficient list of the (1,1) monodromy entry.
+
+    Type A: H_i = coefficient of z^(sigma_n + i - 1), i = 1..n+1.
+    Type C: H_i = coefficient of z^(-n + i - 1), i = 1..2n+1.
+    Raises if the z-support leaves the predicted window.
+    """
+    window = _window(kvec, kind)
     outside = [d for d in entry.support() if d not in window]
     if outside:
         raise ValueError(f"z-support {outside} outside the predicted window")
@@ -328,14 +363,19 @@ def normalized_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> li
 def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, normalized: bool = True) -> list[TorusElement]:
     """Hamiltonians of the (double) monodromy for an index vector: the
     coefficients of ``monodromy_entry``, normalized as by
-    ``normalized_hamiltonians`` unless ``normalized`` is false.  Each is
-    signed once, the type C (-1)^n of the entry included."""
-    raw = extract_hamiltonians(_unsigned_entry(ctx, kvec, kind), kvec, kind)
+    ``normalized_hamiltonians`` unless ``normalized`` is false.  Each
+    coefficient's sign, the type C (-1)^n of the entry included, is
+    applied once, as its term map is closed."""
+    parts = _entry_parts(ctx, kvec, kind)
+    window = _window(kvec, kind)
+    outside = sorted(d for d, terms in parts.items() if d not in window and _closed(ctx, terms, 1))
+    if outside:
+        raise ValueError(f"z-support {outside} outside the predicted window")
     n = len(kvec)
     outer = (-1) ** n if kind == "C" else 1
     return [
-        h.q_shift(0, outer * _normal_sign(kind, n, i) if normalized else outer)
-        for i, h in enumerate(raw, start=1)
+        _closed(ctx, parts.get(d, {}), outer * _normal_sign(kind, n, i) if normalized else outer)
+        for i, d in enumerate(window, start=1)
     ]
 
 

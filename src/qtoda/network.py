@@ -22,7 +22,6 @@ from .torus import (
     Vec,
     _grid_key,
     _pairing_row,
-    _vec_add,
     classical_context,
     classical_monomial,
 )
@@ -187,24 +186,26 @@ def weight_context(kind: str, word: DoubleWord) -> TorusContext:
 
     The t's are central among themselves, s(c_j, t_j) = -d_j, and
     s(c_j, c_k) is minus the quiver weight between the positive face
-    vertices j and k of the word's cluster quiver.
+    vertices j and k of the word's cluster quiver.  The matrix is built
+    as 2s, on the doubled grid of ``_doubled_face_weights``, then halved.
     """
     n = word.n
     d = symmetrizers(kind, n)
-    omega = face_weights(kind, word)
+    omega2 = _doubled_face_weights(kind, word, False)
     names = tuple(f"t_{j}" for j in range(1, n + 1)) + tuple(
         f"c_{j}" for j in range(1, n + 1)
     )
     m = 2 * n
-    skew = [[Fraction(0)] * m for _ in range(m)]
+    skew2 = [[0] * m for _ in range(m)]
     for j in range(1, n + 1):
-        skew[n + j - 1][j - 1] = Fraction(-d[j - 1])
-        skew[j - 1][n + j - 1] = Fraction(d[j - 1])
+        skew2[n + j - 1][j - 1] = -2 * d[j - 1]
+        skew2[j - 1][n + j - 1] = 2 * d[j - 1]
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             if j != k:
-                skew[n + j - 1][n + k - 1] = -omega.get((j, k), Fraction(0))
-    return TorusContext(names, tuple(tuple(row) for row in skew))
+                skew2[n + j - 1][n + k - 1] = -omega2.get((j, k), 0)
+    halves = {x: Fraction(x, 2) for x in {x for row in skew2 for x in row}}
+    return TorusContext(names, tuple(tuple(halves[x] for x in row) for row in skew2))
 
 
 # ---------------------------------------------------------------------------
@@ -231,43 +232,50 @@ def _colored_row(word: DoubleWord, kind: str, n: int, r: int) -> list[tuple[int,
 
 
 _ROW_RULES = {
-    # (tail color, head color) -> (source side, weight); sides are "above"/"below"
-    ("or", "bk"): ("above", Fraction(1)),
-    ("bk", "or"): ("below", Fraction(1)),
-    ("bl", "bk"): ("above", Fraction(1, 2)),
-    ("bl", "or"): ("below", Fraction(1, 2)),
-    ("bk", "rd"): ("below", Fraction(1, 2)),
-    ("or", "rd"): ("above", Fraction(1, 2)),
+    # (tail color, head color) -> (source side, doubled weight); sides are "above"/"below"
+    ("or", "bk"): ("above", 2),
+    ("bk", "or"): ("below", 2),
+    ("bl", "bk"): ("above", 1),
+    ("bl", "or"): ("below", 1),
+    ("bk", "rd"): ("below", 1),
+    ("or", "rd"): ("above", 1),
 }
 
 
-def face_weights(kind: str, word: DoubleWord, disk: bool = False):
+def face_weights(kind: str, word: DoubleWord, disk: bool = False) -> dict[tuple, Fraction]:
     """Antisymmetric quiver edge weights from the face-arrow rules.
 
     Cylinder mode returns weights on the labels -n..-1, 1..n.  Disk mode
     keeps the outer face of each strip split at the cut into frozen
     faces ("L", k) and ("R", k); amalgamating those pairs reproduces the
-    cylinder weights.
+    cylinder weights.  The weights are ``Fraction``s: halves of the
+    integers of ``_doubled_face_weights``.
     """
+    return {k: Fraction(v, 2) for k, v in _doubled_face_weights(kind, word, disk).items()}
+
+
+def _doubled_face_weights(kind: str, word: DoubleWord, disk: bool) -> dict[tuple, int]:
+    """2 * ``face_weights`` as ints, with every column doubled as well, so
+    that the midpoint of two columns and a half weight are integers."""
     n = word.n
     d = symmetrizers(kind, n)
-    cols = {k: (word.position(-k), word.position(k)) for k in range(1, n + 1)}
+    cols = {k: (2 * word.position(-k), 2 * word.position(k)) for k in range(1, n + 1)}
 
-    def face(k: int, col: Fraction):
+    def face(k: int, col2: int):
         a, b = cols[k]
-        if a < col < b:
+        if a < col2 < b:
             return -k
         if disk:
-            return ("L", k) if col < a else ("R", k)
+            return ("L", k) if col2 < a else ("R", k)
         return k
 
-    weights: dict[tuple, Fraction] = {}
+    weights: dict[tuple, int] = {}
 
-    def add(src, dst, w: Fraction):
+    def add(src, dst, w: int):
         if src == dst:
             return
-        weights[(src, dst)] = weights.get((src, dst), Fraction(0)) + w
-        weights[(dst, src)] = weights.get((dst, src), Fraction(0)) - w
+        weights[(src, dst)] = weights.get((src, dst), 0) + w
+        weights[(dst, src)] = weights.get((dst, src), 0) - w
 
     # arrows across slanted edges: mid face to outer face, weight d_k each.
     # The down slant borders the outer face on its west, the up slant on
@@ -275,8 +283,8 @@ def face_weights(kind: str, word: DoubleWord, disk: bool = False):
     for k in range(1, n + 1):
         west = ("L", k) if disk else k
         east = ("R", k) if disk else k
-        add(-k, west, Fraction(d[k - 1]))
-        add(-k, east, Fraction(d[k - 1]))
+        add(-k, west, 2 * d[k - 1])
+        add(-k, east, 2 * d[k - 1])
 
     # arrows across horizontal edges between adjacent strips
     top_row = n if kind == "A" else n + 1
@@ -286,22 +294,21 @@ def face_weights(kind: str, word: DoubleWord, disk: bool = False):
         if above_k < 1:
             continue
         verts = _colored_row(word, kind, n, r)
-        chain = [(-Fraction(1), "bl")] + [(Fraction(c), col) for c, col in verts]
-        chain.append((Fraction(2 * n + 1), "rd"))
+        chain = [(-1, "bl")] + verts + [(2 * n + 1, "rd")]
         for (c1, col1), (c2, col2) in zip(chain, chain[1:]):
             rule = _ROW_RULES.get((col1, col2))
             if rule is None:
                 continue
             side, w = rule
-            mid = (c1 + c2) / 2
-            f_below = face(below_k, mid)
-            f_above = face(above_k, mid)
+            mid2 = c1 + c2  # twice the midpoint column
+            f_below = face(below_k, mid2)
+            f_above = face(above_k, mid2)
             if side == "above":
                 add(f_above, f_below, w)
             else:
                 add(f_below, f_above, w)
 
-    return {k: v for k, v in weights.items() if v != 0}
+    return {k: v for k, v in weights.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -348,59 +355,86 @@ def quantized_path_weight(net: Network, path: LabeledPath) -> TorusElement:
 
 
 def weight_vector(net: Network, path: LabeledPath) -> Vec:
-    """Exponent vector of ``quantized_path_weight``."""
-    (vec,) = quantized_path_weight(net, path).terms
-    return vec
+    """Exponent vector of ``quantized_path_weight``: the strand's letters
+    summed."""
+    v = [0] * net.ctx.rank
+    for g, e in path.letters:
+        v[g] += e
+    return tuple(v)
 
 
 def _vertex_mask(path: LabeledPath, width: int) -> int:
-    """``path.vertices()`` as one int: vertex (i, row) is bit i*width + row."""
-    return sum(1 << (i * width + r) for i, r in path.vertices())
+    """``path.vertices()`` as one int: vertex (i, row) is bit i*width + row.
+    The last chip boundary is the first one again, at the source row."""
+    mask = 0
+    for i, r in enumerate(path.rows[:-1]):
+        mask |= 1 << (i * width + r)
+    return mask
 
 
-def _fold_families(net: Network, size: int, entries: dict, start, step):
+def _fold_families(net: Network, sizes, entries: dict, start, step):
     """Fold ``step`` from ``start`` over the members, bottom row first, of
-    each vertex-disjoint family with sources = sinks = I, |I| = size.
+    each vertex-disjoint family with sources = sinks = I, for every |I| in
+    ``sizes``; yields (|I|, fold).
 
-    ``entries`` maps strand labels to (vertex mask, datum); only this
-    network's strands are read, so a band can pass its parent's entries.
-    Row subsets come depth first in ``combinations`` order, so a partial
-    family (its members' mask union and fold) serves every subset that
-    begins with its rows.
+    One depth-first search walks the row subsets of all sizes up to the
+    largest wanted one, each size in ``combinations`` order.  A partial
+    family (its members' mask union and fold) is built once, yielded if
+    its size is wanted, and extended for every subset that begins with
+    its rows while a wanted size is still within reach.  ``entries`` maps
+    strand labels to (vertex mask, datum); only this network's strands
+    are read, so a band can pass its parent's entries.  The family cap
+    bounds the families of each size.
     """
     cap = int(os.environ.get(FAMILY_CAP_ENV, "1000000"))
     by_row: dict[int, list] = {}
     for p in net.strands:
         by_row.setdefault(p.source, []).append(entries[p.label])
     rows = [by_row[r] for r in net.rows if r in by_row]
-    count = 0
+    wanted = set(sizes)
+    top = max(wanted, default=0)
+    # need[d]: the least wanted size above d chosen rows, if any
+    need = [min((s for s in wanted if s > d), default=None) for d in range(top + 1)]
+    counts = dict.fromkeys(wanted, 0)
+    if 0 in wanted:
+        if cap < 1:
+            raise _cap_error(cap)
+        yield 0, start
     stack = [([(0, start)], 0)]  # per chosen row: partial families, next row
     while stack:
         partial, k = stack[-1]
-        left = size + 1 - len(stack)
-        if not left:
+        depth = len(stack) - 1
+        reach = need[depth]
+        if reach is None or k > len(rows) - (reach - depth):
             stack.pop()
-            for _, acc in partial:
-                count += 1
-                if count > cap:
-                    # a plain RuntimeError for library callers; ``limit`` names
-                    # the cap, so the command line reports a resource limit
-                    exc = RuntimeError(f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}")
-                    exc.limit = FAMILY_CAP_ENV
-                    raise exc
-                yield acc
-        elif k > len(rows) - left:
-            stack.pop()
-        else:
-            stack[-1] = (partial, k + 1)
-            grown = [
-                (used | mask, step(acc, datum))
-                for used, acc in partial
-                for mask, datum in rows[k]
-                if not used & mask
-            ]
-            if grown:
-                stack.append((grown, k + 1))
+            continue
+        stack[-1] = (partial, k + 1)
+        grown = [
+            (used | mask, step(acc, datum))
+            for used, acc in partial
+            for mask, datum in rows[k]
+            if not used & mask
+        ]
+        if not grown:
+            continue
+        size = depth + 1
+        if size in wanted:
+            room = cap - counts[size]
+            counts[size] += len(grown)
+            for _, acc in grown[:room]:
+                yield size, acc
+            if len(grown) > room:
+                raise _cap_error(cap)
+        if size < top:
+            stack.append((grown, k + 1))
+
+
+def _cap_error(cap: int) -> RuntimeError:
+    """A plain RuntimeError for library callers; ``limit`` names the cap,
+    so the command line reports a resource limit."""
+    exc = RuntimeError(f"family enumeration exceeded {FAMILY_CAP_ENV}={cap}")
+    exc.limit = FAMILY_CAP_ENV
+    return exc
 
 
 def path_families(net: Network, size: int):
@@ -408,7 +442,8 @@ def path_families(net: Network, size: int):
     member tuples, bottom row first."""
     width = net.row_hi + 1
     entries = {p.label: (_vertex_mask(p, width), p) for p in net.strands}
-    return _fold_families(net, size, entries, (), lambda fam, p: fam + (p,))
+    found = _fold_families(net, (size,), entries, (), lambda fam, p: fam + (p,))
+    return (fam for _, fam in found)
 
 
 @dataclass(frozen=True)
@@ -420,10 +455,11 @@ class StrandTable:
 
 
 def strand_table(net: Network, target: TorusContext | None = None, image=None) -> StrandTable:
-    """Per strand label: vertex mask and (w + v, r, p) for the weight
-    vector w, the pairing row r = den*(w s) * key_scale and the image
-    q^p E(v) in ``target`` (p a target q-key; ``image(label)`` gives
-    (q-power, v), by default the identity).  key_scale = target.den /
+    """Per strand label: vertex mask and (u, r, p, b) for the weight
+    vector w, the image q^p E(v) in ``target``, the nonzero entries u of
+    w + v, the pairing row r = den*(w s) * key_scale and the strand's rows
+    b as a bit set.  ``image(label)`` gives (p, v) with p a ``target``
+    q-key, by default the identity (0, w).  key_scale = target.den /
     net.ctx.den as in ``MonomialMap``.  Bands of ``net`` reuse the table."""
     target = target or net.ctx
     scale = _grid_key(Fraction(target.den, net.ctx.den))
@@ -431,19 +467,31 @@ def strand_table(net: Network, target: TorusContext | None = None, image=None) -
     entries = {}
     for p in net.strands:
         w = weight_vector(net, p)
-        qp, v = image(p.label) if image else (0, w)
+        key, v = image(p.label) if image else (0, w)
         r = [(j, x * scale) for j, x in _pairing_row(net.ctx.rows, w)]
-        entries[p.label] = (_vertex_mask(p, width), (w + v, r, target._qkey(qp)))
+        bits = 0
+        for row in p.rows:
+            bits |= 1 << row
+        u = [(j, x) for j, x in enumerate(w + v) if x]
+        entries[p.label] = (_vertex_mask(p, width), (u, r, key, bits))
     return StrandTable(target, entries)
 
 
 def _extend(acc, datum):
-    """Put a strand left of a family: E(w) E(W) = q^<w,W> E(w + W)."""
-    WT, key = acc
-    wv, r, p = datum
+    """Put a strand left of a family: E(w) E(W) = q^<w,W> E(w + W); the
+    family's rows gain the strand's."""
+    WT, key, bits = acc
+    u, r, p, b = datum
     for j, x in r:
         key += x * WT[j]
-    return _vec_add(WT, wv), key + p
+    vec = list(WT)
+    for j, x in u:
+        vec[j] += x
+    return tuple(vec), key + p, bits | b
+
+
+def _start(net: Network, table: StrandTable):
+    return (net.ctx.unit_vec() + table.target.unit_vec(), 0, 0)
 
 
 def fold_hamiltonian(net: Network, i: int, table: StrandTable) -> TorusElement:
@@ -453,17 +501,57 @@ def fold_hamiltonian(net: Network, i: int, table: StrandTable) -> TorusElement:
     A family folds W + T = sum (w + v) and the q-key K key_scale + P,
     with K = den * sum <w_s, w_t> over members s above t and P = sum p.
     Its term q^(K key_scale + P) E(T) is ``MonomialMap.apply`` of its
-    product on the label torus.
+    product on the label torus.  This is ``fold_bands`` with the whole
+    network as its one band and i as its one index.
     """
-    if not 1 <= i <= net.num_rows:
-        raise ValueError(f"hamiltonian index {i} out of range")
+    return fold_hamiltonians(net, (i,), table)[i]
+
+
+def fold_hamiltonians(net: Network, sizes, table: StrandTable) -> dict[int, TorusElement]:
+    """``fold_hamiltonian`` for every index in ``sizes``, from one family
+    search."""
+    return fold_bands(net, {(net.row_lo, net.row_hi): sizes}, table)[net.row_lo, net.row_hi]
+
+
+def fold_bands(net: Network, bands: dict, table: StrandTable) -> dict:
+    """Per band (lo, hi) -> indices, ``fold_hamiltonian`` of
+    ``subnetwork(net, lo, hi)`` for each index, from one family search of
+    ``net``.
+
+    A band's families are the families of ``net`` whose rows lie in the
+    band, with the same folds: each family of the search adds its term to
+    every band that holds its rows.
+    """
+    for lo, hi in bands:
+        if not (net.row_lo <= lo <= hi <= net.row_hi):
+            raise ValueError("row range out of bounds")
+        for i in bands[lo, hi]:
+            if not 1 <= i <= hi - lo + 1:
+                raise ValueError(f"hamiltonian index {i} out of range")
     m = net.ctx.rank
-    out: dict = {}
-    start = (net.ctx.unit_vec() + table.target.unit_vec(), 0)
-    for WT, key in _fold_families(net, i, table.entries, start, _extend):
-        coeffs = out.setdefault(WT[m:], {})
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return TorusElement._make(table.target, out)
+    outs = {band: {i: {} for i in sizes} for band, sizes in bands.items()}
+    # per size: (rows outside the band as a bit set, the band's map)
+    every = (1 << (net.row_hi + 1)) - 1
+    targets: dict[int, list] = {}
+    for (lo, hi), by_size in outs.items():
+        outside = every & ~((1 << (hi + 1)) - (1 << lo))
+        for i, out in by_size.items():
+            targets.setdefault(i, []).append((outside, out))
+    search = _fold_families(net, targets, table.entries, _start(net, table), _extend)
+    for i, (WT, key, bits) in search:
+        vec = WT[m:]
+        for outside, out in targets[i]:
+            if bits & outside:
+                continue
+            coeffs = out.get(vec)
+            if coeffs is None:
+                out[vec] = {key: 1}
+            else:
+                coeffs[key] = coeffs.get(key, 0) + 1
+    return {
+        band: {i: TorusElement._make(table.target, out) for i, out in by_size.items()}
+        for band, by_size in outs.items()
+    }
 
 
 def network_hamiltonian(net: Network, i: int) -> TorusElement:

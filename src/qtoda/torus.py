@@ -29,6 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Vec = tuple[int, ...]
@@ -90,13 +91,15 @@ class TorusContext:
         m = len(self.names)
         if len(self.skew) != m or any(len(row) != m for row in self.skew):
             raise ValueError("skew matrix shape does not match generator count")
+        # den is the lcm of the entries' denominators, found on ints
         den = 1
         for row in self.skew:
             for x in row:
                 if x:
-                    den *= (x * den).denominator
+                    den = lcm(den, x.denominator)
         rows = tuple(
-            {j: int(x * den) for j, x in enumerate(row) if x} for row in self.skew
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in self.skew
         )
         for i, row in enumerate(rows):
             if i in row:
@@ -286,31 +289,11 @@ class TorusElement:
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
-        rows = self.ctx.rows
-        # build pairing rows on the side with fewer terms: den*<a,b> is
-        # sum_j r(a)_j b_j, and also -sum_j r(b)_j a_j
-        outer, inner, flip = self._terms, other._terms, False
-        if len(inner) < len(outer):
-            outer, inner, flip = inner, outer, True
-        out: dict[Vec, dict[QKey, int]] = {}
-        for a, ca in outer.items():
-            r_items = _pairing_row(rows, a)
-            if flip:
-                r_items = [(j, -x) for j, x in r_items]
-            for b, cb in inner.items():
-                shift = 0
-                for j, x in r_items:
-                    shift += x * b[j]
-                vec = _vec_add(a, b)
-                acc = out.get(vec)
-                if acc is None:
-                    out[vec] = acc = {}
-                for qa, xa in ca.items():
-                    qa += shift
-                    for qb, xb in cb.items():
-                        k = qa + qb
-                        acc[k] = acc.get(k, 0) + xa * xb
-        return TorusElement._make(self.ctx, _nonzero(out))
+        if self.is_monomial():
+            return _monomial_product(self, other, 1)
+        if other.is_monomial():
+            return _monomial_product(other, self, -1)
+        return _product(self, other)
 
     def q_shift(self, qpow: QPow | int, scale: int = 1) -> "TorusElement":
         """Multiply by the central scalar ``scale * q^qpow``."""
@@ -376,6 +359,61 @@ class TorusElement:
                 qs = "" if qp == 0 else f" q^{qp}"
                 bits.append(f"{c}{qs} {mono}")
         return " + ".join(bits)
+
+
+def _product(a: TorusElement, b: TorusElement) -> TorusElement:
+    """The general product a * b, term pair by term pair."""
+    rows = a.ctx.rows
+    # build pairing rows on the side with fewer terms: den*<u,v> is
+    # sum_j r(u)_j v_j, and also -sum_j r(v)_j u_j
+    outer, inner, flip = a._terms, b._terms, False
+    if len(inner) < len(outer):
+        outer, inner, flip = inner, outer, True
+    out: dict[Vec, dict[QKey, int]] = {}
+    for u, ca in outer.items():
+        r_items = _pairing_row(rows, u)
+        if flip:
+            r_items = [(j, -x) for j, x in r_items]
+        for v, cb in inner.items():
+            shift = 0
+            for j, x in r_items:
+                shift += x * v[j]
+            vec = _vec_add(u, v)
+            acc = out.get(vec)
+            if acc is None:
+                out[vec] = acc = {}
+            for qa, xa in ca.items():
+                qa += shift
+                for qb, xb in cb.items():
+                    k = qa + qb
+                    acc[k] = acc.get(k, 0) + xa * xb
+    return TorusElement._make(a.ctx, _nonzero(out))
+
+
+def _monomial_product(m: TorusElement, b: TorusElement, side: int) -> TorusElement:
+    """m * b for side 1, b * m for side -1, with m = c q^k E(a) one term.
+
+    E(a) E(v) = q^<a,v> E(a + v) and E(v) E(a) = q^-<a,v> E(a + v): each
+    term of b moves to its own vector a + v, and its q-keys all shift by
+    the same amount, with c != 0 as a factor.  The product is a bijection
+    on terms, so nothing merges and no coefficient vanishes.
+    """
+    ((a, ca),) = m._terms.items()
+    ((k, c),) = ca.items()
+    r = _pairing_row(m.ctx.rows, a)
+    if side < 0:
+        r = [(j, -x) for j, x in r]
+    nz = [(j, x) for j, x in enumerate(a) if x]
+    out: dict[Vec, dict[QKey, int]] = {}
+    for v, cv in b._terms.items():
+        shift = k
+        for j, x in r:
+            shift += x * v[j]
+        vec = list(v)
+        for j, x in nz:
+            vec[j] += x
+        out[tuple(vec)] = {q + shift: c * x for q, x in cv.items()}
+    return TorusElement._make(m.ctx, out)
 
 
 def commutator(a: TorusElement, b: TorusElement) -> TorusElement:

@@ -269,6 +269,55 @@ def test_family_cap_is_a_resource_limit(capsys, monkeypatch, jobs):
     assert captured.err == f"resource limit exceeded: family enumeration exceeded {FAMILY_CAP_ENV}=1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--check", "commute", "--type", "A", "--rank", "3", "--all-words"),
+        ("hamiltonians", "--route", "network", "--type", "C", "--rank", "2", "--qvec", "1"),
+    ],
+)
+def test_family_cap_stops_commute_and_network_route(capsys, monkeypatch, argv):
+    # both fold every size from one family search; the cap still counts
+    # the families of each size
+    monkeypatch.setenv(FAMILY_CAP_ENV, "1")
+    assert console(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resource limit exceeded: family enumeration exceeded {FAMILY_CAP_ENV}=1\n"
+
+
+def test_noncommuting_pair_reports_its_commutator_witness(capsys, monkeypatch):
+    # H_2 perturbed by one generator: every pair with H_2 fails, and each
+    # witness is the least term of a*b - b*a
+    folded = []
+
+    def perturbed(net, sizes, table):
+        hs = fold_hamiltonians(net, sizes, table)
+        hs[2] = hs[2] + table.target.generator(0) - table.target.monomial(table.target.basis_vec(4), 1, 2)
+        folded.append(hs)
+        return hs
+
+    fold_hamiltonians = cli.fold_hamiltonians
+    argv = ["verify", "--check", "commute", "--type", "A", "--rank", "3", "--qvec", "1,0"]
+    code, out = run(capsys, *argv)
+    clean = json.loads(out)["reports"][0]
+    assert code == 0 and "witnesses" not in clean
+    monkeypatch.setattr(cli, "fold_hamiltonians", perturbed)
+    code, out = run(capsys, *argv)
+    (rep,) = json.loads(out)["reports"]
+    assert code == 1 and not rep["ok"]
+    assert rep["noncommuting_pairs"] == [[1, 2], [2, 3]]
+    (hs,) = folded
+    assert [w["pair"] for w in rep["witnesses"]] == rep["noncommuting_pairs"]
+    for w in rep["witnesses"]:
+        a, b = (hs[i] for i in w["pair"])
+        oracle = a * b - b * a
+        vec = min(oracle.terms)
+        assert w["exponents"] == list(vec)
+        assert w["coeff"] == [[str(q), c] for q, c in sorted(oracle.terms[vec].items())]
+        assert w["coeff"]
+
+
 def test_console_passes_other_codes_through(capsys):
     assert console(["words", "--type", "A", "--rank", "2"]) == 0
     assert console(["words", "--rank", "0"]) == 2

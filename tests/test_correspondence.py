@@ -6,6 +6,7 @@ import pytest
 from qtoda import lax as laxmod
 from qtoda.correspondence import (
     _compare,
+    _label_term,
     _pad_lax,
     _w_prefactor,
     build_weight_map,
@@ -18,7 +19,16 @@ from qtoda.correspondence import (
     verify_equivalence_C,
     verify_weight_map,
 )
-from qtoda.network import build_network, fold_hamiltonian, network_hamiltonian, path_families, subnetwork
+from qtoda.network import (
+    build_network,
+    fold_bands,
+    fold_hamiltonian,
+    network_hamiltonian,
+    path_families,
+    quantized_path_weight,
+    subnetwork,
+    weight_vector,
+)
 from qtoda.torus import MonomialMap, TorusElement, commutes
 from qtoda.words import enumerate_double_coxeter, quiver_vector_of, standard_word, word_of_quiver_vector
 
@@ -71,6 +81,73 @@ def test_uncovered_label_rejected():
     ctx = lax_ctx("C", 3)
     with pytest.raises(ValueError):
         label_image("C", 3, (0, 0), ctx, (1, 6))
+
+
+def _q_ref(qvec, n, l):
+    return qvec[n - 1 - l] if 1 <= l <= n - 1 else 0
+
+
+def plain_label_image(kind, n, qvec, lax_ctx, label):
+    """The table of label images as plain products of w- and D-letters,
+    each read off one ``plain_product``: the oracle of ``_label_term``."""
+    i, j = label
+    w = lambda l: laxmod.w_index(lax_ctx, l)
+    d = lambda l: laxmod.d_index(lax_ctx, l)
+    Q = lambda l: _q_ref(qvec, n, l)
+
+    def term(letters, extra_q=0):
+        (vec, coeffs), = lax_ctx.plain_product(letters, qpow=Fraction(extra_q)).terms.items()
+        (qp, c), = coeffs.items()
+        assert c == 1
+        return qp, vec
+
+    if kind == "A":
+        if i == j:
+            return term([(w(i), -2)])
+        letters = [(w(l), -Q(l - 1) - 1) for l in range(i, j + 1)]
+        return term(letters + [(d(i), 1), (d(j), -1)])
+    if i == j:
+        return term([(w(i), -2)]) if i <= n else term([(w(2 * n + 1 - i), 2)])
+    if j <= n:
+        letters = [(w(l), -Q(l - 1) - 1) for l in range(i, j + 1)]
+        return term(letters + [(d(i), 1), (d(j), -1)])
+    if j == n + 1 and i < n:
+        letters = [(w(l), -Q(l - 1) - 1) for l in range(i, n + 1)]
+        return term(letters + [(d(i), 1), (d(n), 1)], extra_q=-1)
+    if i == n and j == n + 1:
+        qq = Q(n - 1)
+        return term([(w(n), -2 * qq), (d(n), 2)], extra_q=-qq)
+    if i == n:
+        a = 2 * n + 1 - j
+        letters = [(w(l), -Q(l - 1) + 1) for l in range(a, n + 1)]
+        return term(letters + [(d(a), 1), (d(n), 1)], extra_q=1)
+    a, b = 2 * n + 1 - j, 2 * n + 1 - i
+    letters = [(w(l), -Q(l - 1) + 1) for l in range(a, b + 1)]
+    return term(letters + [(d(a), 1), (d(b), -1)])
+
+
+def test_int_strand_images_match_plain_products():
+    # every label of every word of A1-6 and C1-5: the closed-form int
+    # image against one plain product, its Fraction view, the strand
+    # table's entry, and the weight vector against the Weyl monomial
+    for kind, ranks in (("A", range(1, 7)), ("C", range(1, 6))):
+        for n in ranks:
+            for w in enumerate_double_coxeter(n):
+                net = build_network(kind, w)
+                ctx = lax_ctx(kind, n)
+                qvec = quiver_vector_of(w)
+                table = lax_strand_table(net)
+                assert table.target is ctx
+                for p in net.strands:
+                    qp, vec = plain_label_image(kind, n, qvec, ctx, p.label)
+                    key, v = _label_term(kind, n, qvec, ctx.rank // 2, p.label)
+                    assert (key, v) == (ctx._qkey(qp), vec) and type(key) is int, (kind, w.letters, p.label)
+                    view = label_image(kind, n, qvec, ctx, p.label)
+                    assert view == (qp, vec) and type(view[0]) is Fraction
+                    wv = weight_vector(net, p)
+                    assert quantized_path_weight(net, p) == net.ctx.monomial(wv)
+                    _, (u, _, tkey, _) = table.entries[p.label]
+                    assert (u, tkey) == ([(j, x) for j, x in enumerate(wv + vec) if x], key)
 
 
 def test_label_algebra_pair_rows():
@@ -180,6 +257,31 @@ def test_fold_matches_the_label_torus_route_on_every_band():
                             assert fold_hamiltonian(sub, i, table) == ref, (kind, w.letters, lo, hi, i)
                 for i in range(1, net.num_rows + 1):
                     assert network_hamiltonian_in_lax(net, i) == fold_hamiltonian(net, i, table)
+
+
+def test_one_search_folds_every_band():
+    # fold_bands over all bands at once against fold_hamiltonian on each
+    # band's own network
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in enumerate_double_coxeter(n):
+                net = build_network(kind, w)
+                table = lax_strand_table(net)
+                spans = {
+                    (lo, hi): range(1, hi - lo + 2)
+                    for lo in net.rows
+                    for hi in range(lo, net.row_hi + 1)
+                }
+                folds = fold_bands(net, spans, table)
+                assert folds.keys() == spans.keys()
+                for (lo, hi), sizes in spans.items():
+                    sub = subnetwork(net, lo, hi)
+                    for i in sizes:
+                        assert folds[lo, hi][i] == fold_hamiltonian(sub, i, table), (kind, w.letters, lo, hi, i)
+                with pytest.raises(ValueError):
+                    fold_bands(net, {(net.row_lo, net.row_hi): [net.num_rows + 1]}, table)
+                with pytest.raises(ValueError):
+                    fold_bands(net, {(0, net.row_hi): [1]}, table)
 
 
 def test_equivalence_A_small():

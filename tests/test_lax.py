@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtoda import lax as laxmod
 from qtoda.lax import (
     LaxMatrix,
     _contract,
+    _site_terms,
     _walk,
     bar_w,
     boundary_gauge,
@@ -27,7 +29,7 @@ from qtoda.lax import (
     normalized_hamiltonians,
     w_index,
 )
-from qtoda.torus import TorusElement, ZLaurent, _nonzero, commutes, identity_map
+from qtoda.torus import TorusElement, ZLaurent, _nonzero, _pairing_row, commutes, identity_map
 
 
 def all_kvecs(m):
@@ -47,6 +49,47 @@ def test_local_lax_displayed_entries():
     assert Lp[1, 1] == ZLaurent(ctx, {0: -winv})
     with pytest.raises(ValueError):
         local_lax(ctx, 1, 2)
+
+
+def matrix_site_terms(ctx, site, k, sign):
+    """The terms of each cell of ``local_lax``, unpacked from the matrix,
+    each vector as its nonzero entries: the oracle of the closed-form
+    ``_site_terms``."""
+    m = local_lax(ctx, site, k)
+    return {
+        (i, j): [
+            (e, [(t, x) for t, x in enumerate(a) if x], key, c, [(t, sign * x) for t, x in _pairing_row(ctx.rows, a)])
+            for e, el in m[i, j].terms.items()
+            for a, coeffs in el._terms.items()
+            for key, c in coeffs.items()
+        ]
+        for i in range(2)
+        for j in range(2)
+    }
+
+
+def test_site_terms_match_the_local_matrices():
+    # every site, every k and both walk sides at ranks 1-6
+    for n in range(1, 7):
+        ctx = lax_context(n)
+        for site in range(1, n + 1):
+            for k in (-1, 0, 1):
+                for sign in (-1, 1):
+                    assert _site_terms(ctx, site, k, sign) == matrix_site_terms(ctx, site, k, sign), (n, site, k, sign)
+    with pytest.raises(ValueError):
+        _site_terms(lax_context(2), 1, 2, 1)
+
+
+def test_lax_hamiltonians_reject_support_outside_the_window(monkeypatch):
+    # a nonzero coefficient outside the window is an error; one that
+    # cancels to zero there is not
+    ctx = lax_context(1)
+    parts = laxmod._entry_parts(ctx, (0,), "A")
+    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {ctx.unit_vec(): {0: 0}}})
+    assert lax_hamiltonians(ctx, (0,), "A") == normalized_hamiltonians(monodromy_entry(ctx, (0,), "A"), (0,), "A")
+    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {ctx.unit_vec(): {0: 1}}})
+    with pytest.raises(ValueError, match=r"z-support \[7\] outside"):
+        lax_hamiltonians(ctx, (0,), "A")
 
 
 def test_barred_identity():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -6,20 +7,28 @@ from qtoda import network
 from qtoda.correspondence import lax_strand_table
 from qtoda.network import (
     FAMILY_CAP_ENV,
+    _colored_row,
+    _fold_families,
     _search_strands,
+    _vertex_mask,
     build_network,
     classical_matrix,
     enumerate_labeled_paths,
+    face_weights,
     fold_hamiltonian,
+    fold_hamiltonians,
     matrix_product,
     network_hamiltonian,
     path_families,
     quantized_path_weight,
     reference_chip_matrices,
+    strand_table,
     subnetwork,
+    symmetrizers,
+    weight_context,
 )
 from qtoda.serialize import network_to_dict, network_to_dot
-from qtoda.torus import CommutativeLaurent, TorusElement, specialize_classical
+from qtoda.torus import CommutativeLaurent, TorusContext, TorusElement, specialize_classical
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
 
 
@@ -243,6 +252,32 @@ def test_path_families_match_vertex_set_reference():
                             )
 
 
+def test_one_search_yields_every_size_like_the_reference():
+    # the all-sizes search, split by size, against the vertex-set
+    # reference on every band, and a wanted subset of sizes alone
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in all_words(n):
+                net = build_network(kind, w)
+                for lo in net.rows:
+                    for hi in range(lo, net.row_hi + 1):
+                        sub = subnetwork(net, lo, hi)
+                        width = sub.row_hi + 1
+                        entries = {p.label: (_vertex_mask(p, width), p) for p in sub.strands}
+                        for p in sub.strands:
+                            assert _vertex_mask(p, width) == sum(1 << (i * width + r) for i, r in p.vertices())
+                        sizes = range(1, sub.num_rows + 1)
+                        by_size = {s: [] for s in sizes}
+                        for s, fam in _fold_families(sub, sizes, entries, (), lambda f, p: f + (p,)):
+                            by_size[s].append(fam)
+                        for s in sizes:
+                            assert by_size[s] == _reference_families(sub, s), (kind, w.letters, lo, hi, s)
+                        odd = [s for s in sizes if s % 2]
+                        got = list(_fold_families(sub, odd, entries, (), lambda f, p: f + (p,)))
+                        for s in sizes:
+                            assert [f for t, f in got if t == s] == (by_size[s] if s % 2 else [])
+
+
 def test_family_cap_env(monkeypatch):
     monkeypatch.setenv(FAMILY_CAP_ENV, "1")
     net = build_network("A", standard_word(2))
@@ -296,6 +331,22 @@ def test_fold_meets_the_family_cap_where_path_families_does(monkeypatch):
                 assert fold_exc.limit == fam_exc.limit == FAMILY_CAP_ENV
 
 
+def test_family_cap_bounds_each_size_of_one_search(monkeypatch):
+    # one search over all sizes meets the cap only where one size has more
+    # families than the cap, not where all sizes together do
+    net = build_network("C", word_of_quiver_vector(3, (1, -1)))
+    table = strand_table(net)
+    sizes = range(1, net.num_rows + 1)
+    totals = [len(list(path_families(net, i))) for i in sizes]
+    assert sum(totals) > max(totals)
+    monkeypatch.setenv(FAMILY_CAP_ENV, str(max(totals)))
+    folds = fold_hamiltonians(net, sizes, table)
+    assert all(folds[i] == fold_hamiltonian(net, i, table) for i in sizes)
+    monkeypatch.setenv(FAMILY_CAP_ENV, str(max(totals) - 1))
+    with pytest.raises(RuntimeError, match=FAMILY_CAP_ENV):
+        fold_hamiltonians(net, sizes, table)
+
+
 def family_weight(net, family):
     """Product of member weights multiplied one at a time, top row first."""
     acc = net.ctx.one()
@@ -318,6 +369,93 @@ def test_network_hamiltonian_equals_family_weight_products():
                                 sub.ctx, [family_weight(sub, fam) for fam in path_families(sub, i)]
                             )
                             assert network_hamiltonian(sub, i) == ref, (kind, w.letters, lo, hi, i)
+
+
+_FRACTION_ROW_RULES = {
+    ("or", "bk"): ("above", Fraction(1)),
+    ("bk", "or"): ("below", Fraction(1)),
+    ("bl", "bk"): ("above", Fraction(1, 2)),
+    ("bl", "or"): ("below", Fraction(1, 2)),
+    ("bk", "rd"): ("below", Fraction(1, 2)),
+    ("or", "rd"): ("above", Fraction(1, 2)),
+}
+
+
+def fraction_face_weights(kind, word, disk=False):
+    """The face-arrow rules on Fraction columns and weights: the oracle
+    of the doubled integer grid."""
+    n = word.n
+    d = symmetrizers(kind, n)
+    cols = {k: (word.position(-k), word.position(k)) for k in range(1, n + 1)}
+
+    def face(k, col):
+        a, b = cols[k]
+        if a < col < b:
+            return -k
+        if disk:
+            return ("L", k) if col < a else ("R", k)
+        return k
+
+    weights = {}
+
+    def add(src, dst, w):
+        if src == dst:
+            return
+        weights[(src, dst)] = weights.get((src, dst), Fraction(0)) + w
+        weights[(dst, src)] = weights.get((dst, src), Fraction(0)) - w
+
+    for k in range(1, n + 1):
+        add(-k, ("L", k) if disk else k, Fraction(d[k - 1]))
+        add(-k, ("R", k) if disk else k, Fraction(d[k - 1]))
+    top_row = n if kind == "A" else n + 1
+    for r in range(2, top_row + 1):
+        below_k, above_k = r - 1, (r if r <= n else n - 1)
+        if above_k < 1:
+            continue
+        chain = [(-Fraction(1), "bl")] + [(Fraction(c), col) for c, col in _colored_row(word, kind, n, r)]
+        chain.append((Fraction(2 * n + 1), "rd"))
+        for (c1, col1), (c2, col2) in zip(chain, chain[1:]):
+            rule = _FRACTION_ROW_RULES.get((col1, col2))
+            if rule is None:
+                continue
+            side, w = rule
+            mid = (c1 + c2) / 2
+            f_below, f_above = face(below_k, mid), face(above_k, mid)
+            if side == "above":
+                add(f_above, f_below, w)
+            else:
+                add(f_below, f_above, w)
+    return {k: v for k, v in weights.items() if v != 0}
+
+
+def fraction_weight_context(kind, word):
+    n = word.n
+    d = symmetrizers(kind, n)
+    omega = fraction_face_weights(kind, word)
+    names = tuple(f"t_{j}" for j in range(1, n + 1)) + tuple(f"c_{j}" for j in range(1, n + 1))
+    skew = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for j in range(1, n + 1):
+        skew[n + j - 1][j - 1] = Fraction(-d[j - 1])
+        skew[j - 1][n + j - 1] = Fraction(d[j - 1])
+        for k in range(1, n + 1):
+            if j != k:
+                skew[n + j - 1][n + k - 1] = -omega.get((j, k), Fraction(0))
+    return TorusContext(names, tuple(tuple(row) for row in skew))
+
+
+def test_int_face_weights_match_the_fraction_reference():
+    # values, key order and value types, cylinder and disk, and the
+    # weight torus with its grid, on every word of A1-6 and C1-5
+    for kind, ranks in (("A", range(1, 7)), ("C", range(1, 6))):
+        for n in ranks:
+            for w in all_words(n):
+                for disk in (False, True):
+                    got, ref = face_weights(kind, w, disk), fraction_face_weights(kind, w, disk)
+                    assert list(got.items()) == list(ref.items()), (kind, w.letters, disk)
+                    assert all(type(v) is Fraction for v in got.values())
+                ctx, ref_ctx = weight_context(kind, w), fraction_weight_context(kind, w)
+                assert ctx == ref_ctx and (ctx.den, ctx.rows) == (ref_ctx.den, ref_ctx.rows), (kind, w.letters)
+                assert all(type(x) is Fraction for row in ctx.skew for x in row)
 
 
 def test_hamiltonian_index_range():

@@ -12,6 +12,7 @@ from qtoda.torus import (
     TorusElement,
     _nonzero,
     _pairing_row,
+    _product,
     _vec_add,
     classical_context,
     classical_monomial,
@@ -116,6 +117,37 @@ def test_context_validation_and_grid():
     assert ctx.rows == ({1: 3, 2: 2}, {0: -3}, {0: -2})
     assert ctx.pairing((1, 0, 0), (0, 1, 1)) == f(5, 6)
     assert ctx == TorusContext(ctx.names, ctx.skew)
+
+
+def _fraction_grid(skew):
+    """The grid rule on Fractions: den grows by the part of each entry's
+    denominator it lacks, and rows are den*s entry by entry."""
+    den = 1
+    for row in skew:
+        for x in row:
+            if x:
+                den *= (x * den).denominator
+    return den, tuple({j: int(x * den) for j, x in enumerate(row) if x} for row in skew)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=12)),
+        min_size=6,
+        max_size=6,
+    )
+)
+def test_context_grid_matches_the_fraction_rule(upper):
+    # den is the lcm of the denominators, and rows are found on ints
+    skew = [[0] * 4 for _ in range(4)]
+    cells = iter(upper)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            x = next(cells)
+            skew[i][j], skew[j][i] = x, -x
+    ctx = TorusContext(("a", "b", "c", "d"), tuple(map(tuple, skew)))
+    assert (ctx.den, ctx.rows) == _fraction_grid(ctx.skew)
+    assert all(type(x) is int for row in ctx.rows for x in row.values())
 
 
 def test_monomial_inverse():
@@ -565,6 +597,27 @@ def test_mul_builds_pairing_rows_on_either_side(data):
     assert _ref_terms(a * b) == _ref_mul(ctx, ra, rb)
     assert _ref_terms(b * a) == _ref_mul(ctx, rb, ra)
     assert a.q_shift(0, 1) is a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_monomial_product_matches_the_general_product(data):
+    # c q^k E(a), c a unit or not, on either side of an element whose
+    # terms carry several q-powers and negative coefficients
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    vec = data.draw(st.tuples(*[small_exp] * ctx.rank))
+    qpow = data.draw(oracle_qpow)
+    c = data.draw(st.sampled_from([1, -1, 2, -3]))
+    rb = data.draw(raw_terms(ctx))
+    m, b = ctx.monomial(vec, qpow, c), TorusElement(ctx, rb)
+    assert m.is_monomial()
+    left, right = m * b, b * m
+    assert left == _product(m, b) and right == _product(b, m)
+    rm, rb = {vec: {qpow: c}}, _ref_clean(rb)
+    assert _ref_terms(left) == _ref_mul(ctx, rm, rb)
+    assert _ref_terms(right) == _ref_mul(ctx, rb, rm)
+    # a bijection on terms: as many terms, each with as many q-powers
+    assert sorted(map(len, left._terms.values())) == sorted(map(len, b._terms.values()))
 
 
 def both_orders(a: TorusElement, b: TorusElement) -> tuple[TorusElement, TorusElement]:
