@@ -234,7 +234,10 @@ def _check_one_word(args) -> dict:
         return verify_weight_map(net)
     if check == "commute":
         hs = fold_hamiltonians(net, range(1, word.n + 1), lax_strand_table(net))
-        bad = [[a, b] for a, b in combinations(hs, 2) if not commutes(hs[a], hs[b])]
+        # one packed pass over every pair; only a failing word is split into pairs
+        bad = [] if commutes(*hs.values()) else [
+            [a, b] for a, b in combinations(hs, 2) if not commutes(hs[a], hs[b])
+        ]
         report = {"word": list(letters), "ok": not bad, "noncommuting_pairs": bad}
         if bad:
             # per failing pair, the least term of its commutator
@@ -336,36 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed-manifest", action="store_true", help="dump fixture values with provenance tags and exit")
     sub = p.add_subparsers(dest="command")
+    # the flags every subcommand takes, built once and shared
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--type", dest="kind", choices=("A", "C"), default="A")
+    common.add_argument("--rank", type=int, required=True)
+    common.add_argument("--word", type=str, default=None, help="comma separated letters")
+    common.add_argument("--qvec", type=str, default=None, help="quiver vector, descending")
+    common.add_argument("--all-words", action="store_true")
+    common.add_argument("--format", dest="fmt", choices=("json", "latex", "dot", "text"), default="json")
+    common.add_argument("--jobs", type=int, default=1)
 
-    def common(sp, rank_required=True):
-        sp.add_argument("--type", dest="kind", choices=("A", "C"), default="A")
-        sp.add_argument("--rank", type=int, required=rank_required)
-        sp.add_argument("--word", type=str, default=None, help="comma separated letters")
-        sp.add_argument("--qvec", type=str, default=None, help="quiver vector, descending")
-        sp.add_argument("--all-words", action="store_true")
-        sp.add_argument("--format", dest="fmt", choices=("json", "latex", "dot", "text"), default="json")
-        sp.add_argument("--jobs", type=int, default=1)
-
-    sp = sub.add_parser("words", help="enumerate canonical double Coxeter words")
-    common(sp)
-    sp = sub.add_parser("network", help="build a network; emit DOT or JSON")
-    common(sp)
-    sp = sub.add_parser("quiver", help="cluster seed of a word; emit DOT or JSON")
-    common(sp)
-    sp = sub.add_parser("hamiltonians", help="compute Hamiltonians")
-    common(sp)
+    sub.add_parser("words", help="enumerate canonical double Coxeter words", parents=[common])
+    sub.add_parser("network", help="build a network; emit DOT or JSON", parents=[common])
+    sub.add_parser("quiver", help="cluster seed of a word; emit DOT or JSON", parents=[common])
+    sp = sub.add_parser("hamiltonians", help="compute Hamiltonians", parents=[common])
     sp.add_argument("--route", choices=("network", "lax", "recursive"), default="lax")
     sp.add_argument("--index", type=int, default=None)
-    sp = sub.add_parser("verify", help="run verification suites")
-    common(sp)
+    sp = sub.add_parser("verify", help="run verification suites", parents=[common])
     sp.add_argument(
         "--check",
         choices=("commute", "equivalence", "rtt", "alpha", "mutation-equiv", "oracle"),
         required=True,
     )
     sp.add_argument("--depth", type=int, default=6)
-    sp = sub.add_parser("mutate", help="apply a mutation sequence to a seed")
-    common(sp)
+    sp = sub.add_parser("mutate", help="apply a mutation sequence to a seed", parents=[common])
     sp.add_argument("--seq", type=str, required=True, help="e.g. tau:1,mu:-2")
     return p
 

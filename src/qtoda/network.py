@@ -143,9 +143,6 @@ class Network:
                 out[r_from] = out[r_from] + [(r_to, letters)]
         return out
 
-    def transition_table(self) -> list[dict[int, list[tuple[int, Letters]]]]:
-        return [self.transitions(pos) for pos in range(self.num_chips)]
-
 
 @dataclass(frozen=True)
 class LabeledPath:
@@ -326,21 +323,64 @@ def enumerate_labeled_paths(net: Network) -> tuple[LabeledPath, ...]:
 
 
 def _search_strands(net: Network) -> tuple[LabeledPath, ...]:
-    """Depth-first search for the strand table of ``enumerate_labeled_paths``."""
+    """Search for the strand table of ``enumerate_labeled_paths``.
+
+    At each chip a strand keeps its row or takes a lettered move: a slant
+    that stays in the row range, or the diagonal chip's letters, which
+    replace its plain moves.  The search runs chip by chip from each
+    source over a frontier of (row, last lettered move), where a move
+    (chip, row after it, letters, the move before) points to its parent,
+    so nothing is copied while extending.  ``reach[pos][r]``, the bit set
+    of rows at the cut that row r can still reach after ``pos`` chips,
+    keeps only strands that close.
+    """
+    lo, hi, chips, diagonal = net.row_lo, net.row_hi, net.num_chips, net.n
+    lettered: list[dict[int, list[tuple[int, Letters]]]] = []
+    for pos in range(chips):
+        if pos == diagonal:
+            lettered.append({r: [(r, net.diagonal_letters(r))] for r in net.rows})
+            continue
+        moves: dict[int, list[tuple[int, Letters]]] = {}
+        for r_from, r_to, letters in net.slants(pos):
+            if lo <= r_from <= hi and lo <= r_to <= hi:
+                moves.setdefault(r_from, []).append((r_to, letters))
+        lettered.append(moves)
+    reach = [{r: 1 << r for r in net.rows}]
+    for pos in range(chips - 1, -1, -1):
+        ahead = reach[-1]
+        here = dict(ahead) if pos != diagonal else dict.fromkeys(net.rows, 0)
+        for r, moves in lettered[pos].items():
+            for r2, _ in moves:
+                here[r] |= ahead[r2]
+        reach.append(here)
+    reach.reverse()
+
     paths: list[LabeledPath] = []
-    table = net.transition_table()
     for source in net.rows:
-        stack = [(0, source, (source,), ())]
-        while stack:
-            pos, row, rows, letters = stack.pop()
-            if pos == net.num_chips:
-                if row == source:
-                    paths.append(
-                        LabeledPath(source, min(rows), rows, letters)
-                    )
-                continue
-            for row2, extra in table[pos][row]:
-                stack.append((pos + 1, row2, rows + (row2,), letters + extra))
+        bit = 1 << source
+        frontier = [(source, None)]
+        for pos in range(chips):
+            ok, moves, plain = reach[pos + 1], lettered[pos], pos != diagonal
+            grown = []
+            for entry in frontier:
+                row, last = entry
+                if plain and ok[row] & bit:
+                    grown.append(entry)
+                for r2, letters in moves.get(row, ()):
+                    if ok[r2] & bit:
+                        grown.append((r2, (pos, r2, letters, last)))
+            frontier = grown
+        for _, last in frontier:
+            rows = [source] * (chips + 1)
+            parts = []
+            end = chips
+            while last is not None:
+                pos, row, letters, last = last
+                rows[pos + 1 : end + 1] = [row] * (end - pos)
+                parts.append(letters)
+                end = pos
+            parts.reverse()
+            paths.append(LabeledPath(source, min(rows), tuple(rows), sum(parts, ())))
     seen: dict[tuple[int, int], LabeledPath] = {}
     for p in paths:
         if p.label in seen:

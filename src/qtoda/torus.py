@@ -29,6 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -448,9 +449,103 @@ def commutator(a: TorusElement, b: TorusElement) -> TorusElement:
     return TorusElement._make(a.ctx, _nonzero(out))
 
 
-def commutes(a: TorusElement, b: TorusElement) -> bool:
-    """True iff ab - ba = 0 exactly."""
-    return commutator(a, b).is_zero()
+def commutes(*elements: TorusElement) -> bool:
+    """True iff every two of the elements commute: ab - ba = 0 exactly.
+
+    ``commutes(a, b)`` is ``commutator(a, b).is_zero()``.  Each element's
+    terms are packed once, and each pair is one flat pass over term pairs
+    on int keys (see ``_KeyLayout``): no commutator element is built.
+    Elements with off-grid q-keys go through ``commutator`` pair by pair.
+    """
+    for el in elements[1:]:
+        elements[0]._check(el)
+    if len(elements) < 2:
+        return True
+    if any(type(k) is not int for el in elements for cs in el._terms.values() for k in cs):
+        return all(commutator(a, b).is_zero() for a, b in combinations(elements, 2))
+    _, packed = _pack_terms(elements)
+    return all(not any(_packed_commutator(a, b).values()) for a, b in combinations(packed, 2))
+
+
+class _KeyLayout:
+    """One int key per (exponent vector u, q-key k) in balanced fields.
+
+        key = k + sum_i u_i 2^(qbits + i*vbits)
+
+    Each field holds a signed digit d with |d| < 2^(width-1), which the
+    key's residue mod 2^width fixes, so two keys are equal iff all their
+    fields are.  The widths hold any sum of two packed terms, with a q
+    shift of at most ``shift_bound`` added: |u_i + v_i| <= 2*exp_bound and
+    |k_a + k_b +- s| <= 2*q_bound + shift_bound.  So keys of products add
+    as ints and are never unpacked.  ``pack`` raises on a term outside
+    the bounds, never wraps it.
+    """
+
+    __slots__ = ("exp_bound", "q_bound", "shift_bound", "qbits", "vbits")
+
+    def __init__(self, exp_bound: int, q_bound: int, shift_bound: int):
+        self.exp_bound, self.q_bound, self.shift_bound = exp_bound, q_bound, shift_bound
+        self.vbits = (2 * exp_bound).bit_length() + 1
+        self.qbits = (2 * q_bound + shift_bound).bit_length() + 1
+
+    def pack(self, vec: Vec, qkey: int) -> int:
+        if abs(qkey) > self.q_bound or max(map(abs, vec), default=0) > self.exp_bound:
+            raise OverflowError(f"term {vec}, q-key {qkey} does not fit the key layout")
+        key, at = qkey, self.qbits
+        for x in vec:
+            key += x << at
+            at += self.vbits
+        return key
+
+
+def _pack_terms(elements: Sequence[TorusElement]) -> tuple[_KeyLayout, list[list[tuple]]]:
+    """One layout for all the elements' terms, and per element its
+    non-central terms as (pairing row, vector, [(key, coefficient)]).
+
+    A term u with u s = 0 pairs to zero with every v, so it is dropped:
+    den<u,v> = sum_j r(u)_j v_j = -sum_j r(v)_j u_j.
+    """
+    rows = elements[0].ctx.rows
+    exp_bound = q_bound = row_bound = 0
+    staged = []
+    for el in elements:
+        terms = []
+        for u, cu in el._terms.items():
+            r = _pairing_row(rows, u)
+            if r:
+                terms.append((r, u, cu))
+                exp_bound = max(exp_bound, max(map(abs, u)))
+                q_bound = max(q_bound, max(map(abs, cu)))
+                row_bound = max(row_bound, sum(abs(x) for _, x in r))
+        staged.append(terms)
+    # |den<u,v>| <= |r(u)|_1 * max_j |v_j|
+    layout = _KeyLayout(exp_bound, q_bound, row_bound * exp_bound)
+    pack = layout.pack
+    return layout, [
+        [(r, u, [(pack(u, k), c) for k, c in cu.items()]) for r, u, cu in terms]
+        for terms in staged
+    ]
+
+
+def _packed_commutator(pa: list[tuple], pb: list[tuple]) -> dict[int, int]:
+    """ab - ba of two packed elements as {key: coefficient}, zero sums
+    kept: E(u)E(v) - E(v)E(u) = (q^s - q^-s) E(u+v) with s = den<u,v>,
+    and s lands in the key's lowest field, the q-key's."""
+    out: dict[int, int] = {}
+    get = out.get
+    for r, _, ku in pa:
+        for _, v, kv in pb:
+            s = 0
+            for j, x in r:
+                s += x * v[j]
+            if not s:
+                continue
+            for pu, cu in ku:
+                for pv, cv in kv:
+                    k, c = pu + pv, cu * cv
+                    out[k + s] = get(k + s, 0) + c
+                    out[k - s] = get(k - s, 0) - c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -361,3 +362,147 @@ def test_bad_selections_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {message}\n"
+
+
+def _reference_parser():
+    """The parser as it was built before the subcommands shared one
+    parent parser: the seven common flags added to each subcommand anew."""
+    import argparse
+
+    p = argparse.ArgumentParser(
+        prog="qtoda",
+        description="Exact q-Toda systems: chip networks, cluster quivers, Lax matrices.",
+    )
+    p.add_argument("--seed-manifest", action="store_true", help="dump fixture values with provenance tags and exit")
+    sub = p.add_subparsers(dest="command")
+
+    def common(sp):
+        sp.add_argument("--type", dest="kind", choices=("A", "C"), default="A")
+        sp.add_argument("--rank", type=int, required=True)
+        sp.add_argument("--word", type=str, default=None, help="comma separated letters")
+        sp.add_argument("--qvec", type=str, default=None, help="quiver vector, descending")
+        sp.add_argument("--all-words", action="store_true")
+        sp.add_argument("--format", dest="fmt", choices=("json", "latex", "dot", "text"), default="json")
+        sp.add_argument("--jobs", type=int, default=1)
+
+    sp = sub.add_parser("words", help="enumerate canonical double Coxeter words")
+    common(sp)
+    sp = sub.add_parser("network", help="build a network; emit DOT or JSON")
+    common(sp)
+    sp = sub.add_parser("quiver", help="cluster seed of a word; emit DOT or JSON")
+    common(sp)
+    sp = sub.add_parser("hamiltonians", help="compute Hamiltonians")
+    common(sp)
+    sp.add_argument("--route", choices=("network", "lax", "recursive"), default="lax")
+    sp.add_argument("--index", type=int, default=None)
+    sp = sub.add_parser("verify", help="run verification suites")
+    common(sp)
+    sp.add_argument(
+        "--check",
+        choices=("commute", "equivalence", "rtt", "alpha", "mutation-equiv", "oracle"),
+        required=True,
+    )
+    sp.add_argument("--depth", type=int, default=6)
+    sp = sub.add_parser("mutate", help="apply a mutation sequence to a seed")
+    common(sp)
+    sp.add_argument("--seq", type=str, required=True, help="e.g. tau:1,mu:-2")
+    return p
+
+
+SUBCOMMANDS = ("words", "network", "quiver", "hamiltonians", "verify", "mutate")
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_parser_help_matches_the_reference(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    new, ref = cli.build_parser(), _reference_parser()
+    assert new.format_help() == ref.format_help()
+    assert new.format_usage() == ref.format_usage()
+    new_subs, ref_subs = _subparsers(new), _subparsers(ref)
+    assert tuple(new_subs) == tuple(ref_subs) == SUBCOMMANDS
+    for name in SUBCOMMANDS:
+        assert new_subs[name].format_help() == ref_subs[name].format_help(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("--seed-manifest",),
+        ("words", "--rank", "3"),
+        ("network", "--type", "C", "--rank", "2", "--qvec", "0", "--format", "dot"),
+        ("quiver", "--rank", "3", "--word=-1,-2,1,2", "--jobs", "2"),
+        ("hamiltonians", "--route", "network", "--type", "C", "--rank", "3", "--all-words", "--index", "2"),
+        ("verify", "--check", "commute", "--type", "A", "--rank", "4", "--all-words", "--jobs", "2"),
+        ("verify", "--check", "mutation-equiv", "--rank", "3", "--depth", "8", "--format", "text"),
+        ("mutate", "--rank", "3", "--qvec", "1,0", "--seq", "tau:1,mu:-2"),
+    ],
+)
+def test_parser_namespaces_match_the_reference(argv):
+    assert vars(cli.build_parser().parse_args(list(argv))) == vars(_reference_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("words",),
+        ("verify", "--rank", "3", "--all-words"),
+        ("verify", "--check", "nope", "--rank", "3"),
+        ("mutate", "--rank", "3", "--type", "B"),
+        ("hamiltonians", "--rank", "x"),
+    ],
+)
+def test_parser_rejects_what_the_reference_rejects(capsys, argv):
+    errors = []
+    for parser in (cli.build_parser(), _reference_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(list(argv))
+        errors.append((exc.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1] and errors[0][0] == 2
+
+
+@pytest.mark.parametrize(
+    "kind,rank,qvec,index,central",
+    [
+        ("C", 3, "1,-1", 1, False),
+        ("C", 3, "0,0", 3, False),
+        ("A", 4, "-1,0,1", 4, False),
+        ("A", 4, "0,1,0", 2, True),
+    ],
+)
+def test_failing_word_reports_the_oracle_pairs_and_witnesses(capsys, monkeypatch, kind, rank, qvec, index, central):
+    # one Hamiltonian perturbed: by a generator, which breaks some of its
+    # pairs, or by a central unit term, which breaks none.  The report
+    # must name exactly the pairs whose a*b - b*a is nonzero.
+    folded = []
+    fold_hamiltonians = cli.fold_hamiltonians
+
+    def perturbed(net, sizes, table):
+        hs = fold_hamiltonians(net, sizes, table)
+        ctx = table.target
+        extra = ctx.one().q_shift(1, 3) if central else ctx.monomial(ctx.basis_vec(1), 1, -2)
+        hs[index] = hs[index] + extra
+        folded.append(hs)
+        return hs
+
+    monkeypatch.setattr(cli, "fold_hamiltonians", perturbed)
+    code, out = run(capsys, "verify", "--check", "commute", "--type", kind, "--rank", str(rank), f"--qvec={qvec}")
+    (rep,) = json.loads(out)["reports"]
+    (hs,) = folded
+    pairs = [[a, b] for a, b in combinations(hs, 2) if not (hs[a] * hs[b] - hs[b] * hs[a]).is_zero()]
+    assert rep["noncommuting_pairs"] == pairs
+    assert rep["ok"] == (not pairs) and code == (1 if pairs else 0)
+    assert bool(pairs) != central
+    if central:
+        assert "witnesses" not in rep
+        return
+    assert [w["pair"] for w in rep["witnesses"]] == pairs
+    for w, (a, b) in zip(rep["witnesses"], pairs):
+        oracle = hs[a] * hs[b] - hs[b] * hs[a]
+        vec = min(oracle.terms)
+        assert w["exponents"] == list(vec)
+        assert w["coeff"] == [[str(q), c] for q, c in sorted(oracle.terms[vec].items())]

@@ -7,6 +7,7 @@ from qtoda import network
 from qtoda.correspondence import lax_strand_table
 from qtoda.network import (
     FAMILY_CAP_ENV,
+    LabeledPath,
     _colored_row,
     _fold_families,
     _search_strands,
@@ -201,20 +202,47 @@ def test_subnetwork_bottom_rows_of_c_look_type_a():
     assert labels_sub == labels_a
 
 
+def _reference_search_strands(net):
+    """Reference strand search: depth first over every chip's
+    transitions, growing each strand's rows and letters as tuples."""
+    paths = []
+    table = [net.transitions(pos) for pos in range(net.num_chips)]
+    for source in net.rows:
+        stack = [(0, source, (source,), ())]
+        while stack:
+            pos, row, rows, letters = stack.pop()
+            if pos == net.num_chips:
+                if row == source:
+                    paths.append(LabeledPath(source, min(rows), rows, letters))
+                continue
+            for row2, extra in table[pos][row]:
+                stack.append((pos + 1, row2, rows + (row2,), letters + extra))
+    assert len({p.label for p in paths}) == len(paths)
+    return tuple(sorted(paths, key=lambda p: p.label))
+
+
+@pytest.mark.parametrize("kind,n", [("A", n) for n in range(1, 7)] + [("C", n) for n in range(1, 6)])
+def test_strand_search_matches_the_reference(kind, n):
+    for w in all_words(n):
+        net = build_network(kind, w)
+        assert _search_strands(net) == _reference_search_strands(net), (kind, w.letters)
+
+
 def test_subnetwork_strands_match_a_fresh_search():
-    # the stored table filtered to a band against a depth-first search
+    # the stored table filtered to a band against the reference search
     # of the band itself, on every row band of every word
     for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
         for n in ranks:
             for w in all_words(n):
                 net = build_network(kind, w)
-                assert enumerate_labeled_paths(net) == _search_strands(net)
+                assert enumerate_labeled_paths(net) == _reference_search_strands(net)
                 for lo in net.rows:
                     for hi in range(lo, net.row_hi + 1):
                         sub = subnetwork(net, lo, hi)
-                        assert enumerate_labeled_paths(sub) == _search_strands(sub), (
+                        assert enumerate_labeled_paths(sub) == _reference_search_strands(sub), (
                             kind, w.letters, lo, hi
                         )
+                        assert _search_strands(sub) == enumerate_labeled_paths(sub)
 
 
 def _reference_families(net, size):

@@ -1,7 +1,8 @@
 import pytest
 from fractions import Fraction
+from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtoda.torus import (
@@ -10,7 +11,10 @@ from qtoda.torus import (
     RationalLaurent,
     TorusContext,
     TorusElement,
+    _KeyLayout,
     _nonzero,
+    _pack_terms,
+    _packed_commutator,
     _pairing_row,
     _product,
     _vec_add,
@@ -704,3 +708,150 @@ def test_off_grid_keys_meet_on_grid_keys():
     assert a * b == ctx.monomial((1, 0), qpow=1)
     assert a * b - ctx.monomial((1, 0), qpow=1) == ctx.zero()
     assert (a * b).terms[(1, 0)] == {Fraction(1): 1}
+
+
+# ---------------------------------------------------------------------------
+# the packed commute kernel against commutator()
+
+
+def _unpack(layout, rank, key):
+    """The tests' own reading of a packed key: (vector, q-key), each field
+    the balanced residue of its width, and nothing left over."""
+
+    def digit(key, bits):
+        d = key & ((1 << bits) - 1)
+        if d >= 1 << (bits - 1):
+            d -= 1 << bits
+        return d, (key - d) >> bits
+
+    q, key = digit(key, layout.qbits)
+    vec = []
+    for _ in range(rank):
+        x, key = digit(key, layout.vbits)
+        vec.append(x)
+    assert key == 0
+    return tuple(vec), q
+
+
+def _unpacked_commutator(els):
+    """Per pair (i, j), the packed kernel's ab - ba read back as a term map."""
+    layout, packed = _pack_terms(els)
+    out = {}
+    for i, j in combinations(range(len(els)), 2):
+        terms = {}
+        for key, c in _packed_commutator(packed[i], packed[j]).items():
+            if c:
+                vec, q = _unpack(layout, els[0].ctx.rank, key)
+                terms.setdefault(vec, {})[q] = c
+        out[i, j] = terms
+    return out
+
+
+def _check_against_commutator(els):
+    pairs = list(combinations(range(len(els)), 2))
+    oracle = {(i, j): commutator(els[i], els[j]) for i, j in pairs}
+    assert commutes(*els) == all(c.is_zero() for c in oracle.values())
+    for (i, j), c in oracle.items():
+        assert commutes(els[i], els[j]) == c.is_zero()
+    return oracle
+
+
+coefficient = st.integers(min_value=-5, max_value=5).filter(bool)
+
+
+def on_grid_qpow(ctx, bound=3):
+    return st.integers(min_value=-bound * ctx.den, max_value=bound * ctx.den).map(lambda k: Fraction(k, ctx.den))
+
+
+def element(ctx, exp=small_exp, qpow=None, min_terms=0, max_terms=4):
+    """Elements with multi-q coefficient maps and non-unit coefficients of
+    either sign."""
+    vec = st.tuples(*[exp] * ctx.rank)
+    coeffs = st.dictionaries(qpow or on_grid_qpow(ctx), coefficient, min_size=1, max_size=3)
+    return st.dictionaries(vec, coeffs, min_size=min_terms, max_size=max_terms).map(lambda t: TorusElement(ctx, t))
+
+
+@st.composite
+def elements(draw, qpow=None):
+    """2-4 elements: polynomials in one element x, which commute, each
+    perturbed by a random element with some probability, which mostly
+    does not."""
+    ctx = draw(st.sampled_from(ORACLE_CONTEXTS))
+    x = draw(element(ctx, qpow=qpow, max_terms=3))
+    els = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        el = ctx.zero()
+        power = ctx.one()
+        for c in draw(st.lists(coefficient, min_size=1, max_size=3)):
+            el = el + power.q_shift(draw(on_grid_qpow(ctx, 1)), c)
+            power = power * x
+        if draw(st.booleans()):
+            el = el + draw(element(ctx, qpow=qpow, max_terms=2))
+        els.append(el)
+    return els
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements())
+def test_commutes_matches_pairwise_commutators(els):
+    oracle = _check_against_commutator(els)
+    for pair, terms in _unpacked_commutator(els).items():
+        assert terms == oracle[pair]._terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(qpow=oracle_qpow))
+def test_commutes_with_off_grid_keys_matches_pairwise_commutators(els):
+    _check_against_commutator(els)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_commutes_on_wide_fields(data):
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    big = st.integers(min_value=-10**6, max_value=10**6)
+    wide = element(ctx, exp=big, qpow=on_grid_qpow(ctx, 10**9), min_terms=1, max_terms=3)
+    els = data.draw(st.lists(wide, min_size=2, max_size=4))
+    layout, _ = _pack_terms(els)
+    assume(layout.exp_bound >= 1000)
+    assert layout.vbits >= 12
+    oracle = _check_against_commutator(els)
+    for pair, terms in _unpacked_commutator(els).items():
+        assert terms == oracle[pair]._terms
+
+
+@pytest.mark.parametrize("e,k", [(1, 0), (3, 5), (7, -9), (1000, 2**40)])
+def test_layout_holds_its_extreme_sums(e, k):
+    # a = q^k E(e,0) and b = q^k E(0,e) reach the bounds of the q field:
+    # |den<u,v>| = e*e = |r(u)|_1 * max|v| and q-keys 2k +- e*e
+    ctx = ctx2(Fraction(1))
+    a = ctx.monomial((e, 0), k, -3)
+    b = ctx.monomial((0, e), k, 2)
+    layout, _ = _pack_terms([a, b])
+    assert (layout.exp_bound, layout.q_bound, layout.shift_bound) == (e, abs(k), e * e)
+    assert _unpacked_commutator([a, b])[0, 1] == commutator(a, b)._terms
+    assert not commutes(a, b) and commutes(a, a * a, a.q_shift(1, 4))
+    # and u + v = (2e, e) fills the vector fields
+    d = ctx.monomial((e, e), -k, 5)
+    assert _unpacked_commutator([a, d])[0, 1] == commutator(a, d)._terms
+
+
+def test_layout_raises_rather_than_wraps():
+    layout = _KeyLayout(2, 3, 4)
+    assert layout.pack((2, -2), -3) != layout.pack((2, -2), 3)
+    with pytest.raises(OverflowError):
+        layout.pack((3, 0), 0)
+    with pytest.raises(OverflowError):
+        layout.pack((0, 0), -4)
+
+
+def test_commutes_of_many_elements_checks_contexts():
+    ctx = ctx2(Fraction(1))
+    x, y = ctx.generator(0), ctx.generator(1)
+    other = ctx2(Fraction(2)).generator(0)
+    assert commutes() and commutes(x) and commutes(x, x * x, x.q_shift(1, 3))
+    assert not commutes(x, x * x, y)
+    with pytest.raises(ValueError, match="context mismatch"):
+        commutes(x, x * x, other)
+    with pytest.raises(ValueError, match="context mismatch"):
+        commutes(other, x)
