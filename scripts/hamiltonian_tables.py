@@ -6,21 +6,16 @@ Usage: python scripts/hamiltonian_tables.py [A|C] [rank]
 import sys
 
 from qtoda import lax as laxmod
+from qtoda.correspondence import lax_params
 from qtoda.serialize import element_to_latex
-from qtoda.words import enumerate_double_coxeter, index_vector_of, quiver_vector_of
+from qtoda.words import enumerate_double_coxeter
 
 
 def main():
     kind = sys.argv[1] if len(sys.argv) > 1 else "A"
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 2
     for word in enumerate_double_coxeter(n):
-        qvec = quiver_vector_of(word)
-        if kind == "A":
-            ctx = laxmod.lax_context(n + 1)
-            kvec = index_vector_of(qvec)
-        else:
-            ctx = laxmod.lax_context(n)
-            kvec = tuple(qvec) + (0,)
+        ctx, kvec = lax_params(kind, word)
         hams = laxmod.lax_hamiltonians(ctx, kvec, kind)
         print(f"% word {list(word.letters)}, k = {list(kvec)}")
         for i, h in enumerate(hams, start=1):

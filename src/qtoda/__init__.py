@@ -11,7 +11,6 @@ from .torus import (
     MonomialMap,
     TorusContext,
     TorusElement,
-    ZLaurent,
     commutator,
     commutes,
     poisson_bracket,
@@ -32,7 +31,6 @@ __all__ = [
     "MonomialMap",
     "TorusContext",
     "TorusElement",
-    "ZLaurent",
     "commutator",
     "commutes",
     "enumerate_double_coxeter",

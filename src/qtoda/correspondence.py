@@ -23,13 +23,12 @@ from .network import (
     build_network,
     enumerate_labeled_paths,
     fold_bands,
-    fold_hamiltonian,
     fold_hamiltonians,
     path_families,
     strand_table,
     weight_vector,
 )
-from .torus import MonomialMap, TorusContext, TorusElement, commutator
+from .torus import MonomialMap, TorusContext, TorusElement, _pairing_row, commutator
 from .words import DoubleWord, QuiverVector, index_vector_of, quiver_vector_of
 
 
@@ -50,14 +49,27 @@ class LabelAlgebra:
 
 
 def label_algebra(net: Network) -> LabelAlgebra:
+    """The label torus.  Its skew is den*<w_r, w_c> on the weight grid,
+    as ints from the pairing row of w_r, for r < c only, then divided by
+    den once per distinct value, as ``weight_context`` halves its matrix."""
     paths = enumerate_labeled_paths(net)
     labels = tuple(p.label for p in paths)
     weights = {p.label: weight_vector(net, p) for p in paths}
     names = tuple(f"X[{a},{b}]" for a, b in labels)
-    skew = tuple(
-        tuple(net.ctx.pairing(weights[r], weights[c]) for c in labels)
-        for r in labels
-    )
+    vecs = [weights[label] for label in labels]
+    m = len(labels)
+    skew_den = [[0] * m for _ in range(m)]
+    for r, u in enumerate(vecs):
+        row = _pairing_row(net.ctx.rows, u)
+        for c in range(r + 1, m):
+            v = vecs[c]
+            x = 0
+            for j, y in row:
+                x += y * v[j]
+            skew_den[r][c], skew_den[c][r] = x, -x
+    den = net.ctx.den
+    fracs = {x: Fraction(x, den) for row in skew_den for x in row}
+    skew = tuple(tuple(fracs[x] for x in row) for row in skew_den)
     return LabelAlgebra(net, labels, TorusContext(names, skew), weights)
 
 
@@ -188,21 +200,29 @@ def lax_strand_table(net: Network) -> StrandTable:
 
 def verify_weight_map(net: Network) -> dict:
     """Pairwise commutation check: the q-factor between the images of
-    any two labels must equal the factor on the label torus."""
+    any two labels must equal the factor on the label torus.  Both
+    pairings are compared as ints on their grids, den_s*<a,b> against
+    den_t*<f(a),f(b)>, cross-multiplied by the two dens."""
     alg = label_algebra(net)
     wmap = build_weight_map(net, alg)
+    src_den, src_rows = alg.ctx.den, alg.ctx.rows
+    tgt_den, tgt_rows = wmap.target.den, wmap.target.rows
+    vecs = [v for _, v in wmap.images]
     failures = []
     m = len(alg.labels)
     for a in range(m):
+        row = _pairing_row(tgt_rows, vecs[a])
         for b in range(a + 1, m):
-            src = alg.ctx.skew[a][b]
-            tgt = wmap.target.pairing(wmap.images[a][1], wmap.images[b][1])
-            if src != tgt:
+            src = src_rows[a].get(b, 0)
+            tgt = 0
+            for j, y in row:
+                tgt += y * vecs[b][j]
+            if src * tgt_den != tgt * src_den:
                 failures.append(
                     {
                         "labels": [alg.labels[a], alg.labels[b]],
-                        "source_factor": str(2 * src),
-                        "image_factor": str(2 * tgt),
+                        "source_factor": str(Fraction(2 * src, src_den)),
+                        "image_factor": str(Fraction(2 * tgt, tgt_den)),
                     }
                 )
     return {
@@ -213,11 +233,6 @@ def verify_weight_map(net: Network) -> dict:
         "ok": not failures,
         "failures": failures,
     }
-
-
-def network_hamiltonian_in_lax(net: Network, i: int) -> TorusElement:
-    """Network Hamiltonian pushed through the label substitution."""
-    return fold_hamiltonian(net, i, lax_strand_table(net))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The coefficient algebra has generators w_1..w_n, D_1..D_n with w's and
 D's separately commuting and D_i w_i = q w_i D_i.  Matrix entries are
-Laurent polynomials in a central spectral variable z with half-integer
-exponents, stored doubled.  The (1,1) entry of an ordered product of
-local matrices expands into Hamiltonians as coefficients of z-powers.
+elements of the spectral context (``spectral_context``): the same torus
+with central generators z and w appended, whose exponents are doubled
+powers, so half-integer powers of the spectral variables stay integral.
+The (1,1) entry of an ordered product of local matrices expands into
+Hamiltonians as coefficients of z-powers (``z_coefficients``); RTT is
+the one check that uses w.
 
 The verifiers read that entry as a path sum (``monodromy_entry``): a
 walk over the sites extends each partial product by one monomial of the
@@ -33,7 +36,6 @@ from .torus import (
     TorusContext,
     TorusElement,
     Vec,
-    ZLaurent,
     _nonzero,
     _pairing_row,
     _vec_add,
@@ -59,6 +61,22 @@ def lax_context(n: int) -> TorusContext:
     return TorusContext(names, tuple(tuple(row) for row in skew))
 
 
+@lru_cache(maxsize=None)
+def spectral_context(ctx: TorusContext) -> TorusContext:
+    """``ctx`` with central generators z and w appended, in that order:
+    zero skew rows and columns, so the den, the q-keys and the pairing
+    rows of ``ctx`` carry over.  An exponent of z or w is a doubled
+    power: the vector entry 2k stands for z^k with k in (1/2)Z.
+
+    Memoized, as ``lax_context`` is, so every Lax matrix over ``ctx``
+    shares one context object.
+    """
+    m = ctx.rank
+    pad = (Fraction(0),) * 2
+    skew = tuple(row + pad for row in ctx.skew) + ((Fraction(0),) * (m + 2),) * 2
+    return TorusContext(ctx.names + ("z", "w"), skew)
+
+
 def w_index(ctx: TorusContext, i: int) -> int:
     return i - 1
 
@@ -67,10 +85,28 @@ def d_index(ctx: TorusContext, i: int) -> int:
     return ctx.rank // 2 + i - 1
 
 
+def z_coefficients(el: TorusElement, ctx: TorusContext) -> dict[int, TorusElement]:
+    """The coefficients of ``el``, an element of ``spectral_context(ctx)``
+    free of w, as elements of ``ctx`` keyed by doubled z-degree."""
+    sctx = spectral_context(ctx)
+    if el.ctx is not sctx and el.ctx != sctx:
+        raise ValueError("element is not over the spectral context")
+    m = ctx.rank
+    parts: dict[int, dict] = {}
+    for vec, coeffs in el._terms.items():
+        if vec[m + 1]:
+            raise ValueError("element depends on w")
+        parts.setdefault(vec[m], {})[vec[:m]] = coeffs
+    return {e: TorusElement._make(ctx, terms) for e, terms in parts.items()}
+
+
 @dataclass(frozen=True)
 class LaxMatrix:
+    """A 2x2 matrix over the Lax torus ``ctx``, its entries elements of
+    ``spectral_context(ctx)``."""
+
     ctx: TorusContext
-    entries: tuple[tuple[ZLaurent, ZLaurent], tuple[ZLaurent, ZLaurent]]
+    entries: tuple[tuple[TorusElement, TorusElement], tuple[TorusElement, TorusElement]]
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -87,23 +123,6 @@ class LaxMatrix:
             )
         return LaxMatrix(self.ctx, (rows[0], rows[1]))
 
-    def transpose(self) -> "LaxMatrix":
-        e = self.entries
-        return LaxMatrix(self.ctx, ((e[0][0], e[1][0]), (e[0][1], e[1][1])))
-
-    def z_inverted(self) -> "LaxMatrix":
-        e = self.entries
-        return LaxMatrix(
-            self.ctx,
-            tuple(tuple(cell.z_inverted() for cell in row) for row in e),
-        )
-
-    def scaled(self, factor: int) -> "LaxMatrix":
-        return LaxMatrix(
-            self.ctx,
-            tuple(tuple(cell.scaled(factor) for cell in row) for row in self.entries),
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaxMatrix) and self.entries == other.entries
 
@@ -118,21 +137,20 @@ def local_lax(ctx: TorusContext, i: int, k: int, barred: bool = False) -> LaxMat
     if k not in (-1, 0, 1):
         raise ValueError("local index must be -1, 0 or 1")
     wi, di = w_index(ctx, i), d_index(ctx, i)
+    sctx = spectral_context(ctx)
+    zi = ctx.rank
     sgn = -1 if barred else 1
 
-    def mono(wexp: int, dexp: int, coeff: int = 1):
-        return ctx.plain_product(
-            [(wi, sgn * wexp), (di, sgn * dexp)]
+    def mono(z2: int, wexp: int, dexp: int, coeff: int = 1):
+        return sctx.plain_product(
+            [(wi, sgn * wexp), (di, sgn * dexp), (zi, z2)]
         ).q_shift(0, coeff)
 
     s2 = k - 1  # doubled s
-    e11 = ZLaurent(ctx, {s2 + 2: mono(-1, 0), s2: mono(1, 0, -1)})
-    e12 = ZLaurent(ctx, {s2 + 2: mono(-k, -1)})
-    e21 = ZLaurent(ctx, {s2: mono(-k, 1, -1)})
-    if k == 0:
-        e22 = ZLaurent.zero(ctx)
-    else:
-        e22 = ZLaurent(ctx, {0: mono(-k, 0, -k)})
+    e11 = mono(s2 + 2, -1, 0) + mono(s2, 1, 0, -1)
+    e12 = mono(s2 + 2, -k, -1)
+    e21 = mono(s2, -k, 1, -1)
+    e22 = mono(0, -k, 0, -k)  # zero for k = 0
     return LaxMatrix(ctx, ((e11, e12), (e21, e22)))
 
 
@@ -164,12 +182,16 @@ def double_monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
     return acc * monodromy(ctx, kvec)
 
 
-def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> ZLaurent:
+def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> TorusElement:
     """The (1,1) entry of ``monodromy`` (type A) or ``double_monodromy``
     (type C), without the full 2x2 products."""
     parts = _entry_parts(ctx, kvec, kind)
     sign = -1 if kind == "C" and len(kvec) % 2 else 1
-    return ZLaurent(ctx, {e: _closed(ctx, terms, sign) for e, terms in parts.items()})
+    out = {}
+    for e, terms in parts.items():
+        for vec, coeffs in _closed(ctx, terms, sign)._terms.items():
+            out[vec + (e, 0)] = coeffs
+    return TorusElement._make(spectral_context(ctx), out)
 
 
 def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str) -> dict[int, dict[Vec, dict[QKey, int]]]:
@@ -333,18 +355,21 @@ def _window(kvec: IndexVector, kind: str) -> list[int]:
     return [lo2 + 2 * (i - 1) for i in range(1, count + 1)]
 
 
-def extract_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> list[TorusElement]:
-    """Coefficient list of the (1,1) monodromy entry.
+def extract_hamiltonians(entry: TorusElement, kvec: IndexVector, kind: str) -> list[TorusElement]:
+    """Coefficient list of the (1,1) monodromy entry, an element of the
+    spectral context of ``lax_context(len(kvec))``.
 
     Type A: H_i = coefficient of z^(sigma_n + i - 1), i = 1..n+1.
     Type C: H_i = coefficient of z^(-n + i - 1), i = 1..2n+1.
     Raises if the z-support leaves the predicted window.
     """
+    ctx = lax_context(len(kvec))
     window = _window(kvec, kind)
-    outside = [d for d in entry.support() if d not in window]
+    coeffs = z_coefficients(entry, ctx)
+    outside = sorted(d for d in coeffs if d not in window)
     if outside:
         raise ValueError(f"z-support {outside} outside the predicted window")
-    return [entry.coeff(d) for d in window]
+    return [coeffs.get(d, ctx.zero()) for d in window]
 
 
 def _normal_sign(kind: str, n: int, i: int) -> int:
@@ -352,7 +377,7 @@ def _normal_sign(kind: str, n: int, i: int) -> int:
     return (-1) ** (n + 1 - i if kind == "A" else i - 1)
 
 
-def normalized_hamiltonians(entry: ZLaurent, kvec: IndexVector, kind: str) -> list[TorusElement]:
+def normalized_hamiltonians(entry: TorusElement, kvec: IndexVector, kind: str) -> list[TorusElement]:
     """Sign-normalized coefficients, the convention of the explicit lists:
     the alternating sign of the direct expansion is stripped, type A by
     (-1)^(n+1-i) and type C by (-1)^(i-1)."""
@@ -629,41 +654,7 @@ def gauge_parts(phi: MonomialMap) -> tuple[tuple[tuple[int, ...], ...], tuple[Fr
 # RTT relation with the cleared trigonometric R-matrix
 
 
-class _ZW:
-    """Bivariate Laurent data in z, w over a torus (both central)."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return _ZW(self.ctx, out)
-
-    def __mul__(self, other):
-        out = {}
-        for (dz1, dw1), v1 in self.terms.items():
-            for (dz2, dw2), v2 in other.terms.items():
-                k = (dz1 + dz2, dw1 + dw2)
-                p = v1 * v2
-                out[k] = out[k] + p if k in out else p
-        return _ZW(self.ctx, out)
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-
-def _zw_from_z(pol: ZLaurent, var: str) -> _ZW:
-    if var == "z":
-        return _ZW(pol.ctx, {(d, 0): el for d, el in pol.terms.items()})
-    return _ZW(pol.ctx, {(0, d): el for d, el in pol.terms.items()})
-
-
-def cleared_r_matrix(ctx: TorusContext) -> list[list["_ZW"]]:
+def cleared_r_matrix(ctx: TorusContext) -> list[list[TorusElement]]:
     """w * (vz/w - 1/v) * R_trig(z/w), polynomial in z, w and q^(+-1):
 
         [  qz - w/q      0             0            0        ]
@@ -671,20 +662,21 @@ def cleared_r_matrix(ctx: TorusContext) -> list[list["_ZW"]]:
         [  0             w(q - 1/q)    z - w        0        ]
         [  0             0             0            qz - w/q ]
 
-    Entries are bivariate: maps from doubled (z, w) exponent pairs to
-    torus elements.  Clearing the denominator keeps the RTT check inside
-    exact Laurent arithmetic.
+    Entries are elements of ``spectral_context(ctx)``.  Clearing the
+    denominator keeps the RTT check inside exact Laurent arithmetic.
     """
-    one = ctx.one()
+    sctx = spectral_context(ctx)
+    m = ctx.rank
+    z, w = sctx.basis_vec(m, 2), sctx.basis_vec(m + 1, 2)
 
-    def c(qp, coeff=1):
-        return one.q_shift(Fraction(qp), coeff)
+    def c(vec, qp, coeff=1):
+        return sctx.monomial(vec, qp, coeff)
 
-    zero = _ZW(ctx, {})
-    diag = _ZW(ctx, {(2, 0): c(1), (0, 2): c(-1, -1)})
-    zmw = _ZW(ctx, {(2, 0): c(0), (0, 2): c(0, -1)})
-    zq = _ZW(ctx, {(2, 0): c(1) + c(-1, -1)})
-    wq = _ZW(ctx, {(0, 2): c(1) + c(-1, -1)})
+    zero = sctx.zero()
+    diag = c(z, 1) + c(w, -1, -1)
+    zmw = c(z, 0) + c(w, 0, -1)
+    zq = c(z, 1) + c(z, -1, -1)
+    wq = c(w, 1) + c(w, -1, -1)
     return [
         [diag, zero, zero, zero],
         [zero, zmw, zq, zero],
@@ -693,42 +685,36 @@ def cleared_r_matrix(ctx: TorusContext) -> list[list["_ZW"]]:
     ]
 
 
+def _at_w(el: TorusElement) -> TorusElement:
+    """``el`` with z replaced by w: each term's z-exponent moves into the
+    w slot, which is zero on a Lax matrix entry."""
+    zi = el.ctx.rank - 2
+    return TorusElement._make(el.ctx, {v[:zi] + (0, v[zi]): c for v, c in el._terms.items()})
+
+
 def check_rtt(t: LaxMatrix) -> bool:
-    """R(z/w) T1(z) T2(w) = T2(w) T1(z) R(z/w), denominators cleared."""
-    ctx = t.ctx
-    zero = _ZW(ctx, {})
+    """R(z/w) T1(z) T2(w) = T2(w) T1(z) R(z/w), denominators cleared.
 
-    def kron_first(m: LaxMatrix, var: str):
-        cells = [[zero] * 4 for _ in range(4)]
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    cells[2 * a + c][2 * b + c] = _zw_from_z(m[a, b], var)
-        return cells
-
-    def kron_second(m: LaxMatrix, var: str):
-        cells = [[zero] * 4 for _ in range(4)]
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    cells[2 * c + a][2 * c + b] = _zw_from_z(m[a, b], var)
-        return cells
+    T1 = T (x) 1 and T2 = 1 (x) T, as 4x4 matrices over the spectral
+    context, with T2 read at w.
+    """
+    sctx = spectral_context(t.ctx)
+    zero = sctx.zero()
+    t1 = [[zero] * 4 for _ in range(4)]
+    t2 = [[zero] * 4 for _ in range(4)]
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                t1[2 * a + c][2 * b + c] = t[a, b]
+                t2[2 * c + a][2 * c + b] = _at_w(t[a, b])
 
     def matmul(x, y):
-        out = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                cell = zero
-                for k in range(4):
-                    cell = cell + x[i][k] * y[k][j]
-                row.append(cell)
-            out.append(row)
-        return out
+        return [
+            [TorusElement.sum(sctx, (x[i][k] * y[k][j] for k in range(4))) for j in range(4)]
+            for i in range(4)
+        ]
 
-    r = cleared_r_matrix(ctx)
-    t1 = kron_first(t, "z")
-    t2 = kron_second(t, "w")
+    r = cleared_r_matrix(t.ctx)
     lhs = matmul(matmul(r, t1), t2)
     rhs = matmul(matmul(t2, t1), r)
-    return all(lhs[i][j] == rhs[i][j] for i in range(4) for j in range(4))
+    return lhs == rhs

@@ -43,10 +43,6 @@ def _vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(map(operator.add, a, b))
 
 
-def _vec_scale(a: Vec, k: int) -> Vec:
-    return tuple(k * x for x in a)
-
-
 def _grid_key(x: Fraction) -> QKey:
     """An integral Fraction as int, any other as itself."""
     return x.numerator if x.denominator == 1 else x
@@ -310,16 +306,6 @@ class TorusElement:
                 for v, coeffs in self._terms.items()
             },
         )
-
-    def inverse_monomial(self) -> "TorusElement":
-        """Inverse of a single Weyl term q^r E(a), which is q^-r E(-a)."""
-        if not self.is_monomial():
-            raise ValueError("only monomials are invertible here")
-        (vec, coeffs), = self._terms.items()
-        (k, c), = coeffs.items()
-        if c not in (1, -1):
-            raise ValueError("monomial coefficient is not a unit")
-        return TorusElement._make(self.ctx, {_vec_scale(vec, -1): {-k: c}})
 
     def flipped(self, indices: Iterable[int], negate_q: bool = True) -> "TorusElement":
         """Basis map E(a) -> E(a') negating the listed exponents (and q)."""
@@ -816,91 +802,3 @@ class MonomialMap:
 
     def is_homomorphism(self) -> bool:
         return not self.failing_pairs()
-
-
-def identity_map(ctx: TorusContext) -> MonomialMap:
-    return MonomialMap(
-        ctx, ctx, tuple((Fraction(0), ctx.basis_vec(i)) for i in range(ctx.rank))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in a central variable z (half-integer exponents)
-
-
-class ZLaurent:
-    """Finite map from doubled z-exponents to torus elements.
-
-    The exponent key ``2k`` stands for z^k with k in (1/2)Z; z is central,
-    so coefficients commute past powers of z.
-    """
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: TorusContext, terms: Mapping[int, TorusElement]):
-        self.ctx = ctx
-        self.terms = {int(d): el for d, el in terms.items() if not el.is_zero()}
-
-    @classmethod
-    def zero(cls, ctx: TorusContext) -> "ZLaurent":
-        return cls(ctx, {})
-
-    @classmethod
-    def term(cls, el: TorusElement, doubled_exp: int) -> "ZLaurent":
-        return cls(el.ctx, {doubled_exp: el})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZLaurent)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("ZLaurent is not hashable")
-
-    def __add__(self, other: "ZLaurent") -> "ZLaurent":
-        out = dict(self.terms)
-        for d, el in other.terms.items():
-            out[d] = out[d] + el if d in out else el
-        return ZLaurent(self.ctx, out)
-
-    def __neg__(self) -> "ZLaurent":
-        return ZLaurent(self.ctx, {d: -el for d, el in self.terms.items()})
-
-    def __sub__(self, other: "ZLaurent") -> "ZLaurent":
-        return self + (-other)
-
-    def __mul__(self, other: "ZLaurent") -> "ZLaurent":
-        parts: dict[int, list[TorusElement]] = {}
-        for d1, e1 in self.terms.items():
-            for d2, e2 in other.terms.items():
-                parts.setdefault(d1 + d2, []).append(e1 * e2)
-        return ZLaurent(
-            self.ctx, {d: TorusElement.sum(self.ctx, ps) for d, ps in parts.items()}
-        )
-
-    def coeff(self, doubled_exp: int) -> TorusElement:
-        return self.terms.get(doubled_exp, self.ctx.zero())
-
-    def support(self) -> list[int]:
-        return sorted(self.terms)
-
-    def z_inverted(self) -> "ZLaurent":
-        """Substitute z -> 1/z."""
-        return ZLaurent(self.ctx, {-d: el for d, el in self.terms.items()})
-
-    def scaled(self, factor: int) -> "ZLaurent":
-        return ZLaurent(self.ctx, {d: el.q_shift(0, factor) for d, el in self.terms.items()})
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        bits = []
-        for d in self.support():
-            exp = Fraction(d, 2)
-            bits.append(f"({self.terms[d]!r}) z^{exp}")
-        return " + ".join(bits)

@@ -111,31 +111,3 @@ def enumerate_double_coxeter(n: int) -> list[DoubleWord]:
 def index_vector_of(qvec: QuiverVector) -> IndexVector:
     """Pad a quiver vector with zeros on both ends: (0, Q_{n-1..1}, 0)."""
     return (0,) + tuple(qvec) + (0,)
-
-
-def commutation_class(word: DoubleWord, cap: int = 20000) -> set[tuple[int, ...]]:
-    """All letter sequences reachable by adjacent commutation moves.
-
-    Moves: swap same-sign letters with index distance > 1, and swap
-    opposite-sign letters with distinct indices.  Used as a test oracle
-    for distinctness of canonical words; rotations are not included.
-    """
-    start = word.letters
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if len(seen) > cap:
-            raise RuntimeError("commutation class exceeded cap")
-        cur = frontier.pop()
-        for i in range(len(cur) - 1):
-            a, b = cur[i], cur[i + 1]
-            same_sign = (a > 0) == (b > 0)
-            if same_sign and abs(abs(a) - abs(b)) <= 1:
-                continue
-            if not same_sign and abs(a) == abs(b):
-                continue
-            nxt = cur[:i] + (b, a) + cur[i + 2:]
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from qtoda import correspondence
 from qtoda import lax as laxmod
 from qtoda.correspondence import (
     _compare,
@@ -14,7 +15,6 @@ from qtoda.correspondence import (
     label_hamiltonian,
     label_image,
     lax_strand_table,
-    network_hamiltonian_in_lax,
     verify_equivalence_A,
     verify_equivalence_C,
     verify_weight_map,
@@ -35,6 +35,40 @@ from qtoda.words import enumerate_double_coxeter, quiver_vector_of, standard_wor
 
 def lax_ctx(kind, n):
     return laxmod.lax_context(n + 1 if kind == "A" else n)
+
+
+def network_hamiltonian_in_lax(net, i):
+    """Network Hamiltonian pushed through the label substitution."""
+    return fold_hamiltonian(net, i, lax_strand_table(net))
+
+
+def fraction_label_skew(net, alg):
+    """The label skew from one Fraction pairing per ordered label pair,
+    both triangles: the reference for ``label_algebra``'s int route."""
+    return tuple(
+        tuple(net.ctx.pairing(alg.weights[r], alg.weights[c]) for c in alg.labels)
+        for r in alg.labels
+    )
+
+
+def fraction_weight_map_failures(alg, wmap):
+    """The failures of ``verify_weight_map`` with every pairing taken as a
+    Fraction: the reference for its int comparison."""
+    failures = []
+    m = len(alg.labels)
+    for a in range(m):
+        for b in range(a + 1, m):
+            src = alg.ctx.skew[a][b]
+            tgt = wmap.target.pairing(wmap.images[a][1], wmap.images[b][1])
+            if src != tgt:
+                failures.append(
+                    {
+                        "labels": [alg.labels[a], alg.labels[b]],
+                        "source_factor": str(2 * src),
+                        "image_factor": str(2 * tgt),
+                    }
+                )
+    return failures
 
 
 def test_type_a_diagonal_images():
@@ -168,6 +202,31 @@ def test_weight_map_homomorphism_reports():
         for w in enumerate_double_coxeter(n):
             rep = verify_weight_map(build_network(kind, w))
             assert rep["ok"], rep["failures"][:2]
+
+
+def test_label_algebra_and_weight_map_match_the_fraction_reference(monkeypatch):
+    # every word of A1-A4 and C1-C3: the int label skew and the int image
+    # comparison against one Fraction pairing per pair
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
+        for n in ranks:
+            for w in enumerate_double_coxeter(n):
+                net = build_network(kind, w)
+                alg = label_algebra(net)
+                assert alg.ctx.skew == fraction_label_skew(net, alg), (kind, w.letters)
+                rep = verify_weight_map(net)
+                assert rep["ok"] and rep["failures"] == fraction_weight_map_failures(alg, build_weight_map(net, alg))
+    # a corrupted image: the same failing pairs and factors as the reference
+    net = build_network("A", standard_word(2))
+    alg = label_algebra(net)
+    wmap = build_weight_map(net, alg)
+    images = list(wmap.images)
+    qp, vec = images[0]
+    images[0] = (qp, (vec[0] + 1,) + vec[1:])
+    bad = MonomialMap(wmap.source, wmap.target, tuple(images))
+    monkeypatch.setattr(correspondence, "build_weight_map", lambda net, alg=None: bad)
+    rep = verify_weight_map(net)
+    assert not rep["ok"]
+    assert rep["failures"] == fraction_weight_map_failures(alg, bad)
 
 
 def test_corrupted_map_reports_failures():

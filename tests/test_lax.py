@@ -27,13 +27,42 @@ from qtoda.lax import (
     monodromy,
     monodromy_entry,
     normalized_hamiltonians,
+    spectral_context,
     w_index,
+    z_coefficients,
 )
-from qtoda.torus import TorusElement, ZLaurent, _nonzero, _pairing_row, commutes, identity_map
+from qtoda.torus import MonomialMap, TorusElement, _nonzero, _pairing_row, commutes
 
 
 def all_kvecs(m):
     return list(product((-1, 0, 1), repeat=m))
+
+
+def identity_map(ctx):
+    return MonomialMap(ctx, ctx, tuple((Fraction(0), ctx.basis_vec(i)) for i in range(ctx.rank)))
+
+
+def zpoly(ctx, coeffs):
+    """sum_d coeffs[d] z^(d/2), with d a doubled z-degree and coeffs[d]
+    an element of ctx, as an element of the spectral context."""
+    sctx = spectral_context(ctx)
+    return TorusElement.sum(
+        sctx, [TorusElement(sctx, {v + (d, 0): c for v, c in el.terms.items()}) for d, el in coeffs.items()]
+    )
+
+
+def z_inverted(el):
+    """z -> 1/z: the z-exponent of every term negated."""
+    return el.flipped([el.ctx.rank - 2], negate_q=False)
+
+
+def inverted_transpose(t, scale):
+    """scale * [T(1/z)]^T for a Lax matrix T."""
+    return LaxMatrix(t.ctx, tuple(tuple(z_inverted(t[j, i]).q_shift(0, scale) for j in range(2)) for i in range(2)))
+
+
+def z_support(el, ctx):
+    return sorted(z_coefficients(el, ctx))
 
 
 def test_local_lax_displayed_entries():
@@ -41,12 +70,12 @@ def test_local_lax_displayed_entries():
     L = local_lax(ctx, 1, 0)
     w = ctx.generator(w_index(ctx, 1))
     winv = ctx.generator(w_index(ctx, 1), -1)
-    assert L[0, 0] == ZLaurent(ctx, {1: winv, -1: -w})
+    assert L[0, 0] == zpoly(ctx, {1: winv, -1: -w})
     assert L[1, 1].is_zero()
     Lm = local_lax(ctx, 1, -1)
-    assert Lm[1, 1] == ZLaurent(ctx, {0: w})
+    assert Lm[1, 1] == zpoly(ctx, {0: w})
     Lp = local_lax(ctx, 1, 1)
-    assert Lp[1, 1] == ZLaurent(ctx, {0: -winv})
+    assert Lp[1, 1] == zpoly(ctx, {0: -winv})
     with pytest.raises(ValueError):
         local_lax(ctx, 1, 2)
 
@@ -59,7 +88,7 @@ def matrix_site_terms(ctx, site, k, sign):
     return {
         (i, j): [
             (e, [(t, x) for t, x in enumerate(a) if x], key, c, [(t, sign * x) for t, x in _pairing_row(ctx.rows, a)])
-            for e, el in m[i, j].terms.items()
+            for e, el in z_coefficients(m[i, j], ctx).items()
             for a, coeffs in el._terms.items()
             for key, c in coeffs.items()
         ]
@@ -97,8 +126,20 @@ def test_barred_identity():
     for i in (1, 2):
         for k in (-1, 0, 1):
             lhs = local_lax(ctx, i, -k, barred=True)
-            rhs = local_lax(ctx, i, k).z_inverted().transpose().scaled(-1)
+            rhs = inverted_transpose(local_lax(ctx, i, k), -1)
             assert lhs == rhs
+
+
+def test_z_coefficients_reject_w_and_other_contexts():
+    ctx = lax_context(1)
+    sctx = spectral_context(ctx)
+    assert z_coefficients(zpoly(ctx, {3: ctx.one()}), ctx) == {3: ctx.one()}
+    with pytest.raises(ValueError, match="depends on w"):
+        z_coefficients(sctx.generator(sctx.index("w")), ctx)
+    with pytest.raises(ValueError, match="spectral context"):
+        z_coefficients(ctx.one(), ctx)
+    with pytest.raises(ValueError, match="spectral context"):
+        z_coefficients(spectral_context(lax_context(2)).one(), ctx)
 
 
 def test_rank1_monodromy_is_single_factor():
@@ -109,16 +150,16 @@ def test_rank1_monodromy_is_single_factor():
 def test_rank2_monodromy_entry():
     ctx = lax_context(2)
     t = monodromy(ctx, (0, 0))
-    e = t[0, 0]
+    e = z_coefficients(t[0, 0], ctx)
     w1, w2 = (ctx.generator(w_index(ctx, i)) for i in (1, 2))
     mid = (
         ctx.plain_product([(w_index(ctx, 1), 1), (w_index(ctx, 2), -1)])
         + ctx.plain_product([(w_index(ctx, 1), -1), (w_index(ctx, 2), 1)])
         + ctx.plain_product([(d_index(ctx, 1), 1), (d_index(ctx, 2), -1)])
     )
-    assert e.coeff(2) == ctx.plain_product([(w_index(ctx, 1), -1), (w_index(ctx, 2), -1)])
-    assert e.coeff(0) == -mid
-    assert e.coeff(-2) == w1 * w2
+    assert e.get(2, ctx.zero()) == ctx.plain_product([(w_index(ctx, 1), -1), (w_index(ctx, 2), -1)])
+    assert e.get(0, ctx.zero()) == -mid
+    assert e.get(-2, ctx.zero()) == w1 * w2
 
 
 def test_extraction_window_and_boundaries():
@@ -126,7 +167,7 @@ def test_extraction_window_and_boundaries():
     hs = lax_hamiltonians(ctx, (0,), "A", normalized=False)
     assert hs[0] == -ctx.generator(w_index(ctx, 1))
     assert hs[1] == ctx.generator(w_index(ctx, 1), -1)
-    bad = ZLaurent(ctx, {5: ctx.one()})
+    bad = zpoly(ctx, {5: ctx.one()})
     with pytest.raises(ValueError):
         extract_hamiltonians(bad, (0,), "A")
     with pytest.raises(ValueError):
@@ -139,11 +180,11 @@ def test_z_window_support():
         for kv in all_kvecs(m):
             t = monodromy(ctx, kv)
             lo = sum(k - 1 for k in kv)
-            assert min(t[0, 0].support()) == lo
-            assert max(t[0, 0].support()) == lo + 2 * m
+            assert min(z_support(t[0, 0], ctx)) == lo
+            assert max(z_support(t[0, 0], ctx)) == lo + 2 * m
             dt = double_monodromy(ctx, kv)
-            assert min(dt[0, 0].support()) >= -2 * m
-            assert max(dt[0, 0].support()) <= 2 * m
+            assert min(z_support(dt[0, 0], ctx)) >= -2 * m
+            assert max(z_support(dt[0, 0], ctx)) <= 2 * m
 
 
 def test_double_monodromy_transpose_route_asserted():
@@ -153,7 +194,7 @@ def test_double_monodromy_transpose_route_asserted():
         ctx = lax_context(n)
         for kv in all_kvecs(n):
             t = monodromy(ctx, kv)
-            alt = (t.z_inverted().transpose() * t).scaled((-1) ** n)
+            alt = inverted_transpose(t, (-1) ** n) * t
             assert double_monodromy(ctx, kv) == alt, kv
 
 
@@ -184,14 +225,14 @@ def test_lax_hamiltonians_match_the_two_step_route():
 
 
 def test_type_c_entry_matches_inverted_column_products():
-    # each unordered z-pair taken once against the full z_inverted()
+    # each unordered z-pair taken once against the full z-inverted
     # products of the first column of T, and the double monodromy
     for n in (1, 2, 3, 4):
         ctx = lax_context(n)
         for kv in all_kvecs(n):
             t = monodromy(ctx, kv)
             x, y = t[0, 0], t[1, 0]
-            ref = (x.z_inverted() * x + y.z_inverted() * y).scaled((-1) ** n)
+            ref = (z_inverted(x) * x + z_inverted(y) * y).q_shift(0, (-1) ** n)
             got = monodromy_entry(ctx, kv, "C")
             assert got == ref, kv
             assert got == double_monodromy(ctx, kv)[0, 0], kv
@@ -216,6 +257,7 @@ def test_path_sum_matches_full_products_at_rank5():
 # which compare single steps, tell the two signs apart.
 
 WALK_CTX = lax_context(2)
+WALK_SPECTRAL = spectral_context(WALK_CTX)
 _qpow = st.sampled_from([Fraction(x, 2) for x in range(-3, 4)])
 _coeffs = st.dictionaries(_qpow, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
 _vecs = st.tuples(*[st.integers(-2, 2)] * WALK_CTX.rank)
@@ -223,22 +265,23 @@ _vecs = st.tuples(*[st.integers(-2, 2)] * WALK_CTX.rank)
 
 @st.composite
 def z_entries(draw):
-    """A ZLaurent over WALK_CTX whose terms may carry several q-powers,
-    and one vector may sit at several z-degrees."""
+    """An element of the spectral context of WALK_CTX whose terms may
+    carry several q-powers, and one vector may sit at several z-degrees."""
     vecs = draw(st.lists(_vecs, min_size=1, max_size=3))
     terms = {}
     for e in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
         picked = draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3, unique=True))
-        terms[e] = TorusElement(WALK_CTX, {v: draw(_coeffs) for v in picked})
-    return ZLaurent(WALK_CTX, terms)
+        terms.update({v + (e, 0): draw(_coeffs) for v in picked})
+    return TorusElement(WALK_SPECTRAL, terms)
 
 
-def as_state(x: ZLaurent) -> dict:
-    return {(e, u): dict(c) for e, el in x.terms.items() for u, c in el._terms.items()}
+def as_state(x: TorusElement) -> dict:
+    m = WALK_CTX.rank
+    return {(u[m], u[:m]): dict(c) for u, c in x._terms.items()}
 
 
-def from_parts(parts: dict) -> ZLaurent:
-    return ZLaurent(WALK_CTX, {e: TorusElement._make(WALK_CTX, _nonzero(t)) for e, t in parts.items()})
+def from_parts(parts: dict) -> TorusElement:
+    return TorusElement._make(WALK_SPECTRAL, _nonzero({u + (e, 0): c for e, t in parts.items() for u, c in t.items()}))
 
 
 def _by_degree(state: dict) -> dict:
@@ -255,7 +298,7 @@ def test_contraction_matches_inverted_products(x, y):
     parts = {}
     _contract(WALK_CTX, as_state(x), parts)
     _contract(WALK_CTX, as_state(y), parts)
-    assert from_parts(parts) == x.z_inverted() * x + y.z_inverted() * y
+    assert from_parts(parts) == z_inverted(x) * x + z_inverted(y) * y
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,6 +322,11 @@ def test_walk_step_matches_row_and_column_products(x, y, site, k):
 def test_lax_context_is_shared_per_rank():
     assert lax_context(3) is lax_context(3)
     assert lax_context(2) is not lax_context(3)
+    # the spectral context: z and w central, den and pairing rows kept
+    sctx = spectral_context(lax_context(3))
+    assert sctx is spectral_context(lax_context(3))
+    assert sctx.names == lax_context(3).names + ("z", "w")
+    assert sctx.den == lax_context(3).den and sctx.rows == lax_context(3).rows + ({}, {})
 
 
 def test_recursion_A_equals_direct_up_to_rank3():
@@ -340,10 +388,10 @@ def test_rtt_negative_control():
     ctx = lax_context(2)
     t = monodromy(ctx, (0, 1))
     e11 = t[0, 0]
-    terms = dict(e11.terms)
+    terms = z_coefficients(e11, ctx)
     d0 = sorted(terms)[0]
     terms[d0] = -terms[d0]
-    bad = LaxMatrix(ctx, ((ZLaurent(ctx, terms), t[0, 1]), (t[1, 0], t[1, 1])))
+    bad = LaxMatrix(ctx, ((zpoly(ctx, terms), t[0, 1]), (t[1, 0], t[1, 1])))
     assert not check_rtt(bad)
 
 
@@ -383,8 +431,9 @@ def test_cleared_r_matrix_is_polynomial():
     r = cleared_r_matrix(ctx)
     for i in range(4):
         for j in range(4):
-            for (dz, dw) in r[i][j].terms:
-                assert dz >= 0 and dw >= 0
+            for vec in r[i][j].terms:
+                dz, dw = vec[-2:]
+                assert dz >= 0 and dw >= 0 and not any(vec[:-2])
     # corners are q z - w / q
     corner = r[0][0].terms
-    assert set(corner) == {(2, 0), (0, 2)}
+    assert {vec[-2:] for vec in corner} == {(2, 0), (0, 2)}

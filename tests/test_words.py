@@ -2,7 +2,6 @@ import pytest
 
 from qtoda.words import (
     DoubleWord,
-    commutation_class,
     enumerate_double_coxeter,
     index_vector_of,
     quiver_vector_of,
@@ -45,6 +44,34 @@ def test_standard_word_is_all_zero_vector():
         w = standard_word(n)
         assert w.letters == tuple(range(-1, -n - 1, -1)) + tuple(range(1, n + 1))
         assert quiver_vector_of(w) == (0,) * (n - 1)
+
+
+def commutation_class(word: DoubleWord, cap: int = 20000) -> set[tuple[int, ...]]:
+    """All letter sequences reachable by adjacent commutation moves.
+
+    Moves: swap same-sign letters with index distance > 1, and swap
+    opposite-sign letters with distinct indices.  The oracle for the
+    distinctness of canonical words; rotations are not included.
+    """
+    start = word.letters
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        if len(seen) > cap:
+            raise RuntimeError("commutation class exceeded cap")
+        cur = frontier.pop()
+        for i in range(len(cur) - 1):
+            a, b = cur[i], cur[i + 1]
+            same_sign = (a > 0) == (b > 0)
+            if same_sign and abs(abs(a) - abs(b)) <= 1:
+                continue
+            if not same_sign and abs(a) == abs(b):
+                continue
+            nxt = cur[:i] + (b, a) + cur[i + 2:]
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def test_enumeration_distinct_under_commutation_closure():
