@@ -7,7 +7,6 @@ structure tying the two together.
 """
 
 from .torus import (
-    CommutativeLaurent,
     MonomialMap,
     TorusContext,
     TorusElement,
@@ -26,7 +25,6 @@ from .words import (
 )
 
 __all__ = [
-    "CommutativeLaurent",
     "DoubleWord",
     "MonomialMap",
     "TorusContext",

@@ -16,13 +16,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .network import cartan_matrix, face_weights, symmetrizers
-from .torus import (
-    MonomialMap,
-    RationalLaurent,
-    TorusContext,
-    classical_context,
-    classical_monomial,
-)
+from .torus import MonomialMap, RationalLaurent, TorusContext, classical_context
 from .words import DoubleWord
 
 
@@ -50,13 +44,6 @@ class Seed:
     def matrix(self, order=None):
         order = list(order or self.labels)
         return [[self.entry(i, j) for j in order] for i in order]
-
-    def is_integral(self) -> bool:
-        return all(
-            v.denominator == 1
-            for (i, j), v in self.eps.items()
-            if not (i in self.frozen and j in self.frozen)
-        )
 
     def relabeled(self, mapping: dict) -> "Seed":
         return Seed(
@@ -339,10 +326,7 @@ def ensemble_map(seed: Seed) -> MonomialMap:
 def a_assignment(seed: Seed) -> dict:
     """The generators of ``seed_a_context(seed)`` as rational functions."""
     ctx = seed_a_context(seed)
-    return {
-        l: RationalLaurent(classical_monomial(ctx, ctx.basis_vec(i)))
-        for i, l in enumerate(seed.labels)
-    }
+    return {l: RationalLaurent(ctx.generator(i)) for i, l in enumerate(seed.labels)}
 
 
 def mutate_X_classical(assignment: dict, seed: Seed, k) -> dict:

@@ -16,14 +16,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .torus import (
-    CommutativeLaurent,
     TorusContext,
     TorusElement,
     Vec,
     _grid_key,
     _pairing_row,
     classical_context,
-    classical_monomial,
 )
 from .words import DoubleWord
 
@@ -615,63 +613,40 @@ def subnetwork(net: Network, lo: int, hi: int) -> Network:
 # classical transfer matrices (q -> 1 oracle)
 
 
-def _classical_ctx(net: Network) -> TorusContext:
-    return classical_context(net.ctx.names)
-
-
-def classical_matrix(net: Network) -> list[list[CommutativeLaurent]]:
+def classical_matrix(net: Network) -> list[list[TorusElement]]:
     """Path-sum matrix on the open (disk) network: entry (i,j) sums the
     commutative weights of all chip paths from source row i to sink j."""
-    ctx = _classical_ctx(net)
+    ctx = classical_context(net.ctx.names)
     rows = list(net.rows)
-    zero = CommutativeLaurent(ctx, {})
+    zero = ctx.zero()
     # state: row -> accumulated Laurent, evolved chip by chip
     mat = []
     for src in rows:
-        state = {src: classical_monomial(ctx, (0,) * ctx.rank)}
+        state = {src: ctx.one()}
         for pos in range(net.num_chips):
-            nxt: dict[int, CommutativeLaurent] = {}
+            nxt: dict[int, TorusElement] = {}
             trans = net.transitions(pos)
             for row, val in state.items():
                 for row2, letters in trans[row]:
-                    vec = [0] * ctx.rank
-                    for g, e in letters:
-                        vec[g] += e
-                    term = val * classical_monomial(ctx, vec)
-                    nxt[row2] = nxt.get(row2, zero) + term
+                    nxt[row2] = nxt.get(row2, zero) + val * ctx.weyl(letters)
             state = nxt
         mat.append([state.get(r, zero) for r in rows])
     return mat
 
 
-def reference_chip_matrices(net: Network) -> list[list[list[CommutativeLaurent]]]:
+def reference_chip_matrices(net: Network) -> list[list[list[TorusElement]]]:
     """Transfer matrices of the displayed group elements, per chip."""
-    ctx = _classical_ctx(net)
+    ctx = classical_context(net.ctx.names)
     rows = list(net.rows)
     size = len(rows)
     n = net.n
-
-    def unit(vec=None):
-        return classical_monomial(ctx, vec or (0,) * ctx.rank)
-
-    def zero():
-        return CommutativeLaurent(ctx, {})
-
-    def gen(g, e=1):
-        vec = [0] * ctx.rank
-        vec[g] = e
-        return classical_monomial(ctx, vec)
-
     mats = []
     for pos in range(net.num_chips):
         letter = net.chip_letter(pos)
-        m = [[unit() if i == j else zero() for j in range(size)] for i in range(size)]
+        m = [[ctx.one() if i == j else ctx.zero() for j in range(size)] for i in range(size)]
         if letter == 0:
             for i, r in enumerate(rows):
-                vec = [0] * ctx.rank
-                for g, e in net.diagonal_letters(r):
-                    vec[g] += e
-                m[i][i] = classical_monomial(ctx, vec)
+                m[i][i] = ctx.weyl(net.diagonal_letters(r))
         else:
             k = abs(letter)
             pairs = [(k + 1, k)] if letter < 0 else [(k, k + 1)]
@@ -679,7 +654,7 @@ def reference_chip_matrices(net: Network) -> list[list[list[CommutativeLaurent]]
                 pairs.append(
                     (2 * n + 1 - k, 2 * n - k) if letter < 0 else (2 * n - k, 2 * n + 1 - k)
                 )
-            w = unit() if letter < 0 else gen(net.c_index(k))
+            w = ctx.one() if letter < 0 else ctx.generator(net.c_index(k))
             for a, b in pairs:
                 if a in rows and b in rows:
                     m[rows.index(a)][rows.index(b)] = w

@@ -10,9 +10,16 @@ stored on the Weyl-ordered basis E(a), a in Z^m, characterised by
     E(a) E(b) = q^<a,b> E(a+b),        <a,b> = sum_ij s_ij a_i b_j,
 
 so E(e_i) = X_i, E(0) = 1, and E(a) equals the q-balanced average of any
-product presentation of the same monomial.  Coefficients are integers
-times rational powers of q; zero is the empty term map.  All values are
-immutable after construction and all operations are pure functions.
+product presentation of the same monomial.  Coefficients are exact
+rationals times rational powers of q: an ``int`` stays an ``int``, and
+the constructors read any other number as its exact ``Fraction``.  Zero
+is the empty term map.  All values are immutable after construction and
+all operations are pure functions.
+
+With zero skew (``classical_context``) the torus is the commutative
+Laurent ring, the q -> 1 limit: ``specialize_classical`` lands there,
+each coefficient under q^0, and ``poisson_bracket`` and
+``RationalLaurent`` work on it.
 
 q-exponents are stored as integers on the context's grid (1/den)Z, with
 den the lcm of the skew denominators: q^r is kept under the key den*r.
@@ -35,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 Vec = tuple[int, ...]
 QPow = Fraction
-Coeff = dict[QPow, int]
+Coeff = dict[QPow, int | Fraction]
 QKey = int | Fraction  # den * q-exponent
 
 
@@ -147,9 +154,13 @@ class TorusContext:
     def generator(self, i: int, power: int = 1) -> "TorusElement":
         return self.monomial(self.basis_vec(i, power))
 
-    def monomial(self, vec: Sequence[int], qpow: QPow | int = 0, coeff: int = 1) -> "TorusElement":
+    def monomial(
+        self, vec: Sequence[int], qpow: QPow | int = 0, coeff: int | Fraction = 1
+    ) -> "TorusElement":
         if coeff == 0:
             return self.zero()
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
         return TorusElement._make(self, {tuple(vec): {self._qkey(qpow): coeff}})
 
     def weyl(self, letters: Iterable[tuple[int, int]]) -> "TorusElement":
@@ -206,10 +217,14 @@ class TorusElement:
 
     __slots__ = ("ctx", "_terms")
 
-    def __init__(self, ctx: TorusContext, terms: Mapping[Vec, Mapping[QPow, int]]):
+    def __init__(self, ctx: TorusContext, terms: Mapping[Vec, Mapping[QPow, int | Fraction]]):
         clean: dict[Vec, dict[QKey, int]] = {}
         for vec, coeffs in terms.items():
-            kept = {ctx._qkey(qp): c for qp, c in coeffs.items() if c != 0}
+            kept = {
+                ctx._qkey(qp): c if type(c) is int else Fraction(c)
+                for qp, c in coeffs.items()
+                if c != 0
+            }
             if kept:
                 clean[tuple(vec)] = kept
         self.ctx = ctx
@@ -235,7 +250,8 @@ class TorusElement:
         return not self._terms
 
     def is_monomial(self) -> bool:
-        return len(self._terms) == 1 and all(len(c) == 1 for c in self._terms.values())
+        t = self._terms
+        return len(t) == 1 and len(next(iter(t.values()))) == 1
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -535,87 +551,19 @@ def _packed_commutator(pa: list[tuple], pb: list[tuple]) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# commutative (q -> 1) layer
-
-
-class CommutativeLaurent:
-    """Laurent polynomial with exact rational coefficients.
-
-    An ``int`` coefficient stays an ``int``; any other (a ``Fraction``,
-    or a float, read exactly) is kept as a ``Fraction``.  The two kinds
-    mix exactly under ``+`` and ``*`` and compare equal by value.
-    """
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: TorusContext, terms: Mapping[Vec, int | Fraction]):
-        self.ctx = ctx
-        self.terms = {
-            tuple(v): c if type(c) is int else Fraction(c)
-            for v, c in terms.items()
-            if c != 0
-        }
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CommutativeLaurent)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("CommutativeLaurent is not hashable")
-
-    def __add__(self, other: "CommutativeLaurent") -> "CommutativeLaurent":
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            out[v] = out.get(v, 0) + c
-        return CommutativeLaurent(self.ctx, out)
-
-    def __neg__(self) -> "CommutativeLaurent":
-        return CommutativeLaurent(self.ctx, {v: -c for v, c in self.terms.items()})
-
-    def __sub__(self, other: "CommutativeLaurent") -> "CommutativeLaurent":
-        return self + (-other)
-
-    def __mul__(self, other: "CommutativeLaurent") -> "CommutativeLaurent":
-        out: dict[Vec, int | Fraction] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                v = _vec_add(a, b)
-                out[v] = out.get(v, 0) + ca * cb
-        return CommutativeLaurent(self.ctx, out)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        bits = []
-        for vec in sorted(self.terms):
-            mono = " ".join(
-                f"{self.ctx.names[i]}^{e}" if e != 1 else self.ctx.names[i]
-                for i, e in enumerate(vec)
-                if e
-            ) or "1"
-            bits.append(f"{self.terms[vec]} {mono}")
-        return " + ".join(bits)
+# the commutative (q -> 1) torus: zero skew, coefficients under q^0
 
 
 def classical_context(names: Sequence[str]) -> TorusContext:
-    """Context carrier for commutative Laurent polynomials."""
+    """Zero-skew context: its elements are commutative Laurent polynomials."""
     m = len(names)
     zero = tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(m))
     return TorusContext(tuple(names), zero)
 
 
-def classical_monomial(ctx: TorusContext, vec: Sequence[int], coeff=1) -> CommutativeLaurent:
-    return CommutativeLaurent(ctx, {tuple(vec): coeff})
-
-
 class RationalLaurent:
-    """Exact rational function num/den of two commutative Laurent polynomials.
+    """Exact rational function num/den of two elements over a zero-skew
+    context (``classical_context``).
 
     Fractions are never reduced.  The Laurent ring is a domain, so
     a/b == c/d exactly when a*d == c*b, and equality needs no gcd.
@@ -624,9 +572,9 @@ class RationalLaurent:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: CommutativeLaurent, den: CommutativeLaurent | None = None):
+    def __init__(self, num: TorusElement, den: TorusElement | None = None):
         if den is None:
-            den = classical_monomial(num.ctx, num.ctx.unit_vec())
+            den = num.ctx.one()
         if den.is_zero():
             raise ZeroDivisionError("RationalLaurent with zero denominator")
         self.num = num
@@ -637,7 +585,7 @@ class RationalLaurent:
             return other
         if isinstance(other, int):
             ctx = self.num.ctx
-            return RationalLaurent(classical_monomial(ctx, ctx.unit_vec(), other))
+            return RationalLaurent(ctx.monomial(ctx.unit_vec(), coeff=other))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -679,39 +627,46 @@ class RationalLaurent:
         return other / self
 
     def __pow__(self, e: int) -> "RationalLaurent":
-        out = self._coerce(1)
-        for _ in range(abs(e)):
+        if e == 0:
+            return self._coerce(1)
+        out = self
+        for _ in range(abs(e) - 1):
             out = RationalLaurent(out.num * self.num, out.den * self.den)
-        return out if e >= 0 else RationalLaurent(out.den, out.num)
+        return out if e > 0 else RationalLaurent(out.den, out.num)
 
     def __repr__(self) -> str:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def specialize_classical(a: TorusElement) -> CommutativeLaurent:
-    """Set q = 1.  A ring homomorphism onto the commutative Laurent ring."""
-    out: dict[Vec, Fraction] = {}
+def specialize_classical(a: TorusElement) -> TorusElement:
+    """Set q = 1.  A ring homomorphism onto the commutative Laurent ring,
+    the torus over ``classical_context(a.ctx.names)``."""
+    out: dict[Vec, dict[QKey, int]] = {}
     for vec, coeffs in a._terms.items():
-        out[vec] = Fraction(sum(coeffs.values()))
-    return CommutativeLaurent(a.ctx, out)
+        c = sum(coeffs.values())
+        if c:
+            out[vec] = {0: c}
+    return TorusElement._make(classical_context(a.ctx.names), out)
 
 
 def poisson_bracket(
-    f: CommutativeLaurent,
-    g: CommutativeLaurent,
+    f: TorusElement,
+    g: TorusElement,
     bracket: Sequence[Sequence[Fraction]],
-) -> CommutativeLaurent:
-    """Log-canonical bracket {x^a, x^b} = (sum B_ij a_i b_j) x^(a+b)."""
-    if f.ctx != g.ctx:
-        raise ValueError("context mismatch")
+) -> TorusElement:
+    """Log-canonical bracket {x^a, x^b} = (sum B_ij a_i b_j) x^(a+b) of
+    two elements over one zero-skew context, coefficients under q^0."""
+    f._check(g)
+    if any(f.ctx.rows):
+        raise ValueError("poisson bracket needs a zero-skew context")
     m = f.ctx.rank
     for i in range(m):
         for j in range(m):
             if bracket[i][j] != -bracket[j][i]:
                 raise ValueError("bracket matrix is not skew-symmetric")
     out: dict[Vec, Fraction] = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
+    for a, ca in f._terms.items():
+        for b, cb in g._terms.items():
             w = Fraction(0)
             for i, ai in enumerate(a):
                 if not ai:
@@ -721,8 +676,8 @@ def poisson_bracket(
                         w += Fraction(bracket[i][j]) * ai * bj
             if w:
                 v = _vec_add(a, b)
-                out[v] = out.get(v, Fraction(0)) + w * ca * cb
-    return CommutativeLaurent(f.ctx, out)
+                out[v] = out.get(v, Fraction(0)) + w * ca[0] * cb[0]
+    return TorusElement(f.ctx, {v: {0: c} for v, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

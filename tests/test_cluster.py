@@ -188,7 +188,6 @@ def test_vertex_count_and_integrality():
             for w in enumerate_double_coxeter(n):
                 s = seed_from_word(kind, w)
                 assert len(s.labels) == 2 * n
-                assert s.is_integral()
                 assert all(type(v) is int for v in s.eps.values())
 
 
