@@ -7,9 +7,12 @@ failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
 or one at no vertex of the seed, an ``--index`` outside 1..count of the
 Hamiltonians included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
 4 internal error (a fault of the program, not of its input), each
-reported as one line on stderr.  ``main`` returns codes 0-2 and lets
-any other exception, such as the RuntimeError of an exceeded limit,
-reach its caller; ``console`` is the command's entry point and turns an
+reported as one line on stderr.  A stdout closed by its reader
+(``qtoda ... | head -1``) ends the command quietly, with no stderr line:
+where the platform has SIGPIPE, the signal's default action ends it
+(status 141 in a POSIX shell).  ``main`` returns codes 0-2 and lets any
+other exception, such as the RuntimeError of an exceeded limit, reach
+its caller; ``console`` is the command's entry point and turns an
 exceeded limit into code 3 and any other exception into code 4.
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import re
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -196,15 +200,12 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
         indices = _indices(cfg, count)
         if cfg.route == "lax":
             hams = laxmod.lax_hamiltonians(ctx, kvec, cfg.kind)
+            for i in indices:
+                out[f"H_{i}"] = hams[i - 1]
         else:
-            rec = (
-                laxmod.hamiltonian_recursive_A
-                if cfg.kind == "A"
-                else laxmod.hamiltonian_recursive_C
-            )
-            hams = [rec(ctx, kvec, i) for i in range(1, count + 1)]
-        for i in indices:
-            out[f"H_{i}"] = hams[i - 1]
+            rec = laxmod.hamiltonian_recursive_A if cfg.kind == "A" else laxmod.hamiltonian_recursive_C
+            for i in indices:
+                out[f"H_{i}"] = rec(ctx, kvec, i)
     payload = {
         "schema_version": serialize.SCHEMA_VERSION,
         "type": cfg.kind,
@@ -416,7 +417,10 @@ def main(argv=None) -> int:
 def console(argv=None) -> int:
     """Entry point of the ``qtoda`` command: ``main``, with an exceeded
     resource limit reported as one stderr line and exit code 3, and any
-    other exception as one line and exit code 4."""
+    other exception as one line and exit code 4.  A closed stdout ends
+    the process by the default SIGPIPE action, where there is one."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         return main(argv)
     except Exception as exc:

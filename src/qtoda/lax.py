@@ -5,11 +5,11 @@ D's separately commuting and D_i w_i = q w_i D_i.  Matrix entries are
 elements of the spectral context (``spectral_context``): the same torus
 with central generators z and w appended, whose exponents are doubled
 powers, so half-integer powers of the spectral variables stay integral.
-The (1,1) entry of an ordered product of local matrices expands into
-Hamiltonians as coefficients of z-powers (``z_coefficients``); RTT is
-the one check that uses w.
 
-The verifiers read that entry as a path sum (``monodromy_entry``): a
+The Hamiltonians are the z-coefficients of the (1,1) entry of the
+monodromy (type A) or the double monodromy (type C), each with the
+alternating sign of the expansion stripped.  ``lax_hamiltonians`` is the
+one extraction.  It reads that entry as a path sum (``_entry_parts``): a
 walk over the sites extends each partial product by one monomial of the
 next local matrix and updates its exponent vector and q-key with one
 pairing, E(A) E(a) = q^<A,a> E(A + a), so no Laurent product is built.
@@ -17,10 +17,14 @@ Each site's monomials, with their q-keys and pairing rows, are ints read
 off the closed form of ``local_lax`` (``_site_terms``); no site matrix
 is built.  Type C contracts the first column of T with itself, taking
 each term with itself once and each unordered pair of terms once for
-both orders.  ``lax_hamiltonians`` signs each coefficient as it closes
-the path sum's term map for that z-degree.  The local matrices and the
-full 2x2 products (``local_lax``, ``monodromy``, ``double_monodromy``)
-stay for the RTT check and as the tests' oracle.
+both orders.  Each coefficient's sign is applied once, as the path sum's
+term map for that z-degree is closed.
+
+The recursion formulas (``hamiltonian_recursive_A`` and ``_C``) give the
+same Hamiltonians, signs included, by a third route.  The local matrices
+and the full 2x2 products (``local_lax``, ``monodromy``,
+``double_monodromy``), read through ``z_coefficients``, stay for the RTT
+check, the one check that uses w, and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -182,21 +186,10 @@ def double_monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
     return acc * monodromy(ctx, kvec)
 
 
-def monodromy_entry(ctx: TorusContext, kvec: IndexVector, kind: str) -> TorusElement:
-    """The (1,1) entry of ``monodromy`` (type A) or ``double_monodromy``
-    (type C), without the full 2x2 products."""
-    parts = _entry_parts(ctx, kvec, kind)
-    sign = -1 if kind == "C" and len(kvec) % 2 else 1
-    out = {}
-    for e, terms in parts.items():
-        for vec, coeffs in _closed(ctx, terms, sign)._terms.items():
-            out[vec + (e, 0)] = coeffs
-    return TorusElement._make(spectral_context(ctx), out)
-
-
 def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str) -> dict[int, dict[Vec, dict[QKey, int]]]:
-    """``monodromy_entry`` without the (-1)^n of type C, as a path sum:
-    per doubled z-degree a term map, zero coefficients not yet dropped.
+    """The (1,1) entry of ``monodromy`` (type A) or ``double_monodromy``
+    (type C), the latter without its (-1)^n, as a path sum: per doubled
+    z-degree a term map, zero coefficients not yet dropped.
 
     A walk over the sites keeps, per end state (row or column 0 or 1), a
     map (doubled z-degree, exponent vector A) -> {q-key: coefficient}.
@@ -355,42 +348,22 @@ def _window(kvec: IndexVector, kind: str) -> list[int]:
     return [lo2 + 2 * (i - 1) for i in range(1, count + 1)]
 
 
-def extract_hamiltonians(entry: TorusElement, kvec: IndexVector, kind: str) -> list[TorusElement]:
-    """Coefficient list of the (1,1) monodromy entry, an element of the
-    spectral context of ``lax_context(len(kvec))``.
-
-    Type A: H_i = coefficient of z^(sigma_n + i - 1), i = 1..n+1.
-    Type C: H_i = coefficient of z^(-n + i - 1), i = 1..2n+1.
-    Raises if the z-support leaves the predicted window.
-    """
-    ctx = lax_context(len(kvec))
-    window = _window(kvec, kind)
-    coeffs = z_coefficients(entry, ctx)
-    outside = sorted(d for d in coeffs if d not in window)
-    if outside:
-        raise ValueError(f"z-support {outside} outside the predicted window")
-    return [coeffs.get(d, ctx.zero()) for d in window]
-
-
 def _normal_sign(kind: str, n: int, i: int) -> int:
     """The alternating sign of H_i in the direct expansion."""
     return (-1) ** (n + 1 - i if kind == "A" else i - 1)
 
 
-def normalized_hamiltonians(entry: TorusElement, kvec: IndexVector, kind: str) -> list[TorusElement]:
-    """Sign-normalized coefficients, the convention of the explicit lists:
-    the alternating sign of the direct expansion is stripped, type A by
-    (-1)^(n+1-i) and type C by (-1)^(i-1)."""
-    raw = extract_hamiltonians(entry, kvec, kind)
-    return [h.q_shift(0, _normal_sign(kind, len(kvec), i)) for i, h in enumerate(raw, start=1)]
+def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str) -> list[TorusElement]:
+    """The Hamiltonians of an index vector, sign-normalized.
 
-
-def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, normalized: bool = True) -> list[TorusElement]:
-    """Hamiltonians of the (double) monodromy for an index vector: the
-    coefficients of ``monodromy_entry``, normalized as by
-    ``normalized_hamiltonians`` unless ``normalized`` is false.  Each
-    coefficient's sign, the type C (-1)^n of the entry included, is
-    applied once, as its term map is closed."""
+    Type A: H_i = (-1)^(n+1-i) times the coefficient of z^(sigma_n + i - 1)
+    in the (1,1) entry of ``monodromy``, i = 1..n+1.
+    Type C: H_i = (-1)^(i-1) times the coefficient of z^(-n + i - 1) in
+    the (1,1) entry of ``double_monodromy``, i = 1..2n+1.
+    Each coefficient's sign, the type C (-1)^n of the entry included, is
+    applied once, as its term map is closed.  Raises if the z-support
+    leaves the window.
+    """
     parts = _entry_parts(ctx, kvec, kind)
     window = _window(kvec, kind)
     outside = sorted(d for d, terms in parts.items() if d not in window and _closed(ctx, terms, 1))
@@ -399,7 +372,7 @@ def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, normalized
     n = len(kvec)
     outer = (-1) ** n if kind == "C" else 1
     return [
-        _closed(ctx, parts.get(d, {}), outer * _normal_sign(kind, n, i) if normalized else outer)
+        _closed(ctx, parts.get(d, {}), outer * _normal_sign(kind, n, i))
         for i, d in enumerate(window, start=1)
     ]
 
@@ -431,9 +404,15 @@ def _sigma_monomial(ctx: TorusContext, kvec: IndexVector, i: int, j: int) -> Tor
 
 
 def hamiltonian_recursive_A(ctx: TorusContext, kvec: IndexVector, i: int) -> TorusElement:
-    """Site-count recursion for the type A Hamiltonians, matching the
-    direct coefficients of the monodromy (1,1) entry exactly."""
-    n_sites = len(kvec)
+    """The type A Hamiltonian H_i by the site-count recursion, equal to
+    ``lax_hamiltonians``, signs included."""
+    return _recursive_A_raw(ctx, kvec, i).q_shift(0, _normal_sign("A", len(kvec), i))
+
+
+def _recursive_A_raw(ctx: TorusContext, kvec: IndexVector, i: int) -> TorusElement:
+    """Site-count recursion for the z-coefficients of the monodromy (1,1)
+    entry, in the signs of the direct expansion; zero for i outside
+    1..n+1."""
     cache: dict[tuple[IndexVector, int], TorusElement] = {}
 
     def ham(kv: IndexVector, idx: int) -> TorusElement:
@@ -487,20 +466,12 @@ def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
         T(z)_21 = sum_{m,j} P_m H_j^(trunc m) z^(S_{m+1} + j - 1),
         P_m = (-1)^(n-m) k_{m+2..n} sigma_{m+1,n} D_{m+1},
 
-    and collects the coefficient of z^(-n + i - 1).  Equals the direct
-    double-monodromy extraction.
+    and collects the coefficient of z^(-n + i - 1), with the raw type A
+    coefficients for H_j.  Equals ``lax_hamiltonians``, signs included.
     """
     n = len(kvec)
     if not 1 <= i <= 2 * n + 1:
         return ctx.zero()
-
-    def ham_A(kv: IndexVector, idx: int) -> TorusElement:
-        m = len(kv)
-        if idx < 1 or idx > m + 1:
-            return ctx.zero()
-        if m == 0:
-            return ctx.one()
-        return hamiltonian_recursive_A(ctx, kv, idx)
 
     def coeff_P(mm: int) -> TorusElement | None:
         kp = 1
@@ -512,7 +483,10 @@ def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
         letters.append((d_index(ctx, mm + 1), 1))
         return ctx.plain_product(letters).q_shift(0, kp * (-1) ** (n - mm))
 
-    parts = [ham_A(kvec, n + 1 + j - i) * ham_A(kvec, j) for j in range(1, n + 2)]
+    parts = [
+        _recursive_A_raw(ctx, kvec, n + 1 + j - i) * _recursive_A_raw(ctx, kvec, j)
+        for j in range(1, n + 2)
+    ]
     for mleft in range(0, n):
         p1 = coeff_P(mleft)
         if p1 is None:
@@ -526,11 +500,11 @@ def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
                 continue
             mid = p1 * p2
             for j in range(1, n + 2):
-                left = ham_A(_truncate(kvec, mleft), n + 1 + j - i - shift2 // 2)
+                left = _recursive_A_raw(ctx, _truncate(kvec, mleft), n + 1 + j - i - shift2 // 2)
                 if left.is_zero():
                     continue
-                parts.append(left * mid * ham_A(_truncate(kvec, mright), j))
-    return TorusElement.sum(ctx, parts).q_shift(0, (-1) ** n)
+                parts.append(left * mid * _recursive_A_raw(ctx, _truncate(kvec, mright), j))
+    return TorusElement.sum(ctx, parts).q_shift(0, (-1) ** n * _normal_sign("C", n, i))
 
 
 def bar_w(a: TorusElement) -> TorusElement:

@@ -532,29 +532,24 @@ def _start(net: Network, table: StrandTable):
     return (net.ctx.unit_vec() + table.target.unit_vec(), 0, 0)
 
 
-def fold_hamiltonian(net: Network, i: int, table: StrandTable) -> TorusElement:
-    """Sum over size-i vertex-disjoint families of the image in
-    ``table.target`` of their weight product, top row first.
+def fold_hamiltonians(net: Network, sizes, table: StrandTable) -> dict[int, TorusElement]:
+    """Per index i in ``sizes``, the sum over size-i vertex-disjoint
+    families of the image in ``table.target`` of their weight product, top
+    row first, from one family search.
 
     A family folds W + T = sum (w + v) and the q-key K key_scale + P,
     with K = den * sum <w_s, w_t> over members s above t and P = sum p.
     Its term q^(K key_scale + P) E(T) is ``MonomialMap.apply`` of its
     product on the label torus.  This is ``fold_bands`` with the whole
-    network as its one band and i as its one index.
+    network as its one band.
     """
-    return fold_hamiltonians(net, (i,), table)[i]
-
-
-def fold_hamiltonians(net: Network, sizes, table: StrandTable) -> dict[int, TorusElement]:
-    """``fold_hamiltonian`` for every index in ``sizes``, from one family
-    search."""
     return fold_bands(net, {(net.row_lo, net.row_hi): sizes}, table)[net.row_lo, net.row_hi]
 
 
 def fold_bands(net: Network, bands: dict, table: StrandTable) -> dict:
-    """Per band (lo, hi) -> indices, ``fold_hamiltonian`` of
-    ``subnetwork(net, lo, hi)`` for each index, from one family search of
-    ``net``.
+    """Per band (lo, hi) -> indices, ``fold_hamiltonians`` of
+    ``subnetwork(net, lo, hi)`` for those indices, from one family search
+    of ``net``.
 
     A band's families are the families of ``net`` whose rows lie in the
     band, with the same folds: each family of the search adds its term to
@@ -594,7 +589,7 @@ def fold_bands(net: Network, bands: dict, table: StrandTable) -> dict:
 
 def network_hamiltonian(net: Network, i: int) -> TorusElement:
     """Sum over size-i vertex-disjoint families of their weights."""
-    return fold_hamiltonian(net, i, strand_table(net))
+    return fold_hamiltonians(net, (i,), strand_table(net))[i]
 
 
 def subnetwork(net: Network, lo: int, hi: int) -> Network:

@@ -367,6 +367,7 @@ class TorusElement:
 def _product(a: TorusElement, b: TorusElement) -> TorusElement:
     """The general product a * b, term pair by term pair."""
     rows = a.ctx.rows
+    skewed = any(rows)  # over a zero-skew context every pairing row is empty
     # build pairing rows on the side with fewer terms: den*<u,v> is
     # sum_j r(u)_j v_j, and also -sum_j r(v)_j u_j
     outer, inner, flip = a._terms, b._terms, False
@@ -374,7 +375,7 @@ def _product(a: TorusElement, b: TorusElement) -> TorusElement:
         outer, inner, flip = inner, outer, True
     out: dict[Vec, dict[QKey, int]] = {}
     for u, ca in outer.items():
-        r_items = _pairing_row(rows, u)
+        r_items = _pairing_row(rows, u) if skewed else ()
         if flip:
             r_items = [(j, -x) for j, x in r_items]
         for v, cb in inner.items():
@@ -403,7 +404,8 @@ def _monomial_product(m: TorusElement, b: TorusElement, side: int) -> TorusEleme
     """
     ((a, ca),) = m._terms.items()
     ((k, c),) = ca.items()
-    r = _pairing_row(m.ctx.rows, a)
+    rows = m.ctx.rows
+    r = _pairing_row(rows, a) if any(rows) else ()  # empty on a zero skew
     if side < 0:
         r = [(j, -x) for j, x in r]
     nz = [(j, x) for j, x in enumerate(a) if x]

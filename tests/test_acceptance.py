@@ -131,14 +131,14 @@ def test_criterion_05_commutativity():
         ctx = laxmod.lax_context(n + 1)
         for mid in product((-1, 0, 1), repeat=n - 1):
             kv = (0,) + mid + (0,)
-            hs = laxmod.lax_hamiltonians(ctx, kv, "A", normalized=False)
+            hs = laxmod.lax_hamiltonians(ctx, kv, "A")
             for a, b in combinations(range(len(hs)), 2):
                 assert commutes(hs[a], hs[b]), ("A", n, kv, a, b)
     for n in (1, 2, 3):
         ctx = laxmod.lax_context(n)
         for mid in product((-1, 0, 1), repeat=n - 1):
             kv = mid + (0,)
-            hs = laxmod.lax_hamiltonians(ctx, kv, "C", normalized=False)
+            hs = laxmod.lax_hamiltonians(ctx, kv, "C")
             for a, b in combinations(range(len(hs)), 2):
                 assert commutes(hs[a], hs[b]), ("C", n, kv, a, b)
     elapsed = time.time() - t0
@@ -167,13 +167,13 @@ def test_criterion_07_recursion_oracles():
     for m in (1, 2, 3, 4):
         ctx = laxmod.lax_context(m)
         for kv in product((-1, 0, 1), repeat=m):
-            direct = laxmod.lax_hamiltonians(ctx, kv, "A", normalized=False)
+            direct = laxmod.lax_hamiltonians(ctx, kv, "A")
             for i in range(1, m + 2):
                 assert laxmod.hamiltonian_recursive_A(ctx, kv, i) == direct[i - 1]
     for m in (1, 2, 3):
         ctx = laxmod.lax_context(m)
         for kv in product((-1, 0, 1), repeat=m):
-            direct = laxmod.lax_hamiltonians(ctx, kv, "C", normalized=False)
+            direct = laxmod.lax_hamiltonians(ctx, kv, "C")
             for i in range(1, 2 * m + 2):
                 assert laxmod.hamiltonian_recursive_C(ctx, kv, i) == direct[i - 1]
     elapsed = time.time() - t0
@@ -211,8 +211,8 @@ def test_criterion_07_boundary_invariance_propositions():
     gauged = []
 
     def check(kind, ctx, kv, kz):
-        h = laxmod.lax_hamiltonians(ctx, kv, kind, normalized=False)
-        hz = laxmod.lax_hamiltonians(ctx, kz, kind, normalized=False)
+        h = laxmod.lax_hamiltonians(ctx, kv, kind)
+        hz = laxmod.lax_hamiltonians(ctx, kz, kind)
         phi = laxmod.boundary_gauge(ctx, hz, h)
         if phi is None or (phi == identity_map(ctx)) != (hz == h):
             failures.append((kind, kv))

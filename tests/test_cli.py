@@ -1,8 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -135,6 +136,40 @@ def test_hamiltonian_index_is_checked(capsys, route, kind, rank, count):
         code, out = run(capsys, *base, "--index", str(i))
         assert code == 0
         assert json.loads(out)["hamiltonians"] == {f"H_{i}": every[f"H_{i}"]}
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3)])
+def test_lax_and_recursive_routes_print_the_same_hamiltonians(capsys, kind, rank):
+    # every word of the rank; on these routes a type A --rank counts chain
+    # sites, so its word has one rank less
+    entries = rank - 2 if kind == "A" else rank - 1
+    for q in product((-1, 0, 1), repeat=entries):
+        blocks = {}
+        for route in ("lax", "recursive"):
+            argv = ("hamiltonians", "--route", route, "--type", kind, "--rank", str(rank), "--qvec=" + ",".join(map(str, q)))
+            code, out = run(capsys, *argv)
+            assert code == 0, argv
+            blocks[route] = json.loads(out)["hamiltonians"]
+        assert blocks["lax"] == blocks["recursive"], (kind, rank, q)
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # the reader takes one line of a 600 kB listing and closes the pipe,
+    # so a later write of the command meets a closed stdout
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtoda.cli", "words", "--rank", "9", "--format", "text"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.readline().startswith(b"[")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 4
+    assert err == b""
+    if hasattr(signal, "SIGPIPE"):
+        assert proc.returncode == -signal.SIGPIPE
 
 
 def test_mutate_error_names_the_typed_move(capsys):

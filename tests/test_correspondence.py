@@ -22,7 +22,7 @@ from qtoda.correspondence import (
 from qtoda.network import (
     build_network,
     fold_bands,
-    fold_hamiltonian,
+    fold_hamiltonians,
     network_hamiltonian,
     path_families,
     quantized_path_weight,
@@ -39,7 +39,7 @@ def lax_ctx(kind, n):
 
 def network_hamiltonian_in_lax(net, i):
     """Network Hamiltonian pushed through the label substitution."""
-    return fold_hamiltonian(net, i, lax_strand_table(net))
+    return fold_hamiltonians(net, (i,), lax_strand_table(net))[i]
 
 
 def fraction_label_skew(net, alg):
@@ -313,13 +313,13 @@ def test_fold_matches_the_label_torus_route_on_every_band():
                         wmap = build_weight_map(sub, alg)
                         for i in range(1, sub.num_rows + 1):
                             ref = wmap.apply(label_hamiltonian(alg, i))
-                            assert fold_hamiltonian(sub, i, table) == ref, (kind, w.letters, lo, hi, i)
+                            assert fold_hamiltonians(sub, (i,), table)[i] == ref, (kind, w.letters, lo, hi, i)
                 for i in range(1, net.num_rows + 1):
-                    assert network_hamiltonian_in_lax(net, i) == fold_hamiltonian(net, i, table)
+                    assert network_hamiltonian_in_lax(net, i) == fold_hamiltonians(net, (i,), table)[i]
 
 
 def test_one_search_folds_every_band():
-    # fold_bands over all bands at once against fold_hamiltonian on each
+    # fold_bands over all bands at once against fold_hamiltonians on each
     # band's own network
     for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
         for n in ranks:
@@ -336,7 +336,7 @@ def test_one_search_folds_every_band():
                 for (lo, hi), sizes in spans.items():
                     sub = subnetwork(net, lo, hi)
                     for i in sizes:
-                        assert folds[lo, hi][i] == fold_hamiltonian(sub, i, table), (kind, w.letters, lo, hi, i)
+                        assert folds[lo, hi][i] == fold_hamiltonians(sub, (i,), table)[i], (kind, w.letters, lo, hi, i)
                 with pytest.raises(ValueError):
                     fold_bands(net, {(net.row_lo, net.row_hi): [net.num_rows + 1]}, table)
                 with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from qtoda.lax import (
     check_rtt,
     d_index,
     double_monodromy,
-    extract_hamiltonians,
     gauge_parts,
     hamiltonian_recursive_A,
     hamiltonian_recursive_C,
@@ -25,8 +24,6 @@ from qtoda.lax import (
     lax_hamiltonians,
     local_lax,
     monodromy,
-    monodromy_entry,
-    normalized_hamiltonians,
     spectral_context,
     w_index,
     z_coefficients,
@@ -63,6 +60,26 @@ def inverted_transpose(t, scale):
 
 def z_support(el, ctx):
     return sorted(z_coefficients(el, ctx))
+
+
+def signed_window(ctx, kvec, kind, entry=None):
+    """The oracle of ``lax_hamiltonians``: H_1, H_2, ... as the signed
+    window coefficients of the (1,1) entry of the full product, by default
+    ``monodromy`` (type A) or ``double_monodromy`` (type C).  Type A reads
+    z^(sigma_n + i - 1) with sign (-1)^(n+1-i), i = 1..n+1; type C reads
+    z^(-n + i - 1) with sign (-1)^(i-1), i = 1..2n+1.  Asserts that the
+    entry has no z-support outside that window."""
+    n = len(kvec)
+    if entry is None:
+        entry = (monodromy if kind == "A" else double_monodromy)(ctx, kvec)[0, 0]
+    if kind == "A":
+        lo, signs = sum(k - 1 for k in kvec), [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
+    else:
+        lo, signs = -2 * n, [(-1) ** (i - 1) for i in range(1, 2 * n + 2)]
+    window = [lo + 2 * j for j in range(len(signs))]
+    coeffs = z_coefficients(entry, ctx)
+    assert set(coeffs) <= set(window), (kind, kvec, sorted(coeffs))
+    return [coeffs.get(d, ctx.zero()).q_shift(0, sign) for d, sign in zip(window, signs)]
 
 
 def test_local_lax_displayed_entries():
@@ -115,7 +132,7 @@ def test_lax_hamiltonians_reject_support_outside_the_window(monkeypatch):
     ctx = lax_context(1)
     parts = laxmod._entry_parts(ctx, (0,), "A")
     monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {ctx.unit_vec(): {0: 0}}})
-    assert lax_hamiltonians(ctx, (0,), "A") == normalized_hamiltonians(monodromy_entry(ctx, (0,), "A"), (0,), "A")
+    assert lax_hamiltonians(ctx, (0,), "A") == signed_window(ctx, (0,), "A")
     monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {ctx.unit_vec(): {0: 1}}})
     with pytest.raises(ValueError, match=r"z-support \[7\] outside"):
         lax_hamiltonians(ctx, (0,), "A")
@@ -164,14 +181,13 @@ def test_rank2_monodromy_entry():
 
 def test_extraction_window_and_boundaries():
     ctx = lax_context(1)
-    hs = lax_hamiltonians(ctx, (0,), "A", normalized=False)
-    assert hs[0] == -ctx.generator(w_index(ctx, 1))
-    assert hs[1] == ctx.generator(w_index(ctx, 1), -1)
-    bad = zpoly(ctx, {5: ctx.one()})
+    # the (1,1) entry is w^-1 z^(1/2) - w z^(-1/2); H_1 strips the sign of -w
+    hs = lax_hamiltonians(ctx, (0,), "A")
+    assert hs == [ctx.generator(w_index(ctx, 1)), ctx.generator(w_index(ctx, 1), -1)]
     with pytest.raises(ValueError):
-        extract_hamiltonians(bad, (0,), "A")
+        lax_hamiltonians(ctx, (0,), "X")
     with pytest.raises(ValueError):
-        extract_hamiltonians(bad, (0,), "X")
+        lax_hamiltonians(ctx, (0, 0), "A")
 
 
 def test_z_window_support():
@@ -199,29 +215,17 @@ def test_double_monodromy_transpose_route_asserted():
 
 
 def test_monodromy_entry_matches_full_products():
-    # the full 2x2 products are the oracle for the row/column route
-    for n in (1, 2, 3, 4):
-        ctx = lax_context(n)
-        for kv in all_kvecs(n):
-            assert monodromy_entry(ctx, kv, "A") == monodromy(ctx, kv)[0, 0], kv
-            assert monodromy_entry(ctx, kv, "C") == double_monodromy(ctx, kv)[0, 0], kv
-    with pytest.raises(ValueError):
-        monodromy_entry(lax_context(2), (0, 0), "B")
-    with pytest.raises(ValueError):
-        monodromy_entry(lax_context(2), (0,), "A")
-
-
-def test_lax_hamiltonians_match_the_two_step_route():
-    # signs applied once per coefficient against extracting from the
-    # signed (1,1) entry, then normalizing
+    # the signed window coefficients of the (1,1) entry of the full 2x2
+    # products are the oracle for the path sum and its signs
     for n in (1, 2, 3, 4):
         ctx = lax_context(n)
         for kv in all_kvecs(n):
             for kind in ("A", "C"):
-                entry = monodromy_entry(ctx, kv, kind)
-                assert lax_hamiltonians(ctx, kv, kind) == normalized_hamiltonians(entry, kv, kind), (kind, kv)
-                raw = extract_hamiltonians(entry, kv, kind)
-                assert lax_hamiltonians(ctx, kv, kind, normalized=False) == raw, (kind, kv)
+                assert lax_hamiltonians(ctx, kv, kind) == signed_window(ctx, kv, kind), (kind, kv)
+    with pytest.raises(ValueError):
+        lax_hamiltonians(lax_context(2), (0, 0), "B")
+    with pytest.raises(ValueError):
+        lax_hamiltonians(lax_context(2), (0,), "A")
 
 
 def test_type_c_entry_matches_inverted_column_products():
@@ -233,9 +237,8 @@ def test_type_c_entry_matches_inverted_column_products():
             t = monodromy(ctx, kv)
             x, y = t[0, 0], t[1, 0]
             ref = (z_inverted(x) * x + z_inverted(y) * y).q_shift(0, (-1) ** n)
-            got = monodromy_entry(ctx, kv, "C")
-            assert got == ref, kv
-            assert got == double_monodromy(ctx, kv)[0, 0], kv
+            assert ref == double_monodromy(ctx, kv)[0, 0], kv
+            assert lax_hamiltonians(ctx, kv, "C") == signed_window(ctx, kv, "C", ref), kv
 
 
 def test_path_sum_matches_full_products_at_rank5():
@@ -243,10 +246,10 @@ def test_path_sum_matches_full_products_at_rank5():
     # about 0.1 s at this rank, on a seeded sample and the constant vectors
     ctx = lax_context(5)
     for kv in all_kvecs(5):
-        assert monodromy_entry(ctx, kv, "A") == monodromy(ctx, kv)[0, 0], kv
+        assert lax_hamiltonians(ctx, kv, "A") == signed_window(ctx, kv, "A"), kv
     kvecs = random.Random(5).sample(all_kvecs(5), 10) + [(0,) * 5, (1,) * 5, (-1,) * 5]
     for kv in kvecs:
-        assert monodromy_entry(ctx, kv, "C") == double_monodromy(ctx, kv)[0, 0], kv
+        assert lax_hamiltonians(ctx, kv, "C") == signed_window(ctx, kv, "C"), kv
 
 
 # -- the walk and the contraction on entries with several q-keys per term ------
@@ -333,7 +336,7 @@ def test_recursion_A_equals_direct_up_to_rank3():
     for m in (1, 2, 3):
         ctx = lax_context(m)
         for kv in all_kvecs(m):
-            direct = lax_hamiltonians(ctx, kv, "A", normalized=False)
+            direct = lax_hamiltonians(ctx, kv, "A")
             for i in range(1, m + 2):
                 assert hamiltonian_recursive_A(ctx, kv, i) == direct[i - 1]
             assert hamiltonian_recursive_A(ctx, kv, 0).is_zero()
@@ -344,7 +347,7 @@ def test_recursion_C_equals_direct_up_to_rank2():
     for m in (1, 2):
         ctx = lax_context(m)
         for kv in all_kvecs(m):
-            direct = lax_hamiltonians(ctx, kv, "C", normalized=False)
+            direct = lax_hamiltonians(ctx, kv, "C")
             for i in range(1, 2 * m + 2):
                 assert hamiltonian_recursive_C(ctx, kv, i) == direct[i - 1]
 
@@ -362,7 +365,7 @@ def test_index_reflection_symmetry():
 def test_commuting_hamiltonians_rank3():
     ctx = lax_context(3)
     for kv in all_kvecs(3):
-        hs = lax_hamiltonians(ctx, kv, "A", normalized=False)
+        hs = lax_hamiltonians(ctx, kv, "A")
         for a, b in combinations(range(len(hs)), 2):
             assert commutes(hs[a], hs[b])
 
@@ -370,7 +373,7 @@ def test_commuting_hamiltonians_rank3():
 def test_commuting_type_c_rank2():
     ctx = lax_context(2)
     for kv in all_kvecs(2):
-        hs = lax_hamiltonians(ctx, kv, "C", normalized=False)
+        hs = lax_hamiltonians(ctx, kv, "C")
         for a, b in combinations(range(len(hs)), 2):
             assert commutes(hs[a], hs[b])
 
@@ -399,8 +402,8 @@ def test_boundary_invariance_defect_witness():
     # the quoted invariance propositions fail in this presentation: the
     # corner D-term keeps its w-dressing.  Frozen witnesses.
     ctx = lax_context(2)
-    h = lax_hamiltonians(ctx, (-1, -1), "A", normalized=False)[1]
-    hz = lax_hamiltonians(ctx, (0, 0), "A", normalized=False)[1]
+    h = lax_hamiltonians(ctx, (-1, -1), "A")[1]
+    hz = lax_hamiltonians(ctx, (0, 0), "A")[1]
     diff = h - hz
     assert not diff.is_zero()
     assert ctx.plain_product(
@@ -412,8 +415,8 @@ def test_boundary_gauge_witness():
     # the same witness is gauge equivalent: one w-fixing monomial map
     # carries every Hamiltonian of k = (0,0) onto that of k = (-1,-1)
     ctx = lax_context(2)
-    h = lax_hamiltonians(ctx, (-1, -1), "A", normalized=False)
-    hz = lax_hamiltonians(ctx, (0, 0), "A", normalized=False)
+    h = lax_hamiltonians(ctx, (-1, -1), "A")
+    hz = lax_hamiltonians(ctx, (0, 0), "A")
     phi = boundary_gauge(ctx, hz, h)
     assert phi is not None and phi.is_homomorphism()
     assert phi != identity_map(ctx)

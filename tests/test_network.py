@@ -16,7 +16,6 @@ from qtoda.network import (
     classical_matrix,
     enumerate_labeled_paths,
     face_weights,
-    fold_hamiltonian,
     fold_hamiltonians,
     matrix_product,
     network_hamiltonian,
@@ -325,7 +324,7 @@ def _count_until_cap(items):
 
 
 def test_fold_meets_the_family_cap_where_path_families_does(monkeypatch):
-    # count the families fold_hamiltonian takes from the enumeration core
+    # count the families a one-index fold takes from the enumeration core
     taken = []
 
     def counted(*args):
@@ -347,7 +346,7 @@ def test_fold_meets_the_family_cap_where_path_families_does(monkeypatch):
                 fams, fam_exc = _count_until_cap(path_families(net, i))
                 taken.clear()
                 try:
-                    fold_hamiltonian(net, i, table)
+                    fold_hamiltonians(net, (i,), table)[i]
                     fold_exc = None
                 except RuntimeError as exc:
                     fold_exc = exc
@@ -369,7 +368,7 @@ def test_family_cap_bounds_each_size_of_one_search(monkeypatch):
     assert sum(totals) > max(totals)
     monkeypatch.setenv(FAMILY_CAP_ENV, str(max(totals)))
     folds = fold_hamiltonians(net, sizes, table)
-    assert all(folds[i] == fold_hamiltonian(net, i, table) for i in sizes)
+    assert all(folds[i] == fold_hamiltonians(net, (i,), table)[i] for i in sizes)
     monkeypatch.setenv(FAMILY_CAP_ENV, str(max(totals) - 1))
     with pytest.raises(RuntimeError, match=FAMILY_CAP_ENV):
         fold_hamiltonians(net, sizes, table)
