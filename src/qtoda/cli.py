@@ -281,13 +281,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.check == "mutation-equiv":
         words = enumerate_double_coxeter(cfg.rank)
         seeds = [seed_from_word(cfg.kind, w) for w in words]
-        reports = []
-        base = seeds[0]
-        for w, s in zip(words[1:], seeds[1:]):
-            path = mutation_equivalent(base, s, cfg.depth)
-            reports.append(
-                {"word": list(w.letters), "reachable": path is not None, "path": path}
-            )
+        paths = mutation_equivalent(seeds[0], seeds[1:], cfg.depth)
+        reports = [
+            {"word": list(w.letters), "reachable": path is not None, "path": path}
+            for w, path in zip(words[1:], paths)
+        ]
         ok = all(r["reachable"] for r in reports)
         print(serialize.dumps({"check": "mutation-equiv", "ok": ok, "reports": reports}))
         return 0 if ok else 1

@@ -1,12 +1,18 @@
-"""Cluster seeds, quiver extraction from networks, mutation machinery.
+"""Cluster seeds of words, mutations, the tau-move search and the
+classical ensemble checks.
 
 A seed stores the exchange matrix over an arbitrary hashable index set
 together with symmetrizers and a frozen subset.  Entries are exact:
 cylinder seeds are integral and store plain ints, and a ``Fraction``
 appears only for the half-weight entries of disk seeds (the boundary
-arrows of the face rules, before amalgamation).  Mutation, the
-canonical key and the constructor check touch the nonzero entries
-only.  Edge weights in the drawn quiver are w_ij = eps_ij d_j.
+arrows of the face rules, before ``amalgamate_pairs`` glues them).
+Mutation, the canonical key and the constructor check touch the nonzero
+entries only.  Edge weights in the drawn quiver are w_ij = eps_ij d_j.
+
+``mutation_equivalent`` connects seeds by signed moves tau_k (mutation
+at -k, then k <-> -k): one breadth-first search from a base seed
+answers every target at once, comparing seeds up to relabeling by
+``Seed.canonical_key``.  The quantum mutation is kept factored.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .network import cartan_matrix, face_weights, symmetrizers
-from .torus import MonomialMap, RationalLaurent, TorusContext, classical_context
+from .torus import RationalLaurent, TorusContext, classical_context
 from .words import DoubleWord
 
 
@@ -135,34 +141,6 @@ def standard_exchange_matrix(kind: str, n: int):
     return labels, eps
 
 
-def amalgamate(q1: Seed, q2: Seed, glue: list[tuple]) -> Seed:
-    """Glue two seeds along pairs (i in q1, j in q2) of frozen indices.
-
-    The glued vertex keeps the q1 label, its entries add, and it is
-    unfrozen; all other entries carry over unchanged.
-    """
-    for i, j in glue:
-        if i not in q1.frozen or j not in q2.frozen:
-            raise ValueError("amalgamation indices must be frozen on both sides")
-        if q1.d[i] != q2.d[j]:
-            raise ValueError("amalgamation requires matching symmetrizers")
-    rename = {j: i for i, j in glue}
-    glued = {i for i, _ in glue}
-    labels = tuple(q1.labels) + tuple(l for l in q2.labels if l not in rename)
-    d = dict(q1.d)
-    for l in q2.labels:
-        if l not in rename:
-            d[l] = q2.d[l]
-    eps: dict = dict(q1.eps)
-    for (i, j), v in q2.eps.items():
-        key = (rename.get(i, i), rename.get(j, j))
-        eps[key] = eps.get(key, 0) + v
-    frozen = (q1.frozen - glued) | frozenset(
-        l for l in q2.frozen if l not in rename
-    )
-    return Seed(labels, {k: v for k, v in eps.items() if v != 0}, d, frozen)
-
-
 def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
     """Self-amalgamation: merge frozen vertex pairs inside one seed."""
     rename = {}
@@ -249,45 +227,49 @@ def mutate_swap(seed: Seed, k: int) -> tuple[Seed, dict]:
     return _mutated(seed, -k, swap), swap
 
 
-def mutation_equivalent(s1: Seed, s2: Seed, max_depth: int, moves: str = "tau"):
-    """Breadth-first search for a move sequence carrying s1 to s2 up to
-    relabeling.  Returns the witness sequence or None.
-
-    moves = "tau" explores the signed moves only; "tau,mu" adds plain
-    mutations at every mutable vertex.
-    """
-    if len(s1.labels) != len(s2.labels):
-        return None
-    target = s2.canonical_key()
-    start_key = s1.canonical_key()
-    if start_key == target:
-        return []
-    ranks = sorted({abs(l) for l in s1.labels if isinstance(l, int)})
-    seen = {start_key}
-    frontier = [(s1, [])]
+def _tau_orbit(seed: Seed, max_depth: int):
+    """Breadth-first walk over tau moves from seed: yields (canonical key,
+    first move sequence reaching it) for each new key within max_depth
+    moves, seed itself first with []."""
+    ranks = sorted({abs(l) for l in seed.labels if isinstance(l, int)})
+    key = seed.canonical_key()
+    yield key, []
+    seen = {key}
+    frontier = [(seed, [])]
     for _ in range(max_depth):
         nxt = []
-        for seed, hist in frontier:
-            options: list[tuple[str, object, Seed]] = []
-            if "tau" in moves:
-                for k in ranks:
-                    options.append(("tau", k, mutate_swap(seed, k)[0]))
-            if "mu" in moves:
-                for v in seed.labels:
-                    if v not in seed.frozen:
-                        options.append(("mu", v, mutate_seed(seed, v)))
-            for tag, v, cand in options:
+        for s, hist in frontier:
+            for k in ranks:
+                cand = mutate_swap(s, k)[0]
                 key = cand.canonical_key()
-                path = hist + [(tag, v)]
-                if key == target:
-                    return path
                 if key not in seen:
                     seen.add(key)
+                    path = hist + [("tau", k)]
+                    yield key, path
                     nxt.append((cand, path))
         frontier = nxt
-        if not frontier:
-            break
-    return None
+
+
+def mutation_equivalent(s1: Seed, targets, max_depth: int) -> list:
+    """One breadth-first search over tau moves from s1 for every target.
+
+    Returns one entry per target: the first move sequence found that
+    carries s1 to the target up to relabeling (equal ``canonical_key``),
+    [] for a target isomorphic to s1, or None when no sequence of at
+    most max_depth moves does.  The walk order does not depend on the
+    targets, so each sequence is the one a search for that target alone
+    finds; the walk stops as soon as every target is reached.
+    """
+    keys = [t.canonical_key() for t in targets]
+    wanted = set(keys)
+    found: dict = {}
+    if wanted:
+        for key, path in _tau_orbit(s1, max_depth):
+            if key in wanted:
+                found[key] = path
+                if len(found) == len(wanted):
+                    break
+    return [found.get(key) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +286,6 @@ def seed_x_context(seed: Seed) -> TorusContext:
 
 def seed_a_context(seed: Seed) -> TorusContext:
     return classical_context(tuple(f"A[{l}]" for l in seed.labels))
-
-
-def ensemble_map(seed: Seed) -> MonomialMap:
-    """X_i -> prod_j A_j^(eps_ji), exponents read down the columns."""
-    xs = seed_x_context(seed)
-    As = seed_a_context(seed)
-    images = []
-    for i in seed.labels:
-        vec = [0] * len(seed.labels)
-        for jj, j in enumerate(seed.labels):
-            e = seed.entry(j, i)
-            if e:
-                if e.denominator != 1:
-                    raise ValueError("ensemble map needs integral exchange entries")
-                vec[jj] = int(e)
-        images.append((Fraction(0), tuple(vec)))
-    return MonomialMap(xs, As, tuple(images))
 
 
 def a_assignment(seed: Seed) -> dict:

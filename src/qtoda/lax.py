@@ -409,11 +409,15 @@ def hamiltonian_recursive_A(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
     return _recursive_A_raw(ctx, kvec, i).q_shift(0, _normal_sign("A", len(kvec), i))
 
 
-def _recursive_A_raw(ctx: TorusContext, kvec: IndexVector, i: int) -> TorusElement:
+def _recursive_A_raw(
+    ctx: TorusContext, kvec: IndexVector, i: int, cache: dict | None = None
+) -> TorusElement:
     """Site-count recursion for the z-coefficients of the monodromy (1,1)
     entry, in the signs of the direct expansion; zero for i outside
-    1..n+1."""
-    cache: dict[tuple[IndexVector, int], TorusElement] = {}
+    1..n+1.  ``cache`` maps (truncated kvec, index) to a value, so calls
+    over truncations of one vector can share it."""
+    if cache is None:
+        cache = {}
 
     def ham(kv: IndexVector, idx: int) -> TorusElement:
         m = len(kv)
@@ -483,10 +487,12 @@ def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
         letters.append((d_index(ctx, mm + 1), 1))
         return ctx.plain_product(letters).q_shift(0, kp * (-1) ** (n - mm))
 
-    parts = [
-        _recursive_A_raw(ctx, kvec, n + 1 + j - i) * _recursive_A_raw(ctx, kvec, j)
-        for j in range(1, n + 2)
-    ]
+    cache: dict = {}
+
+    def raw(kv: IndexVector, idx: int) -> TorusElement:
+        return _recursive_A_raw(ctx, kv, idx, cache)
+
+    parts = [raw(kvec, n + 1 + j - i) * raw(kvec, j) for j in range(1, n + 2)]
     for mleft in range(0, n):
         p1 = coeff_P(mleft)
         if p1 is None:
@@ -500,10 +506,10 @@ def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
                 continue
             mid = p1 * p2
             for j in range(1, n + 2):
-                left = _recursive_A_raw(ctx, _truncate(kvec, mleft), n + 1 + j - i - shift2 // 2)
+                left = raw(_truncate(kvec, mleft), n + 1 + j - i - shift2 // 2)
                 if left.is_zero():
                     continue
-                parts.append(left * mid * _recursive_A_raw(ctx, _truncate(kvec, mright), j))
+                parts.append(left * mid * raw(_truncate(kvec, mright), j))
     return TorusElement.sum(ctx, parts).q_shift(0, (-1) ** n * _normal_sign("C", n, i))
 
 

@@ -294,8 +294,9 @@ def test_criterion_09_cluster_suite():
                 assert check_ensemble_naturality(s, k), (n, w.letters, k)
     for n in (2, 3):
         seeds = [seed_from_word("A", w) for w in enumerate_double_coxeter(n)]
-        for a, b in combinations(seeds, 2):
-            assert mutation_equivalent(a, b, 6) is not None
+        # one search per source over its later words: every pair once
+        for i, a in enumerate(seeds):
+            assert None not in mutation_equivalent(a, seeds[i + 1 :], 6)
     elapsed = time.time() - t0
     _report("09 cluster suite", True, f"{elapsed:.1f}s")
 

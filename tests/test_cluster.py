@@ -1,7 +1,8 @@
 
 import hashlib
+import json
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 import sympy
@@ -12,11 +13,9 @@ from qtoda.cli import main
 from qtoda.cluster import (
     Seed,
     a_assignment,
-    amalgamate,
     amalgamate_pairs,
     check_ensemble_naturality,
     disk_seed_from_word,
-    ensemble_map,
     ensemble_substitution,
     mutate_A_classical,
     mutate_seed,
@@ -204,20 +203,6 @@ def test_disk_amalgamation_reproduces_cylinder():
                 for i in cyl.labels:
                     for j in cyl.labels:
                         assert glued.entry(i, j) == cyl.entry(i, j)
-
-
-def test_amalgamate_two_seeds():
-    s1 = Seed(("a", "f"), {("a", "f"): Fraction(1), ("f", "a"): Fraction(-1)}, {"a": 1, "f": 1}, frozenset(["f"]))
-    s2 = Seed(("b", "g"), {("g", "b"): Fraction(2), ("b", "g"): Fraction(-2)}, {"b": 1, "g": 1}, frozenset(["g"]))
-    # empty glue: disjoint union, block structure
-    u = amalgamate(s1, s2, [])
-    assert u.entry("a", "b") == 0 and u.entry("a", "f") == 1
-    # glue f with g: entries add on the shared vertex
-    g = amalgamate(s1, s2, [("f", "g")])
-    assert g.entry("a", "f") == 1 and g.entry("f", "b") == 2
-    assert "f" not in g.frozen
-    with pytest.raises(ValueError):
-        amalgamate(s1, s2, [("a", "g")])
 
 
 # -- mutation -----------------------------------------------------------------
@@ -439,35 +424,94 @@ def test_signed_moves_shift_the_quiver_vector():
         assert not twice.is_isomorphic(s0)
 
 
+def ref_mutation_equivalent(s1, s2, max_depth):
+    """The per-target search: breadth first over tau moves from s1 until
+    a seed isomorphic to s2 turns up; its move sequence or None."""
+    target = s2.canonical_key()
+    start_key = s1.canonical_key()
+    if start_key == target:
+        return []
+    ranks = sorted({abs(l) for l in s1.labels if isinstance(l, int)})
+    seen = {start_key}
+    frontier = [(s1, [])]
+    for _ in range(max_depth):
+        nxt = []
+        for seed, hist in frontier:
+            for k in ranks:
+                cand = mutate_swap(seed, k)[0]
+                key = cand.canonical_key()
+                path = hist + [("tau", k)]
+                if key == target:
+                    return path
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((cand, path))
+        frontier = nxt
+    return None
+
+
 def test_mutation_equivalence_searches():
     s0 = qseed("A", 2, (0,))
-    assert mutation_equivalent(s0, s0, 3) == []
+    assert mutation_equivalent(s0, [s0], 3) == [[]]
+    assert mutation_equivalent(s0, [], 3) == []
+    # one search per source over all of its targets: the same pairs as
+    # one search per pair
     seeds = [qseed("A", 2, (q,)) for q in (-1, 0, 1)]
-    for a, b in combinations(seeds, 2):
-        assert mutation_equivalent(a, b, 4) is not None
+    for i, a in enumerate(seeds):
+        assert None not in mutation_equivalent(a, seeds[i + 1 :], 4)
     seeds3 = [seed_from_word("A", w) for w in enumerate_double_coxeter(3)]
-    for b in seeds3[1:]:
-        assert mutation_equivalent(seeds3[0], b, 6) is not None
+    assert None not in mutation_equivalent(seeds3[0], seeds3[1:], 6)
 
 
 def test_mutation_equivalence_not_found_is_none():
     s = qseed("A", 2, (0,))
     other = Seed(s.labels, {}, s.d)  # arrowless quiver is unreachable
-    assert mutation_equivalent(s, other, 2) is None
+    assert mutation_equivalent(s, [other], 2) == [None]
+    # a seed of another size has another key, so it is never reached
+    assert mutation_equivalent(s, [s, qseed("A", 3, (0, 0))], 4) == [[], None]
+
+
+@pytest.mark.parametrize("kind, n, unreached", [("A", 2, 0), ("A", 3, 0), ("A", 4, 3), ("C", 2, 0), ("C", 3, 0)])
+def test_one_search_matches_the_per_target_search(kind, n, unreached):
+    # every word as a target, the base word included, at depth 6: the
+    # same move sequence, or None, as a search for that word alone
+    seeds = [seed_from_word(kind, w) for w in enumerate_double_coxeter(n)]
+    got = mutation_equivalent(seeds[0], seeds, 6)
+    assert got == [ref_mutation_equivalent(seeds[0], s, 6) for s in seeds]
+    assert got[0] == [] and got.count(None) == unreached
+
+
+def test_mutation_equiv_type_c_rank4_false_negative(capsys):
+    # depth 8 misses these 6 C4 words, all of one cluster structure
+    assert main(["verify", "--check", "mutation-equiv", "--type", "C", "--rank", "4", "--depth", "8"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    missed = {" ".join(map(str, r["word"])) for r in reports if not r["reachable"]}
+    assert missed == {
+        "-2 -1 -3 -4 1 4 3 2",
+        "-1 -2 -3 -4 1 2 4 3",
+        "-1 -2 -3 -4 1 4 3 2",
+        "-1 -2 -3 -4 2 1 4 3",
+        "-1 -2 -3 -4 3 2 1 4",
+        "-1 -2 -3 -4 4 3 2 1",
+    }
+    assert len(reports) == 26 and all(r["path"] is None for r in reports if not r["reachable"])
 
 
 # -- ensemble map and classical mutations --------------------------------------
 
 
-def test_ensemble_map_trivial_and_column_read():
+def test_ensemble_substitution_trivial_and_column_read():
     s = Seed((1,), {}, {1: 1})
-    m = ensemble_map(s)
-    assert m.images[0][1] == (0,)
+    a = {1: sympy.Symbol("a_1", positive=True)}
+    assert ensemble_substitution(s, a) == {1: 1}
+    # X_i -> prod_j A_j^(eps_ji): exponents read down column i
     s2 = qseed("A", 2, (0,))
-    m2 = ensemble_map(s2)
-    i = s2.labels.index(1)  # X at positive vertex 1
-    col = tuple(int(s2.entry(j, 1)) for j in s2.labels)
-    assert m2.images[i][1] == col
+    a = {l: sympy.Symbol(f"a_{l}", positive=True) for l in s2.labels}
+    images = ensemble_substitution(s2, a)
+    for i in s2.labels:
+        col = {a[j]: s2.entry(j, i) for j in s2.labels if s2.entry(j, i)}
+        assert images[i].as_powers_dict() == col, i
+    assert images[1] != 1
 
 
 def test_ensemble_naturality_on_rank2_seeds():
