@@ -14,6 +14,13 @@ where the platform has SIGPIPE, the signal's default action ends it
 other exception, such as the RuntimeError of an exceeded limit, reach
 its caller; ``console`` is the command's entry point and turns an
 exceeded limit into code 3 and any other exception into code 4.
+
+Importing this module loads the verifier path that every command shares
+(``torus``, ``words``, ``network``, ``lax``, ``correspondence`` and
+``serialize``) and nothing else of weight: ``quiver``, ``mutate`` and
+``verify --check mutation-equiv`` import the cluster layer, a ``--jobs``
+sweep over more than one word imports the process pool, and
+``--seed-manifest`` imports the fixture manifest, each when it runs.
 """
 
 from __future__ import annotations
@@ -22,14 +29,13 @@ import argparse
 import re
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import lax as laxmod
 from . import serialize
-from .cluster import mutate_seed, mutate_swap, mutation_equivalent, seed_from_word
 from .correspondence import (
+    _rtt_witness,
     commutator_witness,
     lax_params,
     lax_strand_table,
@@ -37,7 +43,6 @@ from .correspondence import (
     verify_equivalence_C,
     verify_weight_map,
 )
-from .fixtures import seed_manifest
 from .network import (
     build_network,
     classical_matrix,
@@ -156,6 +161,8 @@ def cmd_network(cfg: RunConfig) -> int:
 
 
 def cmd_quiver(cfg: RunConfig) -> int:
+    from .cluster import seed_from_word
+
     word = _one_word(cfg)
     seed = seed_from_word(cfg.kind, word)
     if cfg.fmt == "dot":
@@ -203,9 +210,9 @@ def cmd_hamiltonians(cfg: RunConfig) -> int:
             for i in indices:
                 out[f"H_{i}"] = hams[i - 1]
         else:
-            rec = laxmod.hamiltonian_recursive_A if cfg.kind == "A" else laxmod.hamiltonian_recursive_C
+            hams = laxmod.recursive_hamiltonians(ctx, kvec, cfg.kind, indices)
             for i in indices:
-                out[f"H_{i}"] = rec(ctx, kvec, i)
+                out[f"H_{i}"] = hams[i]
     payload = {
         "schema_version": serialize.SCHEMA_VERSION,
         "type": cfg.kind,
@@ -262,23 +269,29 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.check == "rtt":
         n = max(cfg.rank, 2)
         ctx = laxmod.lax_context(n)
-        reports = []
-        for i in (1, 2):
-            for k in (-1, 0, 1):
-                for barred in (False, True):
-                    m = laxmod.local_lax(ctx, i, k, barred)
-                    reports.append(
-                        {"site": i, "k": k, "barred": barred, "ok": laxmod.check_rtt(m)}
-                    )
+        cases = [
+            ({"site": i, "k": k, "barred": barred}, laxmod.local_lax(ctx, i, k, barred))
+            for i in (1, 2)
+            for k in (-1, 0, 1)
+            for barred in (False, True)
+        ]
         inner = (0,) * (n - 2)
         for kv in [(0,) + inner + (1,), (0,) * n, (-1,) + inner + (1,)]:
-            reports.append(
-                {"monodromy": list(kv), "ok": laxmod.check_rtt(laxmod.monodromy(ctx, kv))}
-            )
+            cases.append(({"monodromy": list(kv)}, laxmod.monodromy(ctx, kv)))
+        reports = []
+        for head, m in cases:
+            witness = _rtt_witness(m)
+            report = {**head, "ok": witness is None}
+            if witness is not None:
+                # only a failing matrix gets the field, so passing output keeps its bytes
+                report["first_diff"] = witness
+            reports.append(report)
         ok = all(r["ok"] for r in reports)
         print(serialize.dumps({"check": "rtt", "ok": ok, "reports": reports}))
         return 0 if ok else 1
     if cfg.check == "mutation-equiv":
+        from .cluster import mutation_equivalent, seed_from_word
+
         words = enumerate_double_coxeter(cfg.rank)
         seeds = [seed_from_word(cfg.kind, w) for w in words]
         paths = mutation_equivalent(seeds[0], seeds[1:], cfg.depth)
@@ -295,6 +308,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     # the pool forks all its workers up front: no more than there are words
     workers = min(cfg.jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_check_one_word, tasks))
     else:
@@ -309,6 +324,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_mutate(cfg: RunConfig) -> int:
+    from .cluster import mutate_seed, mutate_swap, seed_from_word
+
     word = _one_word(cfg)
     seed = seed_from_word(cfg.kind, word)
     applied = []
@@ -370,6 +387,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed_manifest:
+        from .fixtures import seed_manifest
+
         print(serialize.dumps(seed_manifest()))
         return 0
     if args.command is None:

@@ -270,6 +270,19 @@ def commutator_witness(a: TorusElement, b: TorusElement) -> dict:
     return {"exponents": list(vec), "coeff": _coeff_list(c, vec)}
 
 
+def _rtt_witness(t: laxmod.LaxMatrix) -> dict | None:
+    """The first cell, in row-major order, where R T1 T2 and T2 T1 R of
+    ``lax.check_rtt`` differ, with ``_compare``'s first_diff there; None
+    where the RTT relation holds."""
+    lhs, rhs = laxmod._rtt_sides(t)
+    for i in range(4):
+        for j in range(4):
+            cmp = _compare(lhs[i][j], rhs[i][j])
+            if not cmp["ok"]:
+                return {"cell": [i, j], **cmp["first_diff"]}
+    return None
+
+
 def _w_prefactor(ctx: TorusContext, upto: int, sign: int) -> TorusElement:
     return ctx.plain_product([(laxmod.w_index(ctx, l), sign) for l in range(1, upto + 1)])
 

@@ -20,8 +20,8 @@ each term with itself once and each unordered pair of terms once for
 both orders.  Each coefficient's sign is applied once, as the path sum's
 term map for that z-degree is closed.
 
-The recursion formulas (``hamiltonian_recursive_A`` and ``_C``) give the
-same Hamiltonians, signs included, by a third route.  The local matrices
+The recursion formulas (``recursive_hamiltonians``) give the same
+Hamiltonians, signs included, by a third route.  The local matrices
 and the full 2x2 products (``local_lax``, ``monodromy``,
 ``double_monodromy``), read through ``z_coefficients``, stay for the RTT
 check, the one check that uses w, and as the tests' oracle.
@@ -403,21 +403,25 @@ def _sigma_monomial(ctx: TorusContext, kvec: IndexVector, i: int, j: int) -> Tor
     )
 
 
-def hamiltonian_recursive_A(ctx: TorusContext, kvec: IndexVector, i: int) -> TorusElement:
-    """The type A Hamiltonian H_i by the site-count recursion, equal to
-    ``lax_hamiltonians``, signs included."""
-    return _recursive_A_raw(ctx, kvec, i).q_shift(0, _normal_sign("A", len(kvec), i))
+def recursive_hamiltonians(
+    ctx: TorusContext, kvec: IndexVector, kind: str, indices: Sequence[int]
+) -> dict[int, TorusElement]:
+    """H_i for each i in ``indices`` by the site-count recursion of
+    ``kind``, equal to ``lax_hamiltonians``, signs included, and zero for
+    an index out of range.  All indices share one memo of raw type A
+    values, so the indices of one vector share every truncation's work."""
+    cache: dict = {}
+    if kind == "C":
+        return {i: _recursive_C(ctx, kvec, i, cache) for i in indices}
+    n = len(kvec)
+    return {i: _recursive_A_raw(ctx, kvec, i, cache).q_shift(0, _normal_sign("A", n, i)) for i in indices}
 
 
-def _recursive_A_raw(
-    ctx: TorusContext, kvec: IndexVector, i: int, cache: dict | None = None
-) -> TorusElement:
+def _recursive_A_raw(ctx: TorusContext, kvec: IndexVector, i: int, cache: dict) -> TorusElement:
     """Site-count recursion for the z-coefficients of the monodromy (1,1)
     entry, in the signs of the direct expansion; zero for i outside
     1..n+1.  ``cache`` maps (truncated kvec, index) to a value, so calls
     over truncations of one vector can share it."""
-    if cache is None:
-        cache = {}
 
     def ham(kv: IndexVector, idx: int) -> TorusElement:
         m = len(kv)
@@ -461,7 +465,7 @@ def _recursive_A_raw(
     return ham(tuple(kvec), i)
 
 
-def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> TorusElement:
+def _recursive_C(ctx: TorusContext, kvec: IndexVector, i: int, cache: dict) -> TorusElement:
     """Type C Hamiltonians assembled from pairs of type A Hamiltonians.
 
     Expands (-1)^n [T(1/z)]^T T(z) through the templates
@@ -471,7 +475,7 @@ def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
         P_m = (-1)^(n-m) k_{m+2..n} sigma_{m+1,n} D_{m+1},
 
     and collects the coefficient of z^(-n + i - 1), with the raw type A
-    coefficients for H_j.  Equals ``lax_hamiltonians``, signs included.
+    coefficients for H_j, read through ``cache`` as in ``_recursive_A_raw``.
     """
     n = len(kvec)
     if not 1 <= i <= 2 * n + 1:
@@ -486,8 +490,6 @@ def hamiltonian_recursive_C(ctx: TorusContext, kvec: IndexVector, i: int) -> Tor
         letters = [(w_index(ctx, l), -_k_at(kvec, l)) for l in range(mm + 1, n + 1)]
         letters.append((d_index(ctx, mm + 1), 1))
         return ctx.plain_product(letters).q_shift(0, kp * (-1) ** (n - mm))
-
-    cache: dict = {}
 
     def raw(kv: IndexVector, idx: int) -> TorusElement:
         return _recursive_A_raw(ctx, kv, idx, cache)
@@ -678,6 +680,12 @@ def check_rtt(t: LaxMatrix) -> bool:
     T1 = T (x) 1 and T2 = 1 (x) T, as 4x4 matrices over the spectral
     context, with T2 read at w.
     """
+    lhs, rhs = _rtt_sides(t)
+    return lhs == rhs
+
+
+def _rtt_sides(t: LaxMatrix) -> tuple[list[list[TorusElement]], list[list[TorusElement]]]:
+    """The 4x4 matrices R T1 T2 and T2 T1 R of ``check_rtt``."""
     sctx = spectral_context(t.ctx)
     zero = sctx.zero()
     t1 = [[zero] * 4 for _ in range(4)]
@@ -695,6 +703,4 @@ def check_rtt(t: LaxMatrix) -> bool:
         ]
 
     r = cleared_r_matrix(t.ctx)
-    lhs = matmul(matmul(r, t1), t2)
-    rhs = matmul(matmul(t2, t1), r)
-    return lhs == rhs
+    return matmul(matmul(r, t1), t2), matmul(matmul(t2, t1), r)

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .cluster import Seed
 from .network import Network, enumerate_labeled_paths
 from .torus import TorusElement
+
+if TYPE_CHECKING:
+    from .cluster import Seed
 
 SCHEMA_VERSION = "1"
 

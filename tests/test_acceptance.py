@@ -168,14 +168,16 @@ def test_criterion_07_recursion_oracles():
         ctx = laxmod.lax_context(m)
         for kv in product((-1, 0, 1), repeat=m):
             direct = laxmod.lax_hamiltonians(ctx, kv, "A")
+            rec = laxmod.recursive_hamiltonians(ctx, kv, "A", range(1, m + 2))
             for i in range(1, m + 2):
-                assert laxmod.hamiltonian_recursive_A(ctx, kv, i) == direct[i - 1]
+                assert rec[i] == direct[i - 1]
     for m in (1, 2, 3):
         ctx = laxmod.lax_context(m)
         for kv in product((-1, 0, 1), repeat=m):
             direct = laxmod.lax_hamiltonians(ctx, kv, "C")
+            rec = laxmod.recursive_hamiltonians(ctx, kv, "C", range(1, 2 * m + 2))
             for i in range(1, 2 * m + 2):
-                assert laxmod.hamiltonian_recursive_C(ctx, kv, i) == direct[i - 1]
+                assert rec[i] == direct[i - 1]
     elapsed = time.time() - t0
     _report("07a recursion oracles", True, f"{elapsed:.1f}s")
 

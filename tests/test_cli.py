@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import signal
@@ -8,7 +9,9 @@ from itertools import combinations, product
 import pytest
 
 from qtoda import cli
+from qtoda import lax as laxmod
 from qtoda.cli import console, main
+from qtoda.correspondence import _rtt_witness
 from qtoda.network import FAMILY_CAP_ENV
 
 
@@ -218,6 +221,45 @@ def test_cli_import_does_not_load_sympy():
     assert out.stdout == "False\n"
 
 
+def test_cli_import_loads_the_verifier_path_and_defers_the_rest():
+    # what only some commands run is imported by those commands; what
+    # every verify run needs is loaded at import, so no cost moves into a verdict
+    deferred = ("multiprocessing", "concurrent.futures", "qtoda.cluster", "qtoda.fixtures")
+    loaded = ("qtoda.torus", "qtoda.network", "qtoda.lax", "qtoda.correspondence", "qtoda.serialize")
+    code = f"import sys, qtoda.cli; print([m in sys.modules for m in {deferred + loaded!r}])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout == f"{[False] * len(deferred) + [True] * len(loaded)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quiver", "--rank", "3", "--qvec", "1,0"),
+        ("mutate", "--rank", "3", "--qvec", "1,0", "--seq", "tau:1,mu:-2"),
+        ("verify", "--check", "mutation-equiv", "--type", "C", "--rank", "2"),
+        ("--seed-manifest",),
+        ("verify", "--check", "equivalence", "--type", "A", "--rank", "2", "--all-words", "--jobs", "2"),
+    ],
+)
+def test_deferred_imports_run_in_a_fresh_process(capsys, argv):
+    # each of these commands imports what it runs on its own
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtoda.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out
+
+
 def test_seed_manifest(capsys):
     code, out = run(capsys, "--seed-manifest")
     assert code == 0
@@ -280,7 +322,8 @@ def test_jobs_never_exceed_the_word_count(capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    # cmd_verify imports the pool class when it needs one, so the patch goes to its home
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     code, out = run(capsys, "verify", "--check", "alpha", "--rank", "2", "--qvec", "0", "--jobs", "64")
     assert code == 0 and len(json.loads(out)["reports"]) == 1
     assert started == []  # one word runs in process
@@ -541,3 +584,25 @@ def test_failing_word_reports_the_oracle_pairs_and_witnesses(capsys, monkeypatch
         vec = min(oracle.terms)
         assert w["exponents"] == list(vec)
         assert w["coeff"] == [[str(q), c] for q, c in sorted(oracle.terms[vec].items())]
+
+
+def test_failing_rtt_report_names_its_first_differing_cell(capsys, monkeypatch):
+    real = laxmod.monodromy
+
+    def broken(ctx, kv):
+        # a unit added to the (1,1) entry of one monodromy breaks RTT
+        t = real(ctx, kv)
+        if kv != (0, 0):
+            return t
+        return laxmod.LaxMatrix(ctx, ((t[0, 0] + t[0, 0].ctx.one(), t[0, 1]), (t[1, 0], t[1, 1])))
+
+    monkeypatch.setattr(laxmod, "monodromy", broken)
+    code, out = run(capsys, "verify", "--check", "rtt", "--rank", "2")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    failing = [r for r in payload["reports"] if not r["ok"]]
+    assert [r.get("monodromy") for r in failing] == [[0, 0]]
+    assert failing[0]["first_diff"] == _rtt_witness(broken(laxmod.lax_context(2), (0, 0)))
+    assert set(failing[0]["first_diff"]) == {"cell", "exponents", "lhs_coeff", "rhs_coeff"}
+    # passing reports carry no witness field
+    assert all("first_diff" not in r for r in payload["reports"] if r["ok"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoda import lax as laxmod
+from qtoda.correspondence import _rtt_witness
 from qtoda.lax import (
     LaxMatrix,
     _contract,
@@ -18,12 +19,11 @@ from qtoda.lax import (
     d_index,
     double_monodromy,
     gauge_parts,
-    hamiltonian_recursive_A,
-    hamiltonian_recursive_C,
     lax_context,
     lax_hamiltonians,
     local_lax,
     monodromy,
+    recursive_hamiltonians,
     spectral_context,
     w_index,
     z_coefficients,
@@ -337,10 +337,10 @@ def test_recursion_A_equals_direct_up_to_rank3():
         ctx = lax_context(m)
         for kv in all_kvecs(m):
             direct = lax_hamiltonians(ctx, kv, "A")
+            rec = recursive_hamiltonians(ctx, kv, "A", range(m + 3))
             for i in range(1, m + 2):
-                assert hamiltonian_recursive_A(ctx, kv, i) == direct[i - 1]
-            assert hamiltonian_recursive_A(ctx, kv, 0).is_zero()
-            assert hamiltonian_recursive_A(ctx, kv, m + 2).is_zero()
+                assert rec[i] == direct[i - 1]
+            assert rec[0].is_zero() and rec[m + 2].is_zero()
 
 
 def test_recursion_C_equals_direct_up_to_rank2():
@@ -348,8 +348,10 @@ def test_recursion_C_equals_direct_up_to_rank2():
         ctx = lax_context(m)
         for kv in all_kvecs(m):
             direct = lax_hamiltonians(ctx, kv, "C")
+            rec = recursive_hamiltonians(ctx, kv, "C", range(2 * m + 3))
             for i in range(1, 2 * m + 2):
-                assert hamiltonian_recursive_C(ctx, kv, i) == direct[i - 1]
+                assert rec[i] == direct[i - 1]
+            assert rec[0].is_zero() and rec[2 * m + 2].is_zero()
 
 
 def test_index_reflection_symmetry():
@@ -387,6 +389,15 @@ def test_rtt_local_and_monodromy():
     assert check_rtt(monodromy(ctx, (0, 1)))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_passing_rtt_matrices_have_no_witness(n):
+    ctx = lax_context(n)
+    mats = [local_lax(ctx, i, k, barred) for i in (1, 2) for k in (-1, 0, 1) for barred in (False, True)]
+    mats += [monodromy(ctx, kv) for kv in all_kvecs(n)]
+    for m in mats:
+        assert check_rtt(m) and _rtt_witness(m) is None
+
+
 def test_rtt_negative_control():
     ctx = lax_context(2)
     t = monodromy(ctx, (0, 1))
@@ -396,6 +407,22 @@ def test_rtt_negative_control():
     terms[d0] = -terms[d0]
     bad = LaxMatrix(ctx, ((zpoly(ctx, terms), t[0, 1]), (t[1, 0], t[1, 1])))
     assert not check_rtt(bad)
+    # the witness: the first differing cell, row-major, and the least
+    # exponent vector of its difference, with both sides' coefficients
+    witness = _rtt_witness(bad)
+    lhs, rhs = laxmod._rtt_sides(bad)
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    first = next(c for c in cells if lhs[c[0]][c[1]] != rhs[c[0]][c[1]])
+    assert witness["cell"] == list(first)
+    i, j = first
+    vec = min((lhs[i][j] - rhs[i][j]).terms)
+    assert witness["exponents"] == list(vec)
+    assert witness == {
+        "cell": [0, 1],
+        "exponents": [0, 0, -1, 0, 1, 3],
+        "lhs_coeff": [["-1", -1], ["1", -1]],
+        "rhs_coeff": [["-1", -3], ["1", 1]],
+    }
 
 
 def test_boundary_invariance_defect_witness():
