@@ -1,17 +1,20 @@
-"""Reach record: wall time and peak memory of ``verify --all-words`` sweeps.
+"""Reach record: wall time and peak memory of all-words sweeps.
 
 Usage:
     python scripts/reach.py --label NAME [--timeout S] [--out DIR] [--cells LIST]
 
-Runs each cell of the grid as ``python -m qtoda.cli verify --check CHECK
---type T --rank N --all-words`` in a fresh interpreter on this
-checkout's ``src``, one cell after another, and writes
+Runs each cell of the grid in a fresh interpreter on this checkout's
+``src``, one cell after another: ``python -m qtoda.cli verify --check
+CHECK --type T --rank N --all-words``, or for a ``naturality`` cell,
+which has no CLI command, a library script that checks the ensemble
+naturality at every (seed, vertex) of the rank's words and prints one
+JSON line.  It writes
 ``DIR/BENCH_<NAME>.json`` (DIR defaults to the repository root) with the
 machine, the Python version, the commit and per cell: the exit code, the
 wall time, the peak RSS of the sweep's process and the sha256 of its
 stdout.  A cell still running after ``--timeout`` seconds is killed and
 recorded with status "timeout", never dropped.  ``--cells`` replaces the
-grid, e.g. ``equivalence:A2,commute:C2``.
+grid, e.g. ``equivalence:A2,commute:C2,naturality:A2``.
 """
 
 from __future__ import annotations
@@ -34,8 +37,25 @@ GRID = (
     + [("equivalence", "C", n) for n in (4, 5, 6)]
     + [("commute", "A", n) for n in (5, 6)]
     + [("commute", "C", n) for n in (4, 5)]
+    + [("naturality", "A", n) for n in (5, 6, 7)]
+    + [("naturality", "C", n) for n in (4, 5, 6)]
 )
 POLL_S = 0.005
+# argv: TYPE RANK; exit 1 when some (seed, vertex) is not natural
+NATURALITY_SCRIPT = """
+import json, sys
+from qtoda.cluster import check_ensemble_naturality, seed_from_word
+from qtoda.words import enumerate_double_coxeter
+kind, rank = sys.argv[1], int(sys.argv[2])
+pairs = natural = 0
+for word in enumerate_double_coxeter(rank):
+    seed = seed_from_word(kind, word)
+    for k in seed.labels:
+        pairs += 1
+        natural += check_ensemble_naturality(seed, k)
+print(json.dumps({"check": "naturality", "type": kind, "rank": rank, "pairs": pairs, "natural": natural}))
+sys.exit(0 if natural == pairs else 1)
+"""
 
 
 def parse_cells(text: str) -> list[tuple[str, str, int]]:
@@ -52,8 +72,11 @@ def parse_cells(text: str) -> list[tuple[str, str, int]]:
 def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
     """One sweep in a fresh interpreter, timed and measured by its own
     rusage; killed and marked "timeout" once it runs past ``timeout``."""
-    argv = [sys.executable, "-m", "qtoda.cli", "verify", "--check", check,
-            "--type", kind, "--rank", str(rank), "--all-words"]
+    if check == "naturality":
+        argv = [sys.executable, "-c", NATURALITY_SCRIPT, kind, str(rank)]
+    else:
+        argv = [sys.executable, "-m", "qtoda.cli", "verify", "--check", check,
+                "--type", kind, "--rank", str(rank), "--all-words"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
@@ -130,7 +153,7 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per cell (default 300)")
     p.add_argument("--out", type=Path, default=ROOT, help="output directory (default: repository root)")
-    p.add_argument("--cells", type=parse_cells, default=None, help="replace the grid, e.g. commute:C4,equivalence:A5")
+    p.add_argument("--cells", type=parse_cells, default=None, help="replace the grid, e.g. commute:C4,naturality:A5")
     args = p.parse_args(argv)
     origin = source()  # before the sweeps, which run this source
     cells = []

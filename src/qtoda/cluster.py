@@ -13,6 +13,13 @@ entries only.  Edge weights in the drawn quiver are w_ij = eps_ij d_j.
 at -k, then k <-> -k): one breadth-first search from a base seed
 answers every target at once, comparing seeds up to relabeling by
 ``Seed.canonical_key``.  The quantum mutation is kept factored.
+
+``check_ensemble_naturality`` compares the two sides of the classical
+naturality identity in factored form: each is a monomial in the A
+variables times a power of the one exchange binomial, read off integer
+columns of the exchange matrix.  The exact rational functions
+(``RationalLaurent``) of ``ensemble_substitution`` and the classical
+mutations build the same sides and are its oracle.
 """
 
 from __future__ import annotations
@@ -273,11 +280,83 @@ def mutation_equivalent(s1: Seed, targets, max_depth: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# ensemble map and classical mutations (exact rational functions)
+# ensemble map and classical mutations
 #
-# The classical mutations use only +, *, / and integer powers, so they
-# run on any field-like values: RationalLaurent in the library, sympy
-# symbols in the tests, which keep sympy as the oracle.
+# ``check_ensemble_naturality`` compares both sides of the identity in
+# factored form, on integer vectors.  The functions below it build the
+# same sides as exact rational functions and stay as its oracle: they
+# use only +, *, / and integer powers, so they run on any field-like
+# values, ``RationalLaurent`` or sympy symbols in the tests.
+
+
+def _integral(e) -> int:
+    if e.denominator != 1:
+        raise ValueError("classical mutation needs integral entries")
+    return int(e)
+
+
+def _columns(seed: Seed, pos: dict) -> dict:
+    """Column i of eps (the exponents of X_i under the ensemble map) as
+    an int list indexed by ``pos``, for each label i."""
+    cols = {l: [0] * len(pos) for l in seed.labels}
+    for (j, i), v in seed.eps.items():
+        if v:
+            cols[i][pos[j]] = _integral(v)
+    return cols
+
+
+def _naturality_sides(seed: Seed, k, mutated: Seed) -> tuple[list, list]:
+    """Both sides of the naturality identity at k, one (c, u, b) per
+    label, read off integer columns; ``mutated`` is taken as mu_k(seed).
+
+    Let col_i = (eps_ji)_j, so the ensemble map sends X_i to A^col_i, and
+    let B = A^[col_k]+ + A^[-col_k]+ be the exchange binomial, which
+    mu_k^A puts in A'_k = B / A_k.  Since 1 + A^col_k = A^-[-col_k]+ B,
+    each side is c A^u B^b:
+
+    - left, i = k: A^-col_k, so u = -col_k and b = 0;
+    - left, i != k, e = eps_ki: A^col_i A^([e]+ col_k) (1 + A^col_k)^-e,
+      so u = col_i + [e]+ col_k + e [-col_k]+ and b = -e;
+    - right: prod_j A'_j^eps'_ji, so u is col'_i with its k entry
+      negated and b = eps'_ki.
+
+    The triples decide equality exactly.  The Laurent ring Q[A^+-1] is a
+    UFD whose units are the terms c A^u.  When col_k != 0, B has two
+    distinct monomials, so it is no unit and neither is any nonzero power
+    of it; c A^u B^b = c' A^u' B^b' makes B^(b - b') a unit, so b = b',
+    and then c = c' and u = u'.  When col_k = 0, B is the constant 2, and
+    2^b is folded into c, leaving b = 0.
+    """
+    pos = {l: n for n, l in enumerate(seed.labels)}
+    cols, new_cols = _columns(seed, pos), _columns(mutated, pos)
+    at_k = pos[k]
+    col_k = cols[k]
+    neg_k = [max(-a, 0) for a in col_k]
+    lhs, rhs = [], []
+    for i in seed.labels:
+        if i == k:
+            lhs.append((1, tuple(-a for a in col_k), 0))
+        else:
+            e = cols[i][at_k]
+            p = max(e, 0)
+            lhs.append((1, tuple(a + p * c + e * m for a, c, m in zip(cols[i], col_k, neg_k)), -e))
+        u = new_cols[i]
+        b = u[at_k]
+        u[at_k] = -b
+        rhs.append((1, tuple(u), b))
+    if not any(col_k):
+        lhs, rhs = ([(Fraction(2) ** b, u, 0) for _, u, b in side] for side in (lhs, rhs))
+    return lhs, rhs
+
+
+def check_ensemble_naturality(seed: Seed, k) -> bool:
+    """mu_k^X after the ensemble map equals the ensemble map of the
+    mutated seed after mu_k^A, as exact functions of the A variables,
+    compared in factored form (``_naturality_sides``).  An unknown or
+    frozen k, or a non-integral entry, is a ValueError."""
+    mutated = mutate_seed(seed, k)
+    lhs, rhs = _naturality_sides(seed, k, mutated)
+    return lhs == rhs
 
 
 def seed_x_context(seed: Seed) -> TorusContext:
@@ -304,10 +383,7 @@ def mutate_X_classical(assignment: dict, seed: Seed, k) -> dict:
         if i == k:
             out[i] = 1 / xk
             continue
-        e = seed.entry(k, i)
-        if e.denominator != 1:
-            raise ValueError("classical mutation needs integral entries")
-        e = int(e)
+        e = _integral(seed.entry(k, i))
         out[i] = assignment[i] * xk ** max(e, 0) * (1 + xk) ** (-e)
     return out
 
@@ -319,10 +395,7 @@ def mutate_A_classical(assignment: dict, seed: Seed, k) -> dict:
     plus = 1
     minus = 1
     for j in seed.labels:
-        e = seed.entry(j, k)
-        if e.denominator != 1:
-            raise ValueError("classical mutation needs integral entries")
-        e = int(e)
+        e = _integral(seed.entry(j, k))
         if e > 0:
             plus *= assignment[j] ** e
         elif e < 0:
@@ -340,20 +413,9 @@ def ensemble_substitution(seed: Seed, a_vals: dict) -> dict:
         for j in seed.labels:
             e = seed.entry(j, i)
             if e:
-                expr *= a_vals[j] ** int(e)
+                expr *= a_vals[j] ** _integral(e)
         out[i] = expr
     return out
-
-
-def check_ensemble_naturality(seed: Seed, k) -> bool:
-    """mu_k^X after the ensemble map equals the ensemble map of the
-    mutated seed after mu_k^A, as exact rational functions of the A
-    variables (``RationalLaurent``, compared by cross-multiplication)."""
-    a_vals = a_assignment(seed)
-    lhs = mutate_X_classical(ensemble_substitution(seed, a_vals), seed, k)
-    mutated = mutate_seed(seed, k)
-    rhs = ensemble_substitution(mutated, mutate_A_classical(a_vals, seed, k))
-    return all(lhs[i] == rhs[i] for i in seed.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -289,11 +289,16 @@ def test_criterion_09_cluster_suite():
         k = rng.randrange(m)
         assert mutate_seed(mutate_seed(s, k), k).eps == s.eps
         count += 1
-    for n in (2, 3):
-        for w in enumerate_double_coxeter(n):
-            s = seed_from_word("A", w)
-            for k in s.labels:
-                assert check_ensemble_naturality(s, k), (n, w.letters, k)
+    # naturality at every (seed, vertex) of types A and C through rank 5
+    for kind in ("A", "C"):
+        for n in (2, 3, 4, 5):
+            pairs = 0
+            for w in enumerate_double_coxeter(n):
+                s = seed_from_word(kind, w)
+                for k in s.labels:
+                    assert check_ensemble_naturality(s, k), (kind, n, w.letters, k)
+                    pairs += 1
+            assert pairs == 2 * n * 3 ** (n - 1)  # 810 at rank 5
     for n in (2, 3):
         seeds = [seed_from_word("A", w) for w in enumerate_double_coxeter(n)]
         # one search per source over its later words: every pair once

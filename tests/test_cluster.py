@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qtoda.cli import main
 from qtoda.cluster import (
     Seed,
+    _naturality_sides,
     a_assignment,
     amalgamate_pairs,
     check_ensemble_naturality,
@@ -514,6 +515,29 @@ def test_ensemble_substitution_trivial_and_column_read():
     assert images[1] != 1
 
 
+def rational_sides(seed, k, mutated):
+    """The oracle route: both sides of the naturality identity at k as
+    ``RationalLaurent`` values, label by label, with ``mutated`` taken as
+    the mutated seed."""
+    a_vals = a_assignment(seed)
+    lhs = mutate_X_classical(ensemble_substitution(seed, a_vals), seed, k)
+    rhs = ensemble_substitution(mutated, mutate_A_classical(a_vals, seed, k))
+    return [lhs[i] for i in seed.labels], [rhs[i] for i in seed.labels]
+
+
+def expand(seed, k, side):
+    """Each factored (c, u, b) of a side multiplied out as c A^u B^b."""
+    a_vals = a_assignment(seed)
+    binomial = mutate_A_classical(a_vals, seed, k)[k] * a_vals[k]
+    out = []
+    for c, u, b in side:
+        value = binomial**b * c.numerator / c.denominator
+        for l, x in zip(seed.labels, u):
+            value *= a_vals[l] ** x
+        out.append(value)
+    return out
+
+
 def test_ensemble_naturality_on_rank2_seeds():
     for q in [(-1,), (0,), (1,)]:
         s = qseed("A", 2, q)
@@ -538,10 +562,8 @@ def test_ensemble_naturality_matches_sympy_oracle():
                     assert check_ensemble_naturality(s, k) is oracle, (kind, w, k)
                     # negative control: the right-hand side read off the
                     # unmutated seed
-                    a_vals = a_assignment(s)
-                    lhs = mutate_X_classical(ensemble_substitution(s, a_vals), s, k)
-                    rhs = ensemble_substitution(s, mutate_A_classical(a_vals, s, k))
-                    assert not all(lhs[i] == rhs[i] for i in s.labels), (kind, w, k)
+                    lhs, rhs = rational_sides(s, k, s)
+                    assert lhs != rhs, (kind, w, k)
                     pairs += 1
     assert pairs == 132
     # no arrows: every ensemble image is the field's one, not the int 1,
@@ -550,6 +572,98 @@ def test_ensemble_naturality_matches_sympy_oracle():
     images = ensemble_substitution(s, a_assignment(s))
     assert all(isinstance(v, RationalLaurent) for v in images.values())
     assert check_ensemble_naturality(s, 1)
+
+
+def test_factored_naturality_matches_the_rational_route():
+    # every (seed, vertex) of types A and C at ranks 2-4
+    pairs = 0
+    for kind in ("A", "C"):
+        for n in (2, 3, 4):
+            for w in enumerate_double_coxeter(n):
+                s = seed_from_word(kind, w)
+                for k in s.labels:
+                    lhs, rhs = rational_sides(s, k, mutate_seed(s, k))
+                    assert check_ensemble_naturality(s, k) is (lhs == rhs) is True, (kind, w, k)
+                    pairs += 1
+    assert pairs == 564
+
+
+def test_factored_sides_expand_to_the_rational_sides():
+    # ranks 2-3: each side, multiplied out, is the oracle's side, both for
+    # the mutated seed and for the unmutated one passed in its place
+    for kind in ("A", "C"):
+        for n in (2, 3):
+            for w in enumerate_double_coxeter(n):
+                s = seed_from_word(kind, w)
+                for k in s.labels:
+                    for t in (mutate_seed(s, k), s):
+                        lhs, rhs = _naturality_sides(s, k, t)
+                        assert [expand(s, k, lhs), expand(s, k, rhs)] == list(rational_sides(s, k, t)), (kind, w, k)
+
+
+def test_factored_sides_reject_a_wrong_mutated_seed():
+    pairs = 0
+    for kind in ("A", "C"):
+        for n in (2, 3):
+            for w in enumerate_double_coxeter(n):
+                s = seed_from_word(kind, w)
+                for k in s.labels:
+                    # the unmutated seed in place of the mutated one
+                    lhs, rhs = _naturality_sides(s, k, s)
+                    assert lhs != rhs, (kind, w, k)
+                    pairs += 1
+                    # the mutated seed with one arrow reversed
+                    m = mutate_seed(s, k)
+                    for (i, j), v in m.eps.items():
+                        if i < j:
+                            eps = {**m.eps, (i, j): -v, (j, i): -m.eps[(j, i)]}
+                            lhs, rhs = _naturality_sides(s, k, Seed(m.labels, eps, m.d))
+                            assert lhs != rhs, (kind, w, k, (i, j))
+    assert pairs == 132
+
+
+def test_isolated_vertex_folds_the_constant_binomial():
+    # vertex 3 has no arrows, so B = 1 + 1 = 2
+    s = Seed((1, 2, 3), {(1, 2): 1, (2, 1): -1}, {1: 1, 2: 1, 3: 1})
+    assert all(check_ensemble_naturality(s, k) for k in s.labels)
+    lhs, rhs = _naturality_sides(s, 3, mutate_seed(s, 3))
+    assert lhs == rhs and all(c == 1 and b == 0 for c, _, b in lhs)
+    # a wrong mutated seed with an arrow at 3: its power of 2 lands in c
+    wrong = Seed(s.labels, {**s.eps, (3, 1): 1, (1, 3): -1}, s.d)
+    lhs, rhs = _naturality_sides(s, 3, wrong)
+    assert lhs[0] == (1, (0, -1, 0), 0) and rhs[0] == (2, (0, -1, -1), 0)
+    assert [expand(s, 3, lhs), expand(s, 3, rhs)] == list(rational_sides(s, 3, wrong))
+
+
+@pytest.mark.parametrize("kind, n", [("A", 2), ("A", 3), ("C", 2)])
+def test_half_entries_are_refused_at_every_vertex(kind, n):
+    integral = "classical mutation needs integral entries"
+    for w in enumerate_double_coxeter(n):
+        s = disk_seed_from_word(kind, w)
+        assert any(v.denominator != 1 for v in s.eps.values())
+        for k in s.labels:
+            # each route reads every entry, and refuses the halves
+            with pytest.raises(ValueError, match=integral):
+                _naturality_sides(s, k, s)
+            with pytest.raises(ValueError, match=integral):
+                rational_sides(s, k, s)
+            # the check reads k first, so a frozen k is refused as such
+            with pytest.raises(ValueError, match="cannot mutate at frozen index" if k in s.frozen else integral):
+                check_ensemble_naturality(s, k)
+
+
+def test_naturality_refuses_an_unknown_or_frozen_vertex():
+    s = qseed("A", 2, (0,))
+    for k in (9, 0, "1"):
+        with pytest.raises(ValueError, match="no vertex .* to mutate at"):
+            check_ensemble_naturality(s, k)
+    frozen = Seed((1, 2), {(1, 2): 1, (2, 1): -1}, {1: 1, 2: 1}, frozenset([2]))
+    with pytest.raises(ValueError, match="cannot mutate at frozen index 2"):
+        check_ensemble_naturality(frozen, 2)
+    # the vertex is read before any entry: a disk seed's halves do not speak first
+    disk = disk_seed_from_word("A", standard_word(2))
+    with pytest.raises(ValueError, match="no vertex 9 to mutate at"):
+        check_ensemble_naturality(disk, 9)
 
 
 def test_classical_x_mutation_branches():

@@ -12,7 +12,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reach.py"
 
 
 def test_reach_records_every_cell(tmp_path, capsys):
-    cells = "equivalence:A2,commute:C2"
+    cells = "equivalence:A2,commute:C2,naturality:A2"
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--label", "small", "--out", str(tmp_path), "--cells", cells, "--timeout", "120"],
         capture_output=True, text=True,
@@ -23,10 +23,17 @@ def test_reach_records_every_cell(tmp_path, capsys):
     assert record["timeout_s"] == 120
     assert {"cpu_count", "machine"} <= set(record["machine"])
     assert "commit" in record and len(record["source_sha256"]) == 64
-    assert [(c["check"], c["type"], c["rank"]) for c in record["cells"]] == [("equivalence", "A", 2), ("commute", "C", 2)]
+    assert [(c["check"], c["type"], c["rank"]) for c in record["cells"]] == [
+        ("equivalence", "A", 2), ("commute", "C", 2), ("naturality", "A", 2)
+    ]
     for cell in record["cells"]:
         assert cell["status"] == "ok" and cell["exit_code"] == 0
         assert cell["wall_s"] > 0 and cell["peak_rss_mib"] > 0
+        if cell["check"] == "naturality":
+            # the library script's one line: 3 words of 4 vertices, all natural
+            line = '{"check": "naturality", "type": "A", "rank": 2, "pairs": 12, "natural": 12}\n'
+            assert cell["stdout_sha256"] == hashlib.sha256(line.encode()).hexdigest()
+            continue
         # the digest is of the sweep's stdout, as the CLI prints it in process
         argv = ["verify", "--check", cell["check"], "--type", cell["type"], "--rank", str(cell["rank"]), "--all-words"]
         assert main(argv) == 0
