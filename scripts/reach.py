@@ -12,9 +12,15 @@ JSON line.  It writes
 ``DIR/BENCH_<NAME>.json`` (DIR defaults to the repository root) with the
 machine, the Python version, the commit and per cell: the exit code, the
 wall time, the peak RSS of the sweep's process and the sha256 of its
-stdout.  A cell still running after ``--timeout`` seconds is killed and
-recorded with status "timeout", never dropped.  ``--cells`` replaces the
-grid, e.g. ``equivalence:A2,commute:C2,naturality:A2``.
+stdout.  The peak is the sweep's own: a short launcher registers an
+atexit hook that writes ``VmHWM`` from ``/proc/self/status``, which
+starts afresh when the interpreter is exec'd, to a file of its own, so
+stdout keeps its bytes.  Where that file is not written (no ``/proc``,
+or a killed sweep) the peak is the child's ``ru_maxrss``, which on
+Linux starts at the RSS of this script; ``peak_rss_from`` names the
+source.  A cell still running after ``--timeout`` seconds is killed and
+recorded with status "timeout", never dropped.  ``--cells`` replaces
+the grid, e.g. ``equivalence:A2,commute:C2,naturality:A2``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ GRID = (
     + [("commute", "C", n) for n in (4, 5)]
     + [("naturality", "A", n) for n in (5, 6, 7)]
     + [("naturality", "C", n) for n in (4, 5, 6)]
+    + [("mutation-equiv", "A", n) for n in (4, 5)]
+    + [("mutation-equiv", "C", 4)]
 )
 POLL_S = 0.005
 # argv: TYPE RANK; exit 1 when some (seed, vertex) is not natural
@@ -58,6 +66,34 @@ sys.exit(0 if natural == pairs else 1)
 """
 
 
+PROC_STATUS = "/proc/self/status"
+# argv: STATUS PEAK (-m MODULE | -c CODE) ARGS...; runs the sweep as
+# ``python -m MODULE ARGS`` or ``python -c CODE ARGS`` would, and at exit
+# copies the VmHWM figure (in kB) from STATUS into the file PEAK
+LAUNCHER = """
+import atexit, runpy, sys
+status, peak, mode, target, *args = sys.argv[1:]
+
+def record_peak():
+    try:
+        with open(status) as fh:
+            hwm = [line.split()[1] for line in fh if line.startswith("VmHWM:")]
+    except OSError:
+        return
+    if hwm:
+        with open(peak, "w") as fh:
+            fh.write(hwm[0])
+
+atexit.register(record_peak)
+if mode == "-m":
+    sys.argv = [target, *args]
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    sys.argv = ["-c", *args]
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+
 def parse_cells(text: str) -> list[tuple[str, str, int]]:
     """``equivalence:A2,commute:C2`` -> [("equivalence", "A", 2), ...]."""
     cells = []
@@ -70,15 +106,17 @@ def parse_cells(text: str) -> list[tuple[str, str, int]]:
 
 
 def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
-    """One sweep in a fresh interpreter, timed and measured by its own
-    rusage; killed and marked "timeout" once it runs past ``timeout``."""
+    """One sweep in a fresh interpreter, timed, with its own peak RSS;
+    killed and marked "timeout" once it runs past ``timeout``."""
     if check == "naturality":
-        argv = [sys.executable, "-c", NATURALITY_SCRIPT, kind, str(rank)]
+        target = ["-c", NATURALITY_SCRIPT, kind, str(rank)]
     else:
-        argv = [sys.executable, "-m", "qtoda.cli", "verify", "--check", check,
-                "--type", kind, "--rank", str(rank), "--all-words"]
+        target = ["-m", "qtoda.cli", "verify", "--check", check,
+                  "--type", kind, "--rank", str(rank), "--all-words"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    with tempfile.TemporaryFile() as out:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as tmp:
+        peak_file = Path(tmp) / "vmhwm"
+        argv = [sys.executable, "-c", LAUNCHER, PROC_STATUS, str(peak_file), *target]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, stdout=out, stderr=subprocess.DEVNULL, env=env, cwd=ROOT)
         timed_out = False
@@ -96,7 +134,10 @@ def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         digest = hashlib.sha256(out.read()).hexdigest()
+        hwm = peak_file.read_text() if peak_file.exists() else ""
     code = proc.returncode
+    # VmHWM and ru_maxrss are both in KiB on Linux
+    peak_kib, peak_from = (int(hwm), "VmHWM") if hwm else (usage.ru_maxrss, "ru_maxrss")
     return {
         "check": check,
         "type": kind,
@@ -104,7 +145,8 @@ def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
         "status": "timeout" if timed_out else {0: "ok", 1: "failed"}.get(code, "error"),
         "exit_code": None if timed_out else code,
         "wall_s": round(wall, 3),
-        "peak_rss_mib": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB on Linux
+        "peak_rss_mib": round(peak_kib / 1024, 2),
+        "peak_rss_from": peak_from,
         "stdout_sha256": None if timed_out else digest,
     }
 

@@ -6,13 +6,22 @@ together with symmetrizers and a frozen subset.  Entries are exact:
 cylinder seeds are integral and store plain ints, and a ``Fraction``
 appears only for the half-weight entries of disk seeds (the boundary
 arrows of the face rules, before ``amalgamate_pairs`` glues them).
-Mutation, the canonical key and the constructor check touch the nonzero
-entries only.  Edge weights in the drawn quiver are w_ij = eps_ij d_j.
+Mutation and the constructor check touch the nonzero entries only.
+Edge weights in the drawn quiver are w_ij = eps_ij d_j.
 
 ``mutation_equivalent`` connects seeds by signed moves tau_k (mutation
 at -k, then k <-> -k): one breadth-first search from a base seed
-answers every target at once, comparing seeds up to relabeling by
-``Seed.canonical_key``.  The quantum mutation is kept factored.
+answers every target at once, comparing seeds up to relabeling by their
+canonical key.  The search keys flat matrices: the base seed's entries
+as one tuple of m^2 values in its label order, with the symmetrizers
+and frozen flags fixed per position.  A move rewrites only the
+mutated position's row and column and the entries they feed, and the
+k <-> -k relabeling renames two positions without moving an entry,
+since the key does not read names.  So the search builds no ``Seed``
+per move, which would copy and check every entry, and a matrix met
+before is not keyed again.  ``Seed.canonical_key`` is the same key
+(``_matrix_key``) of a seed's flattened entries.  The quantum mutation
+is kept factored.
 
 ``check_ensemble_naturality`` compares the two sides of the classical
 naturality identity in factored form: each is a monomial in the A
@@ -28,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
-from .network import cartan_matrix, face_weights, symmetrizers
+from .network import _doubled_face_weights, cartan_matrix, face_weights, symmetrizers
 from .torus import RationalLaurent, TorusContext, classical_context
 from .words import DoubleWord
 
@@ -67,36 +76,52 @@ class Seed:
         )
 
     def canonical_key(self):
-        """Lexicographically minimal encoding over d-preserving bijections.
-
-        Vertices are first partitioned by (d, frozen, sorted multiset of
-        nonzero (eps_ij, d_j) in the row) to cut the permutation search
-        down; quivers are compared only up to relabeling.
-        """
-        eps, d, frozen = self.eps, self.d, self.frozen
-        rows = {i: [] for i in self.labels}
-        for (i, j), v in eps.items():
-            if v:
-                rows[i].append((v, d[j]))
-        groups: dict = {}
-        for i in self.labels:
-            sig = (d[i], i in frozen, tuple(sorted(rows[i])))
-            groups.setdefault(sig, []).append(i)
-        blocks = [groups[k] for k in sorted(groups)]
-        # d and the frozen flags are constant on each block
-        order = [v for block in blocks for v in block]
-        dkey = tuple(d[v] for v in order)
-        fkey = tuple(v in frozen for v in order)
-        best = None
-        for perms in product(*map(permutations, blocks)):
-            picked = [v for perm in perms for v in perm]
-            key = tuple(tuple(eps.get((a, b), 0) for b in picked) for a in picked)
-            if best is None or key < best:
-                best = key
-        return dkey, fkey, best
+        """``_matrix_key`` of the entries, row by row in label order."""
+        labels, d, frozen = self.labels, self.d, self.frozen
+        return _matrix_key(
+            _flat(self), tuple(d[l] for l in labels), tuple(l in frozen for l in labels)
+        )
 
     def is_isomorphic(self, other: "Seed") -> bool:
         return self.canonical_key() == other.canonical_key()
+
+
+def _flat(seed: Seed) -> tuple:
+    """The entries of seed as one tuple of m^2 values, row by row in
+    label order."""
+    eps, labels = seed.eps, seed.labels
+    return tuple(eps.get((i, j), 0) for i in labels for j in labels)
+
+
+def _matrix_key(flat: tuple, d: tuple, frozen: tuple):
+    """Canonical key of a flat m x m matrix whose positions carry the
+    symmetrizers d and frozen flags: the lexicographically minimal
+    encoding over d-preserving reorderings of the positions.
+
+    Positions are first partitioned by (d, frozen, sorted multiset of
+    nonzero (eps_ij, d_j) in the row) to cut the permutation search
+    down; quivers are compared only up to relabeling.
+    """
+    m = len(d)
+    rows = [flat[p * m : p * m + m] for p in range(m)]
+    groups: dict = {}
+    for p, row in enumerate(rows):
+        sig = (d[p], frozen[p], tuple(sorted([(v, dq) for v, dq in zip(row, d) if v])))
+        groups.setdefault(sig, []).append(p)
+    blocks = [groups[k] for k in sorted(groups)]
+    # d and the frozen flags are constant on each block
+    order = [p for block in blocks for p in block]
+    dkey = tuple([d[p] for p in order])
+    fkey = tuple([frozen[p] for p in order])
+    # all blocks of one position leave one ordering: no search
+    choices = product(*map(permutations, blocks)) if len(blocks) < m else [(order,)]
+    best = None
+    for perms in choices:
+        picked = [p for perm in perms for p in perm]
+        key = tuple([tuple([row[b] for b in picked]) for row in map(rows.__getitem__, picked)])
+        if best is None or key < best:
+            best = key
+    return dkey, fkey, best
 
 
 def seed_from_word(kind: str, word: DoubleWord) -> Seed:
@@ -104,15 +129,15 @@ def seed_from_word(kind: str, word: DoubleWord) -> Seed:
     the arrow rules applied and the cut faces amalgamated."""
     n = word.n
     d_roots = symmetrizers(kind, n)
-    omega = face_weights(kind, word)
     labels = tuple(range(-n, 0)) + tuple(range(1, n + 1))
     d = {l: d_roots[abs(l) - 1] for l in labels}
     eps = {}
-    for (i, j), w in omega.items():
-        val = Fraction(w, d[j])
-        if val.denominator != 1:
+    # the doubled weights are 2 w_ij, and eps_ij = w_ij / d_j
+    for (i, j), w2 in _doubled_face_weights(kind, word, False).items():
+        e, r = divmod(w2, 2 * d[j])
+        if r:
             raise ValueError(f"non-integer exchange entry at {(i, j)}")
-        eps[(i, j)] = val.numerator
+        eps[(i, j)] = e
     return Seed(labels, eps, d, frozenset())
 
 
@@ -234,26 +259,83 @@ def mutate_swap(seed: Seed, k: int) -> tuple[Seed, dict]:
     return _mutated(seed, -k, swap), swap
 
 
+def _tau_move(flat: tuple, labels: tuple, d: tuple, frozen: tuple, swapped: int, k: int) -> tuple:
+    """tau_k on the flat matrix of a seed whose base labels are
+    ``labels``: the mutation of ``_mutated`` at the position currently
+    named -k.  The k <-> -k relabeling moves no entry; it only toggles
+    bit k of ``swapped``, and a set bit means names k and -k have traded
+    positions.  Every entry the move writes is checked against its
+    transpose, eps_ij d_j = -eps_ji d_i, as the seed constructor does.
+    """
+    at = k if swapped >> k & 1 else -k
+    if at not in labels:
+        raise ValueError(f"no vertex {-k!r} to mutate at")
+    p = labels.index(at)
+    if frozen[p]:
+        raise ValueError(f"cannot mutate at frozen index {-k!r}")
+    m = len(labels)
+    base = p * m
+    out = list(flat)
+    row = [(j, b) for j, b in enumerate(flat[base : base + m]) if b]
+    col = [(i, a) for i, a in enumerate(flat[p::m]) if a]
+    written = []
+    # flip row and column p; eps_ij gains sgn(eps_ip) eps_ip eps_pj only
+    # where eps_ip and eps_pj are nonzero with one sign
+    for j, b in row:
+        out[base + j] = -b
+        written.append((p, j))
+    for i, a in col:
+        out[i * m + p] = -a
+        written.append((i, p))
+    for i, a in col:
+        for j, b in row:
+            if i != j and (a > 0) == (b > 0):
+                out[i * m + j] += a * b if a > 0 else -a * b
+                written.append((i, j))
+    for i, j in written:
+        if out[i * m + j] * d[j] != -out[j * m + i] * d[i]:
+            name = [-l if type(l) is int and swapped >> abs(l) & 1 else l for l in labels]
+            raise ValueError(f"eps not skew-symmetrizable at {(name[i], name[j])}")
+    return tuple(out)
+
+
 def _tau_orbit(seed: Seed, max_depth: int):
     """Breadth-first walk over tau moves from seed: yields (canonical key,
     first move sequence reaching it) for each new key within max_depth
-    moves, seed itself first with []."""
-    ranks = sorted({abs(l) for l in seed.labels if isinstance(l, int)})
+    moves, seed itself first with [].
+
+    The walk holds flat matrices (``_tau_move``), not seeds, and keys
+    each one with ``_matrix_key``; a matrix met before is not keyed
+    again, since its key is already seen.
+    """
+    labels = seed.labels
+    d = tuple(seed.d[l] for l in labels)
+    frozen = tuple(l in seed.frozen for l in labels)
+    ranks = sorted({abs(l) for l in labels if isinstance(l, int)})
     key = seed.canonical_key()
     yield key, []
     seen = {key}
-    frontier = [(seed, [])]
+    start = _flat(seed)
+    if max_depth and ranks:
+        # the moves check only what they write, so rerun the constructor's
+        # check once on the entries as they stand now
+        seed.__post_init__()
+    met = {start}
+    frontier = [(start, 0, [])]
     for _ in range(max_depth):
         nxt = []
-        for s, hist in frontier:
+        for flat, swapped, hist in frontier:
             for k in ranks:
-                cand = mutate_swap(s, k)[0]
-                key = cand.canonical_key()
+                cand = _tau_move(flat, labels, d, frozen, swapped, k)
+                if cand in met:
+                    continue
+                met.add(cand)
+                key = _matrix_key(cand, d, frozen)
                 if key not in seen:
                     seen.add(key)
                     path = hist + [("tau", k)]
                     yield key, path
-                    nxt.append((cand, path))
+                    nxt.append((cand, swapped ^ 1 << k, path))
         frontier = nxt
 
 

@@ -1,8 +1,9 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 import sympy
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 from qtoda.cli import main
 from qtoda.cluster import (
     Seed,
+    _flat,
+    _matrix_key,
     _naturality_sides,
+    _tau_move,
     a_assignment,
     amalgamate_pairs,
     check_ensemble_naturality,
@@ -27,6 +31,7 @@ from qtoda.cluster import (
     seed_from_word,
     standard_exchange_matrix,
 )
+from qtoda.network import face_weights, symmetrizers
 from qtoda.serialize import seed_to_dot
 from qtoda.torus import RationalLaurent
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
@@ -97,6 +102,28 @@ def ref_canonical_key(seed):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def dict_canonical_key(seed):
+    """The key as computed on the entry dict, before the flat matrix:
+    the value ``Seed.canonical_key`` must keep returning."""
+    eps, d, frozen = seed.eps, seed.d, seed.frozen
+    rows = {i: [] for i in seed.labels}
+    for (i, j), v in eps.items():
+        if v:
+            rows[i].append((v, d[j]))
+    groups = {}
+    for i in seed.labels:
+        groups.setdefault((d[i], i in frozen, tuple(sorted(rows[i]))), []).append(i)
+    blocks = [groups[k] for k in sorted(groups)]
+    order = [v for block in blocks for v in block]
+    best = None
+    for perms in product(*map(permutations, blocks)):
+        picked = [v for perm in perms for v in perm]
+        key = tuple(tuple(eps.get((a, b), 0) for b in picked) for a in picked)
+        if best is None or key < best:
+            best = key
+    return tuple(d[v] for v in order), tuple(v in frozen for v in order), best
 
 
 _ENTRIES = [Fraction(x, 2) for x in range(-4, 5)]
@@ -189,6 +216,38 @@ def test_vertex_count_and_integrality():
                 s = seed_from_word(kind, w)
                 assert len(s.labels) == 2 * n
                 assert all(type(v) is int for v in s.eps.values())
+
+
+def fraction_route_seed(kind, word):
+    """The cylinder seed read off ``face_weights``: eps_ij = w_ij / d_j
+    as a Fraction, kept where it is an integer."""
+    n = word.n
+    d_roots = symmetrizers(kind, n)
+    labels = tuple(range(-n, 0)) + tuple(range(1, n + 1))
+    d = {l: d_roots[abs(l) - 1] for l in labels}
+    eps = {}
+    for (i, j), w in face_weights(kind, word).items():
+        val = Fraction(w, d[j])
+        assert val.denominator == 1, (i, j)
+        eps[(i, j)] = val.numerator
+    return Seed(labels, eps, d, frozenset())
+
+
+@pytest.mark.parametrize("kind", ["A", "C"])
+def test_seed_from_word_matches_the_fraction_route(kind):
+    for n in range(1, 6):
+        for w in enumerate_double_coxeter(n):
+            s = seed_from_word(kind, w)
+            assert s == fraction_route_seed(kind, w), w.letters
+            # plain ints, and no zero entry stored
+            assert all(type(v) is int and v for v in s.eps.values())
+
+
+def test_seed_from_word_rejects_a_non_integer_entry(monkeypatch):
+    # doubled weight 1 over 2 d_j = 2: the entry would be 1/2
+    monkeypatch.setattr("qtoda.cluster._doubled_face_weights", lambda kind, word, disk: {(-1, 1): 1, (1, -1): -1})
+    with pytest.raises(ValueError, match="non-integer exchange entry at \\(-1, 1\\)"):
+        seed_from_word("A", standard_word(1))
 
 
 def test_disk_amalgamation_reproduces_cylinder():
@@ -332,6 +391,7 @@ def test_constructor_accepts_zero_pairs_and_weighted_pairs():
 def test_canonical_key_partition_matches_reference(pair):
     s, t = pair
     assert s.is_isomorphic(t) == (ref_canonical_key(s) == ref_canonical_key(t))
+    assert s.canonical_key() == dict_canonical_key(s)
     assert s.is_isomorphic(s.relabeled({l: ("r", l) for l in s.labels}))
 
 
@@ -413,6 +473,44 @@ def test_tau_move_builds_one_checked_seed(monkeypatch):
         mutate_swap(bad, 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(s=random_seeds(max_vertices=6), data=st.data())
+def test_flat_tau_move_matches_mutate_swap(s, data):
+    # labels 1..m become 1, -1, 2, -2, ... as above; a few moves in a row
+    # exercise the names that trade positions
+    signed = s.relabeled({l: (l + 1) // 2 * (1 if l % 2 else -1) for l in s.labels})
+    labels = signed.labels
+    d = tuple(signed.d[l] for l in labels)
+    frozen = tuple(l in signed.frozen for l in labels)
+    moves = data.draw(st.lists(st.sampled_from(sorted({abs(l) for l in labels})), max_size=4))
+    seed, flat, swapped = signed, _flat(signed), 0
+    for k in moves:
+        try:
+            seed = mutate_swap(seed, k)[0]
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                _tau_move(flat, labels, d, frozen, swapped, k)
+            break
+        flat = _tau_move(flat, labels, d, frozen, swapped, k)
+        swapped ^= 1 << k
+        # the same entries at the same positions, under the same names
+        assert flat == _flat(seed)
+        assert seed.labels == tuple(-l if swapped >> abs(l) & 1 else l for l in labels)
+        assert _matrix_key(flat, d, frozen) == seed.canonical_key() == dict_canonical_key(seed)
+
+
+def test_flat_search_checks_skew_symmetrizability():
+    # the seed of test_tau_move_builds_one_checked_seed, broken after it was built
+    bad = Seed((1, -1), {(1, -1): 1, (-1, 1): -1}, {1: 1, -1: 1})
+    bad.eps[(-1, 1)] = 1
+    arrowless = Seed((1, -1), {}, bad.d)
+    with pytest.raises(ValueError, match="skew-symmetrizable"):
+        mutation_equivalent(bad, [arrowless], 1)
+    # the move itself checks every entry it writes
+    with pytest.raises(ValueError, match="skew-symmetrizable"):
+        _tau_move(_flat(bad), bad.labels, (1, 1), (False, False), 0, 1)
+
+
 def test_signed_moves_shift_the_quiver_vector():
     # tau at the top index carries Q=0 to Q=1 exactly, and Q=-1 to Q=0;
     # iterating leaves the three-seed family, so the move is not an
@@ -485,7 +583,10 @@ def test_one_search_matches_the_per_target_search(kind, n, unreached):
 def test_mutation_equiv_type_c_rank4_false_negative(capsys):
     # depth 8 misses these 6 C4 words, all of one cluster structure
     assert main(["verify", "--check", "mutation-equiv", "--type", "C", "--rank", "4", "--depth", "8"]) == 1
-    reports = json.loads(capsys.readouterr().out)["reports"]
+    out = capsys.readouterr().out
+    # the bytes of the search over seeds, before it walked flat matrices
+    assert hashlib.sha256(out.encode()).hexdigest() == "315d23c48e48afeef4cfe3c4b5719521ffab06078a7d2da274baa0111f6617b9"
+    reports = json.loads(out)["reports"]
     missed = {" ".join(map(str, r["word"])) for r in reports if not r["reachable"]}
     assert missed == {
         "-2 -1 -3 -4 1 4 3 2",

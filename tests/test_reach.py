@@ -1,6 +1,7 @@
 """scripts/reach.py on a small grid: one record per cell, timeouts kept."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -11,8 +12,15 @@ from qtoda.cli import main
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reach.py"
 
 
+def load_reach():
+    spec = importlib.util.spec_from_file_location("reach", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_reach_records_every_cell(tmp_path, capsys):
-    cells = "equivalence:A2,commute:C2,naturality:A2"
+    cells = "equivalence:A2,commute:C2,naturality:A2,mutation-equiv:A3"
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--label", "small", "--out", str(tmp_path), "--cells", cells, "--timeout", "120"],
         capture_output=True, text=True,
@@ -24,11 +32,13 @@ def test_reach_records_every_cell(tmp_path, capsys):
     assert {"cpu_count", "machine"} <= set(record["machine"])
     assert "commit" in record and len(record["source_sha256"]) == 64
     assert [(c["check"], c["type"], c["rank"]) for c in record["cells"]] == [
-        ("equivalence", "A", 2), ("commute", "C", 2), ("naturality", "A", 2)
+        ("equivalence", "A", 2), ("commute", "C", 2), ("naturality", "A", 2), ("mutation-equiv", "A", 3)
     ]
+    # the sweep's own high-water mark, where the system keeps one
+    peak_from = "VmHWM" if Path("/proc/self/status").exists() else "ru_maxrss"
     for cell in record["cells"]:
         assert cell["status"] == "ok" and cell["exit_code"] == 0
-        assert cell["wall_s"] > 0 and cell["peak_rss_mib"] > 0
+        assert cell["wall_s"] > 0 and cell["peak_rss_mib"] > 0 and cell["peak_rss_from"] == peak_from
         if cell["check"] == "naturality":
             # the library script's one line: 3 words of 4 vertices, all natural
             line = '{"check": "naturality", "type": "A", "rank": 2, "pairs": 12, "natural": 12}\n'
@@ -48,6 +58,28 @@ def test_reach_records_a_timeout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (cell,) = json.loads((tmp_path / "BENCH_cut.json").read_text())["cells"]
     assert cell["status"] == "timeout" and cell["exit_code"] is None and cell["stdout_sha256"] is None
+    # a killed sweep runs no exit hook
+    assert cell["peak_rss_from"] == "ru_maxrss"
+
+
+def test_peak_is_read_from_the_status_file(tmp_path, monkeypatch):
+    reach = load_reach()
+    status = tmp_path / "status"
+    status.write_text("Name:\tpython3\nVmPeak:\t  99999 kB\nVmHWM:\t   12345 kB\nVmRSS:\t   12000 kB\n")
+    monkeypatch.setattr(reach, "PROC_STATUS", str(status))
+    cell = reach.run_cell("equivalence", "A", 2, 120)
+    assert cell["status"] == "ok" and cell["peak_rss_from"] == "VmHWM"
+    assert cell["peak_rss_mib"] == round(12345 / 1024, 2)
+
+
+def test_peak_falls_back_to_rusage_without_a_status_file(tmp_path, monkeypatch):
+    reach = load_reach()
+    monkeypatch.setattr(reach, "PROC_STATUS", str(tmp_path / "absent"))
+    cell = reach.run_cell("naturality", "A", 2, 120)
+    assert cell["status"] == "ok" and cell["peak_rss_from"] == "ru_maxrss" and cell["peak_rss_mib"] > 0
+    # the launcher leaves stdout as the sweep prints it
+    line = '{"check": "naturality", "type": "A", "rank": 2, "pairs": 12, "natural": 12}\n'
+    assert cell["stdout_sha256"] == hashlib.sha256(line.encode()).hexdigest()
 
 
 def test_reach_rejects_a_malformed_cell(tmp_path):
