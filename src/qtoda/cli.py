@@ -5,11 +5,13 @@ Exit codes of the ``qtoda`` command: 0 all passed, 1 verification
 failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
 ``--depth -1``, ``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K``
 or one at no vertex of the seed, an ``--index`` outside 1..count of the
-Hamiltonians included), 3 resource limit exceeded (``QTODA_MAX_FAMILIES``),
-4 internal error (a fault of the program, not of its input), each
-reported as one line on stderr.  A stdout closed by its reader
-(``qtoda ... | head -1``) ends the command quietly, with no stderr line:
-where the platform has SIGPIPE, the signal's default action ends it
+Hamiltonians, a ``--word`` or ``--qvec`` on ``verify --check
+mutation-equiv`` or ``rtt``, which run on no chosen word, included), 3
+resource limit exceeded (``QTODA_MAX_FAMILIES``), 4 internal error (a
+fault of the program, not of its input), each reported as one line on
+stderr.  A stdout closed by its reader (``qtoda ... | head -1``) ends
+the command quietly, with no stderr line: where the platform has
+SIGPIPE, the signal's default action ends it
 (status 141 in a POSIX shell).  ``main`` returns codes 0-2 and lets any
 other exception, such as the RuntimeError of an exceeded limit, reach
 its caller; ``console`` is the command's entry point and turns an
@@ -266,6 +268,11 @@ def _check_one_word(args) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # neither check runs on a chosen word: a selector would be ignored
+    runs_on = {"rtt": "fixed index vectors", "mutation-equiv": "every word"}.get(cfg.check)
+    for flag, value in (("--word", cfg.word), ("--qvec", cfg.qvec)):
+        if runs_on and value is not None:
+            raise SystemExit2(f"{flag} does not apply to --check {cfg.check}, which runs on {runs_on} of --rank")
     if cfg.check == "rtt":
         n = max(cfg.rank, 2)
         ctx = laxmod.lax_context(n)

@@ -1,96 +1,126 @@
 """Cluster seeds of words, mutations, the tau-move search and the
 classical ensemble checks.
 
-A seed stores the exchange matrix over an arbitrary hashable index set
-together with symmetrizers and a frozen subset.  Entries are exact:
+A seed stores its exchange matrix in one immutable format: ``flat``,
+the m^2 entries row by row in label order, next to the labels, a
+read-only mapping of symmetrizers and a frozen set.  Entries are exact:
 cylinder seeds are integral and store plain ints, and a ``Fraction``
 appears only for the half-weight entries of disk seeds (the boundary
 arrows of the face rules, before ``amalgamate_pairs`` glues them).
-Mutation and the constructor check touch the nonzero entries only.
-Edge weights in the drawn quiver are w_ij = eps_ij d_j.
+``Seed.eps`` is a view, a new dict of the nonzero entries keyed by label
+pairs.  Every seed, built from a dict or by a mutation, passes the one
+skew-symmetrizability check of the constructor, and since nothing can
+change it afterwards, it stays checked.  Edge weights in the drawn
+quiver are w_ij = eps_ij d_j.
 
-``mutation_equivalent`` connects seeds by signed moves tau_k (mutation
-at -k, then k <-> -k): one breadth-first search from a base seed
-answers every target at once, comparing seeds up to relabeling by their
-canonical key.  The search keys flat matrices: the base seed's entries
-as one tuple of m^2 values in its label order, with the symmetrizers
-and frozen flags fixed per position.  A move rewrites only the
-mutated position's row and column and the entries they feed, and the
-k <-> -k relabeling renames two positions without moving an entry,
-since the key does not read names.  So the search builds no ``Seed``
-per move, which would copy and check every entry, and a matrix met
-before is not keyed again.  ``Seed.canonical_key`` is the same key
-(``_matrix_key``) of a seed's flattened entries.  The quantum mutation
-is kept factored.
+One kernel, ``_mutate``, mutates a flat matrix: it flips the row and
+column of the mutated position, adds sgn(a) a b to the entries they
+feed, and checks every entry it writes.  ``mutate_seed`` calls it, and
+so does ``mutate_swap``, the signed move tau_k (mutation at -k, then
+k <-> -k), which renames two labels without moving an entry.
+``mutation_equivalent`` runs one breadth-first search of tau moves from
+a base seed for every target, calling the kernel on flat matrices and
+comparing them up to relabeling by their canonical key
+(``_matrix_key``, which ``Seed.canonical_key`` also calls); a matrix met
+before is not keyed again.  The quantum mutation is kept factored.
 
 ``check_ensemble_naturality`` compares the two sides of the classical
 naturality identity in factored form: each is a monomial in the A
 variables times a power of the one exchange binomial, read off integer
-columns of the exchange matrix.  The exact rational functions
-(``RationalLaurent``) of ``ensemble_substitution`` and the classical
-mutations build the same sides and are its oracle.
+columns of the exchange matrix, as slices of ``flat``.  The exact
+rational functions (``RationalLaurent``) of ``ensemble_substitution``
+and the classical mutations build the same sides and are its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from types import MappingProxyType
 
 from .network import _doubled_face_weights, cartan_matrix, face_weights, symmetrizers
 from .torus import RationalLaurent, TorusContext, classical_context
 from .words import DoubleWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seed:
-    labels: tuple
-    eps: dict
-    d: dict
-    frozen: frozenset = field(default_factory=frozenset)
+    """Exchange matrix eps over ``labels``: ``flat[p * m + q]`` is
+    eps_ij for the labels i, j at positions p, q.  ``d`` maps each label
+    to its symmetrizer, read-only."""
 
-    def __post_init__(self):
+    labels: tuple
+    flat: tuple
+    d: MappingProxyType
+    frozen: frozenset
+
+    def __init__(self, labels, eps: dict, d: dict, frozen=frozenset()):
+        labels = tuple(labels)
+        m = len(labels)
+        pos = {l: p for p, l in enumerate(labels)}
+        flat = [0] * (m * m)
+        for (i, j), v in eps.items():
+            flat[pos[i] * m + pos[j]] = v
+        self._set(labels, tuple(flat), MappingProxyType(dict(d)), frozenset(frozen))
+
+    def _set(self, labels, flat, d, frozen):
+        vars(self).update(labels=labels, flat=flat, d=d, frozen=frozen)
+        self._check()
+
+    def _check(self):
         # eps_ij d_j = -eps_ji d_i; a pair with both entries zero holds
-        eps, d = self.eps, self.d
-        for (i, j), a in eps.items():
-            if a and a * d[j] != -eps.get((j, i), 0) * d[i]:
-                raise ValueError(f"eps not skew-symmetrizable at {(i, j)}")
+        labels, flat = self.labels, self.flat
+        m = len(labels)
+        d = [self.d[l] for l in labels]
+        for n, a in enumerate(flat):
+            if a:
+                i, j = divmod(n, m)
+                if a * d[j] != -flat[j * m + i] * d[i]:
+                    raise ValueError(f"eps not skew-symmetrizable at {(labels[i], labels[j])}")
+
+    def _with(self, flat: tuple, rename: dict) -> "Seed":
+        """A new checked seed with entries ``flat`` and every label l
+        renamed to rename.get(l, l); no entry moves."""
+        ren = rename.get
+        seed = object.__new__(Seed)
+        seed._set(
+            tuple(ren(l, l) for l in self.labels),
+            flat,
+            MappingProxyType({ren(l, l): v for l, v in self.d.items()}) if rename else self.d,
+            frozenset(ren(l, l) for l in self.frozen),
+        )
+        return seed
+
+    def _positional(self) -> tuple[tuple, tuple]:
+        """The symmetrizers and the frozen flags in label order."""
+        labels, d, frozen = self.labels, self.d, self.frozen
+        return tuple(d[l] for l in labels), tuple(l in frozen for l in labels)
+
+    @property
+    def eps(self) -> dict:
+        """The nonzero entries keyed by label pairs, as a new dict."""
+        labels = self.labels
+        m = len(labels)
+        return {(labels[n // m], labels[n % m]): v for n, v in enumerate(self.flat) if v}
 
     def entry(self, i, j) -> int | Fraction:
-        return self.eps.get((i, j), 0)
+        labels = self.labels
+        return self.flat[labels.index(i) * len(labels) + labels.index(j)]
 
     def weight(self, i, j) -> int | Fraction:
         """Drawn edge weight w_ij = eps_ij d_j."""
         return self.entry(i, j) * self.d[j]
 
-    def matrix(self, order=None):
-        order = list(order or self.labels)
-        return [[self.entry(i, j) for j in order] for i in order]
-
     def relabeled(self, mapping: dict) -> "Seed":
-        return Seed(
-            tuple(mapping.get(l, l) for l in self.labels),
-            {(mapping.get(i, i), mapping.get(j, j)): v for (i, j), v in self.eps.items()},
-            {mapping.get(l, l): v for l, v in self.d.items()},
-            frozenset(mapping.get(l, l) for l in self.frozen),
-        )
+        return self._with(self.flat, mapping)
 
     def canonical_key(self):
         """``_matrix_key`` of the entries, row by row in label order."""
-        labels, d, frozen = self.labels, self.d, self.frozen
-        return _matrix_key(
-            _flat(self), tuple(d[l] for l in labels), tuple(l in frozen for l in labels)
-        )
+        return _matrix_key(self.flat, *self._positional())
 
     def is_isomorphic(self, other: "Seed") -> bool:
         return self.canonical_key() == other.canonical_key()
-
-
-def _flat(seed: Seed) -> tuple:
-    """The entries of seed as one tuple of m^2 values, row by row in
-    label order."""
-    eps, labels = seed.eps, seed.labels
-    return tuple(eps.get((i, j), 0) for i in labels for j in labels)
 
 
 def _matrix_key(flat: tuple, d: tuple, frozen: tuple):
@@ -206,73 +236,16 @@ def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
 # mutation
 
 
-def mutate_seed(seed: Seed, k) -> Seed:
-    """Matrix mutation at a mutable index; symmetrizers unchanged."""
-    return _mutated(seed, k, {})
-
-
-def _mutated(seed: Seed, k, rename: dict) -> Seed:
-    """Mutation at k with every label l renamed to rename.get(l, l), as
-    one seed: the renamed entries are written in the mutation pass."""
-    if k not in seed.labels:
+def _mutate(flat: tuple, labels: tuple, d: tuple, frozen: tuple, k) -> tuple:
+    """Matrix mutation at the vertex named k of the flat matrix whose
+    positions carry the names ``labels``, symmetrizers d and frozen
+    flags.  Every entry written is checked against its transpose,
+    eps_ij d_j = -eps_ji d_i, as the seed constructor does."""
+    if k not in labels:
         raise ValueError(f"no vertex {k!r} to mutate at")
-    if k in seed.frozen:
-        raise ValueError(f"cannot mutate at frozen index {k!r}")
-    ren = rename.get
-    # flip row and column k; eps_ij gains sgn(eps_ik) eps_ik eps_kj only
-    # where eps_ik and eps_kj are nonzero with one sign
-    eps = {}
-    col, row = [], []
-    for (i, j), v in seed.eps.items():
-        if not v:
-            continue
-        ri, rj = ren(i, i), ren(j, j)
-        if i == k:
-            row.append((rj, v))
-        elif j == k:
-            col.append((ri, v))
-        eps[(ri, rj)] = -v if k in (i, j) else v
-    for i, a in col:
-        for j, b in row:
-            if i != j and (a > 0) == (b > 0):
-                nv = eps.get((i, j), 0) + (a * b if a > 0 else -a * b)
-                if nv:
-                    eps[(i, j)] = nv
-                else:
-                    del eps[(i, j)]
-    return Seed(
-        tuple(ren(l, l) for l in seed.labels),
-        eps,
-        {ren(l, l): v for l, v in seed.d.items()},
-        frozenset(ren(l, l) for l in seed.frozen),
-    )
-
-
-def mutate_swap(seed: Seed, k: int) -> tuple[Seed, dict]:
-    """Mutation at vertex -k followed by the k <-> -k relabeling, built
-    as one seed.
-
-    Returns the new seed and the relabeling applied, so callers can
-    track index bookkeeping across sequences of moves.
-    """
-    swap = {k: -k, -k: k}
-    return _mutated(seed, -k, swap), swap
-
-
-def _tau_move(flat: tuple, labels: tuple, d: tuple, frozen: tuple, swapped: int, k: int) -> tuple:
-    """tau_k on the flat matrix of a seed whose base labels are
-    ``labels``: the mutation of ``_mutated`` at the position currently
-    named -k.  The k <-> -k relabeling moves no entry; it only toggles
-    bit k of ``swapped``, and a set bit means names k and -k have traded
-    positions.  Every entry the move writes is checked against its
-    transpose, eps_ij d_j = -eps_ji d_i, as the seed constructor does.
-    """
-    at = k if swapped >> k & 1 else -k
-    if at not in labels:
-        raise ValueError(f"no vertex {-k!r} to mutate at")
-    p = labels.index(at)
+    p = labels.index(k)
     if frozen[p]:
-        raise ValueError(f"cannot mutate at frozen index {-k!r}")
+        raise ValueError(f"cannot mutate at frozen index {k!r}")
     m = len(labels)
     base = p * m
     out = list(flat)
@@ -294,9 +267,24 @@ def _tau_move(flat: tuple, labels: tuple, d: tuple, frozen: tuple, swapped: int,
                 written.append((i, j))
     for i, j in written:
         if out[i * m + j] * d[j] != -out[j * m + i] * d[i]:
-            name = [-l if type(l) is int and swapped >> abs(l) & 1 else l for l in labels]
-            raise ValueError(f"eps not skew-symmetrizable at {(name[i], name[j])}")
+            raise ValueError(f"eps not skew-symmetrizable at {(labels[i], labels[j])}")
     return tuple(out)
+
+
+def mutate_seed(seed: Seed, k) -> Seed:
+    """Matrix mutation at a mutable index; symmetrizers unchanged."""
+    return seed._with(_mutate(seed.flat, seed.labels, *seed._positional(), k), {})
+
+
+def mutate_swap(seed: Seed, k: int) -> tuple[Seed, dict]:
+    """Mutation at vertex -k followed by the k <-> -k relabeling, built
+    as one seed.
+
+    Returns the new seed and the relabeling applied, so callers can
+    track index bookkeeping across sequences of moves.
+    """
+    swap = {k: -k, -k: k}
+    return seed._with(_mutate(seed.flat, seed.labels, *seed._positional(), -k), swap), swap
 
 
 def _tau_orbit(seed: Seed, max_depth: int):
@@ -304,29 +292,22 @@ def _tau_orbit(seed: Seed, max_depth: int):
     first move sequence reaching it) for each new key within max_depth
     moves, seed itself first with [].
 
-    The walk holds flat matrices (``_tau_move``), not seeds, and keys
-    each one with ``_matrix_key``; a matrix met before is not keyed
-    again, since its key is already seen.
+    The walk holds flat matrices with the names of their positions, not
+    seeds, and keys each one with ``_matrix_key``; a matrix met before
+    is not keyed again, since its key is already seen.
     """
-    labels = seed.labels
-    d = tuple(seed.d[l] for l in labels)
-    frozen = tuple(l in seed.frozen for l in labels)
-    ranks = sorted({abs(l) for l in labels if isinstance(l, int)})
+    d, frozen = seed._positional()
+    ranks = sorted({abs(l) for l in seed.labels if isinstance(l, int)})
     key = seed.canonical_key()
     yield key, []
     seen = {key}
-    start = _flat(seed)
-    if max_depth and ranks:
-        # the moves check only what they write, so rerun the constructor's
-        # check once on the entries as they stand now
-        seed.__post_init__()
-    met = {start}
-    frontier = [(start, 0, [])]
+    met = {seed.flat}
+    frontier = [(seed.flat, seed.labels, [])]
     for _ in range(max_depth):
         nxt = []
-        for flat, swapped, hist in frontier:
+        for flat, names, hist in frontier:
             for k in ranks:
-                cand = _tau_move(flat, labels, d, frozen, swapped, k)
+                cand = _mutate(flat, names, d, frozen, -k)
                 if cand in met:
                     continue
                 met.add(cand)
@@ -335,7 +316,8 @@ def _tau_orbit(seed: Seed, max_depth: int):
                     seen.add(key)
                     path = hist + [("tau", k)]
                     yield key, path
-                    nxt.append((cand, swapped ^ 1 << k, path))
+                    swap = {k: -k, -k: k}
+                    nxt.append((cand, tuple(swap.get(l, l) for l in names), path))
         frontier = nxt
 
 
@@ -377,19 +359,17 @@ def _integral(e) -> int:
     return int(e)
 
 
-def _columns(seed: Seed, pos: dict) -> dict:
-    """Column i of eps (the exponents of X_i under the ensemble map) as
-    an int list indexed by ``pos``, for each label i."""
-    cols = {l: [0] * len(pos) for l in seed.labels}
-    for (j, i), v in seed.eps.items():
-        if v:
-            cols[i][pos[j]] = _integral(v)
-    return cols
+def _integral_flat(seed: Seed) -> tuple:
+    """The entries of seed as ints: an all-int tuple (every cylinder
+    seed's) as it is, else each entry through ``_integral``."""
+    flat = seed.flat
+    return flat if all(type(v) is int for v in flat) else tuple(map(_integral, flat))
 
 
 def _naturality_sides(seed: Seed, k, mutated: Seed) -> tuple[list, list]:
     """Both sides of the naturality identity at k, one (c, u, b) per
-    label, read off integer columns; ``mutated`` is taken as mu_k(seed).
+    label, read off integer columns; ``mutated``, with the labels of
+    seed in the same order, is taken as mu_k(seed).
 
     Let col_i = (eps_ji)_j, so the ensemble map sends X_i to A^col_i, and
     let B = A^[col_k]+ + A^[-col_k]+ be the exchange binomial, which
@@ -409,20 +389,20 @@ def _naturality_sides(seed: Seed, k, mutated: Seed) -> tuple[list, list]:
     and then c = c' and u = u'.  When col_k = 0, B is the constant 2, and
     2^b is folded into c, leaving b = 0.
     """
-    pos = {l: n for n, l in enumerate(seed.labels)}
-    cols, new_cols = _columns(seed, pos), _columns(mutated, pos)
-    at_k = pos[k]
-    col_k = cols[k]
+    flat, new = _integral_flat(seed), _integral_flat(mutated)
+    m = len(seed.labels)
+    at_k = seed.labels.index(k)
+    col_k = flat[at_k::m]
     neg_k = [max(-a, 0) for a in col_k]
     lhs, rhs = [], []
-    for i in seed.labels:
-        if i == k:
+    for i in range(m):
+        if i == at_k:
             lhs.append((1, tuple(-a for a in col_k), 0))
         else:
-            e = cols[i][at_k]
+            e = flat[at_k * m + i]
             p = max(e, 0)
-            lhs.append((1, tuple(a + p * c + e * m for a, c, m in zip(cols[i], col_k, neg_k)), -e))
-        u = new_cols[i]
+            lhs.append((1, tuple(a + p * c + e * n for a, c, n in zip(flat[i::m], col_k, neg_k)), -e))
+        u = list(new[i::m])
         b = u[at_k]
         u[at_k] = -b
         rhs.append((1, tuple(u), b))

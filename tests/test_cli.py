@@ -108,6 +108,27 @@ def test_mutation_equiv_check(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "check, selector",
+    [
+        (["--check", "mutation-equiv", "--type", "A", "--rank", "3"], "--word=-1,-2,-3,1,2,3"),
+        (["--check", "mutation-equiv", "--type", "A", "--rank", "3"], "--qvec=0,0"),
+        (["--check", "rtt", "--rank", "2"], "--qvec=0"),
+        (["--check", "rtt", "--rank", "2"], "--word=-1,-2,1,2"),
+    ],
+)
+def test_word_selectors_are_refused_by_checks_without_a_word(capsys, check, selector):
+    # neither check runs on a chosen word, so a selector is a usage error,
+    # not silently ignored
+    assert main(["verify", *check, selector]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = selector.split("=")[0]
+    assert captured.err.count("\n") == 1 and flag in captured.err
+    # without it the check runs as before
+    assert main(["verify", *check]) == 0
+
+
 def test_mutate_sequence(capsys):
     code, out = run(capsys, "mutate", "--type", "A", "--rank", "2", "--qvec", "0", "--seq", "tau:2")
     assert code == 0

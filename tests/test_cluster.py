@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from qtoda.cli import main
 from qtoda.cluster import (
     Seed,
-    _flat,
     _matrix_key,
+    _mutate,
     _naturality_sides,
-    _tau_move,
     a_assignment,
     amalgamate_pairs,
     check_ensemble_naturality,
@@ -32,7 +31,7 @@ from qtoda.cluster import (
     standard_exchange_matrix,
 )
 from qtoda.network import face_weights, symmetrizers
-from qtoda.serialize import seed_to_dot
+from qtoda.serialize import dumps, seed_to_dict, seed_to_dot
 from qtoda.torus import RationalLaurent
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
 
@@ -319,13 +318,13 @@ def test_mutation_involution_randomized(data):
 def test_mutation_preserves_symmetrizability(monkeypatch):
     s = qseed("C", 3, (1, -1))
     checked = []
-    validate = Seed.__post_init__
+    validate = Seed._check
 
     def counting(seed):
         checked.append(seed)
         validate(seed)
 
-    monkeypatch.setattr(Seed, "__post_init__", counting)
+    monkeypatch.setattr(Seed, "_check", counting)
     for k in s.labels:
         m = mutate_seed(s, k)
         # the mutated seed went through the constructor's check
@@ -358,7 +357,8 @@ def test_constructor_check_matches_all_pairs_reference(s, data):
     eps = dict(s.eps)
     eps[(i, j)] = v if data.draw(st.booleans()) or v.denominator != 1 else v.numerator
     if ref_skew_symmetrizable(s.labels, eps, s.d):
-        assert Seed(s.labels, eps, s.d, s.frozen).eps == eps
+        # the view holds the nonzero entries only
+        assert Seed(s.labels, eps, s.d, s.frozen).eps == {key: v for key, v in eps.items() if v}
     else:
         with pytest.raises(ValueError, match="skew-symmetrizable"):
             Seed(s.labels, eps, s.d, s.frozen)
@@ -422,6 +422,38 @@ def test_mutation_equiv_json_is_pinned(capsys, kind, rank, code, sha):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
+_SEED_OUTPUT_PINS = {
+    ("A", "quiver", "json"): "827de426b6035fd2d14a0c75db687925b508701864b7804ad51b260a7170c821",
+    ("A", "quiver", "dot"): "3fb773a0d0642f639219293a8358af64f8b70b7cefe948be4ebf698537265621",
+    ("A", "mutate", "json"): "a53753b9da2d535f95ef30b90f1b81f9fc415fe7f73b3521a5b7ed886063d876",
+    ("A", "mutate", "dot"): "12a477210d448827fea388185affe00a621db80d24e1a26a53ed98628d22b779",
+    ("A", "disk", None): "d15fc5d3034cb1df5ce8e3921d5f6218c5c06daabfbbfaf953fa5c2171968c80",
+    ("C", "quiver", "json"): "13dd5ac91258c07f1b02b34907c1814d796d043294eca77d132c2bd16ed796aa",
+    ("C", "quiver", "dot"): "7a171353ee2d6321b7f4d3296bb9d1294460fdc59da2908fc71c5466b4f2cbb9",
+    ("C", "mutate", "json"): "01f3cc0a02253ff70000e5653f69b0e135bc8ba5e8256ba9cb3f06641d81c748",
+    ("C", "mutate", "dot"): "d72a3a1025675b7da6eec9507ff58a32c937a7e53c0a471969a0f916ee7d201a",
+    ("C", "disk", None): "3f0cbd14a629de22b6b35aa809cc91db1e690d5d01636f53a578e2303697cc55",
+}
+
+
+@pytest.mark.parametrize("kind, what, fmt", sorted(_SEED_OUTPUT_PINS, key=repr))
+def test_seed_output_bytes_are_pinned(capsys, kind, what, fmt):
+    # every rank-3 word in enumeration order, all outputs joined: the
+    # quiver and a mixed move sequence through the command line, and the
+    # disk seeds (Fraction entries, frozen labels) through the serializers
+    words = enumerate_double_coxeter(3)
+    if what == "disk":
+        seeds = [disk_seed_from_word(kind, w) for w in words]
+        out = "\n".join(f"{dumps(seed_to_dict(s))}\n{seed_to_dot(s)}" for s in seeds)
+    else:
+        extra = ["--seq", "tau:1,mu:-2,tau:3"] if what == "mutate" else []
+        for w in words:
+            word = ",".join(map(str, w.letters))
+            assert main([what, *extra, "--format", fmt, "--type", kind, "--rank", "3", f"--word={word}"]) == 0
+        out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _SEED_OUTPUT_PINS[kind, what, fmt]
+
+
 def test_swap_fixes_other_indices():
     s = qseed("A", 2, (0,))
     t, applied = mutate_swap(s, 2)
@@ -453,62 +485,87 @@ def test_tau_move_matches_mutation_then_relabeling(s):
 def test_tau_move_builds_one_checked_seed(monkeypatch):
     s = qseed("C", 3, (1, -1))
     checked = []
-    validate = Seed.__post_init__
+    validate = Seed._check
 
     def counting(seed):
         checked.append(seed)
         validate(seed)
 
-    monkeypatch.setattr(Seed, "__post_init__", counting)
+    monkeypatch.setattr(Seed, "_check", counting)
     for k in (1, 2, 3):
         t, _ = mutate_swap(s, k)
         # one seed per move, and it went through the constructor's check
         assert checked[-1] is t
         assert ref_skew_symmetrizable(t.labels, t.eps, t.d)
     assert len(checked) == 3
-    # a seed whose entries stopped being skew-symmetrizable after it was built
-    bad = Seed((1, -1), {(1, -1): 1, (-1, 1): -1}, {1: 1, -1: 1})
-    bad.eps[(-1, 1)] = 1
-    with pytest.raises(ValueError, match="skew-symmetrizable"):
-        mutate_swap(bad, 1)
+
+
+def signed(s):
+    """Labels 1..m become 1, -1, 2, -2, ...: some k have both signs present."""
+    return s.relabeled({l: (l + 1) // 2 * (1 if l % 2 else -1) for l in s.labels})
 
 
 @settings(max_examples=300, deadline=None)
 @given(s=random_seeds(max_vertices=6), data=st.data())
-def test_flat_tau_move_matches_mutate_swap(s, data):
-    # labels 1..m become 1, -1, 2, -2, ... as above; a few moves in a row
-    # exercise the names that trade positions
-    signed = s.relabeled({l: (l + 1) // 2 * (1 if l % 2 else -1) for l in s.labels})
-    labels = signed.labels
-    d = tuple(signed.d[l] for l in labels)
-    frozen = tuple(l in signed.frozen for l in labels)
+def test_flat_tau_move_matches_the_reference_mutation(s, data):
+    # the search's move: the kernel at the position named -k, then the
+    # names k and -k trade positions; a few moves in a row exercise the
+    # traded names.  The reference mutates an entry dict over all pairs
+    # and renames its keys.
+    s = signed(s)
+    labels, (d, frozen) = s.labels, s._positional()
     moves = data.draw(st.lists(st.sampled_from(sorted({abs(l) for l in labels})), max_size=4))
-    seed, flat, swapped = signed, _flat(signed), 0
+    ref, flat, names = s, s.flat, labels
     for k in moves:
-        try:
-            seed = mutate_swap(seed, k)[0]
-        except ValueError as err:
-            with pytest.raises(ValueError, match=re.escape(str(err))):
-                _tau_move(flat, labels, d, frozen, swapped, k)
+        p = names.index(-k) if -k in names else None
+        if p is None or frozen[p]:
+            why = "no vertex" if p is None else "cannot mutate at frozen index"
+            with pytest.raises(ValueError, match=re.escape(f"{why} {-k!r}")):
+                _mutate(flat, names, d, frozen, -k)
             break
-        flat = _tau_move(flat, labels, d, frozen, swapped, k)
-        swapped ^= 1 << k
+        flat = _mutate(flat, names, d, frozen, -k)
+        swap = {k: -k, -k: k}
+        names = tuple(swap.get(l, l) for l in names)
+        eps = {(swap.get(i, i), swap.get(j, j)): v for (i, j), v in ref_mutate_eps(ref, -k).items()}
+        ref = Seed(names, eps, dict(zip(names, d)), frozenset(l for l, f in zip(names, frozen) if f))
         # the same entries at the same positions, under the same names
-        assert flat == _flat(seed)
-        assert seed.labels == tuple(-l if swapped >> abs(l) & 1 else l for l in labels)
-        assert _matrix_key(flat, d, frozen) == seed.canonical_key() == dict_canonical_key(seed)
+        assert flat == tuple(eps.get((i, j), 0) for i in names for j in names)
+        assert _matrix_key(flat, d, frozen) == dict_canonical_key(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=random_seeds(max_vertices=6))
+def test_relabeling_moves_no_entry(s):
+    s = signed(s)
+    assert s.relabeled({l: ("r", l) for l in s.labels}).flat is s.flat
+    for k in sorted({abs(l) for l in s.labels}):
+        if -k in s.labels and -k not in s.frozen:
+            assert mutate_swap(s, k)[0].flat == mutate_seed(s, -k).flat
+
+
+def test_built_seed_cannot_be_changed():
+    s = Seed((1, -1), {(1, -1): 1, (-1, 1): -1}, {1: 1, -1: 1})
+    s.eps[(-1, 1)] = 1
+    with pytest.raises(TypeError):
+        s.d[1] = 2
+    with pytest.raises(AttributeError):
+        s.flat = (0, 1, 1, 0)
+    assert s.eps == {(1, -1): 1, (-1, 1): -1} and dict(s.d) == {1: 1, -1: 1}
+    # nor through the dicts it was built from
+    eps, d = {(1, -1): 1, (-1, 1): -1}, {1: 1, -1: 1}
+    t = Seed((1, -1), eps, d)
+    eps[(-1, 1)], d[1] = 1, 2
+    assert t == s
 
 
 def test_flat_search_checks_skew_symmetrizability():
-    # the seed of test_tau_move_builds_one_checked_seed, broken after it was built
-    bad = Seed((1, -1), {(1, -1): 1, (-1, 1): -1}, {1: 1, -1: 1})
-    bad.eps[(-1, 1)] = 1
-    arrowless = Seed((1, -1), {}, bad.d)
+    # a matrix no seed can hold, handed to the search's move directly:
+    # eps_1,-1 = eps_-1,1 = 1; the move checks every entry it writes
+    bad = (0, 1, 1, 0)
     with pytest.raises(ValueError, match="skew-symmetrizable"):
-        mutation_equivalent(bad, [arrowless], 1)
-    # the move itself checks every entry it writes
+        Seed((1, -1), {(1, -1): 1, (-1, 1): 1}, {1: 1, -1: 1})
     with pytest.raises(ValueError, match="skew-symmetrizable"):
-        _tau_move(_flat(bad), bad.labels, (1, 1), (False, False), 0, 1)
+        _mutate(bad, (1, -1), (1, 1), (False, False), -1)
 
 
 def test_signed_moves_shift_the_quiver_vector():
