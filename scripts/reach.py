@@ -3,16 +3,20 @@
 Usage:
     python scripts/reach.py --label NAME [--timeout S] [--out DIR] [--cells LIST]
 
-Runs each cell of the grid in a fresh interpreter on this checkout's
-``src``, one cell after another: ``python -m qtoda.cli verify --check
-CHECK --type T --rank N --all-words``, or for a ``naturality`` cell,
-which has no CLI command, a library script that checks the ensemble
-naturality at every (seed, vertex) of the rank's words and prints one
-JSON line.  It writes
+Runs each cell of the grid ``RUNS`` (3) times, each run in a fresh
+interpreter on this checkout's ``src``, one cell after another:
+``python -m qtoda.cli verify --check CHECK --type T --rank N
+--all-words``, or for a ``naturality`` cell, which has no CLI command, a
+library script that checks the ensemble naturality at every (seed,
+vertex) of the rank's words and prints one JSON line.  It writes
 ``DIR/BENCH_<NAME>.json`` (DIR defaults to the repository root) with the
 machine, the Python version, the commit and per cell: the exit code, the
-wall time, the peak RSS of the sweep's process and the sha256 of its
-stdout.  The peak is the sweep's own: a short launcher registers an
+median wall time with each run's in ``wall_s_runs`` (the shared host's
+speed swings by tens of percent, so one run says little), the largest
+peak RSS of the sweep's process over the runs and the sha256 of its
+stdout.  A run that times out or fails is not followed by another, and
+a cell whose runs end differently or print different bytes is marked
+"error".  The peak is the sweep's own: a short launcher registers an
 atexit hook that writes ``VmHWM`` from ``/proc/self/status``, which
 starts afresh when the interpreter is exec'd, to a file of its own, so
 stdout keeps its bytes.  Where that file is not written (no ``/proc``,
@@ -30,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -49,6 +54,7 @@ GRID = (
     + [("mutation-equiv", "C", 4)]
 )
 POLL_S = 0.005
+RUNS = 3  # per cell; the record keeps the median wall time
 # argv: TYPE RANK; exit 1 when some (seed, vertex) is not natural
 NATURALITY_SCRIPT = """
 import json, sys
@@ -151,6 +157,27 @@ def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
     }
 
 
+def run_cell_median(check: str, kind: str, rank: int, timeout: float) -> dict:
+    """The cell run up to ``RUNS`` times: the median wall time, each run's
+    in ``wall_s_runs``, and the largest peak.  A run that times out or
+    fails ends the cell, and runs that end differently or print different
+    bytes mark it "error"."""
+    done = []
+    while len(done) < RUNS:
+        done.append(run_cell(check, kind, rank, timeout))
+        if done[-1]["status"] != "ok":
+            break
+    cell = dict(done[0])
+    walls = [r["wall_s"] for r in done]
+    cell["wall_s"] = round(statistics.median(walls), 3)
+    cell["wall_s_runs"] = walls
+    peak = max(done, key=lambda r: r["peak_rss_mib"])
+    cell["peak_rss_mib"], cell["peak_rss_from"] = peak["peak_rss_mib"], peak["peak_rss_from"]
+    if any(len({r[k] for r in done}) > 1 for k in ("status", "stdout_sha256")):
+        cell["status"] = "error"
+    return cell
+
+
 def _git(*args) -> str | None:
     try:
         proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=ROOT)
@@ -200,7 +227,7 @@ def main(argv=None) -> int:
     origin = source()  # before the sweeps, which run this source
     cells = []
     for check, kind, rank in args.cells or GRID:
-        cell = run_cell(check, kind, rank, args.timeout)
+        cell = run_cell_median(check, kind, rank, args.timeout)
         print(f"{check} {kind}{rank}: {cell['status']} {cell['wall_s']} s "
               f"{cell['peak_rss_mib']} MiB", file=sys.stderr)
         cells.append(cell)
@@ -210,6 +237,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         **origin,
         "timeout_s": args.timeout,
+        "runs": RUNS,
         "cells": cells,
     }
     args.out.mkdir(parents=True, exist_ok=True)

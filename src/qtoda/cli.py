@@ -268,9 +268,13 @@ def _check_one_word(args) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    # neither check runs on a chosen word: a selector would be ignored
+    # neither check runs on a chosen word: a selector would be ignored, and
+    # rtt runs on no word at all, so --all-words would be ignored there too
     runs_on = {"rtt": "fixed index vectors", "mutation-equiv": "every word"}.get(cfg.check)
-    for flag, value in (("--word", cfg.word), ("--qvec", cfg.qvec)):
+    selectors = [("--word", cfg.word), ("--qvec", cfg.qvec)]
+    if cfg.check == "rtt":
+        selectors.append(("--all-words", cfg.all_words or None))
+    for flag, value in selectors:
         if runs_on and value is not None:
             raise SystemExit2(f"{flag} does not apply to --check {cfg.check}, which runs on {runs_on} of --rank")
     if cfg.check == "rtt":

@@ -29,14 +29,23 @@ caller can supply, keeps a ``Fraction`` key; ints and integral Fractions
 hash and compare equal, so both kinds of key share one code path.
 ``Fraction`` q-exponents appear only at the API and JSON boundary:
 ``TorusElement.terms`` is the read view keyed by them.
+
+``commutes`` goes one step further and writes each term as two ints: a
+key, its exponent vector packed into fields, and a value, its whole
+q-polynomial as a numeral in base 2^B whose digits are the coefficients.
+A pair of terms adds one product of values under the sum of their keys;
+B is chosen so that no digit of such a sum can outgrow its place, so a
+sum is 0 exactly when every coefficient it holds is (see ``_TermCode``).
 """
 
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -456,99 +465,166 @@ def commutator(a: TorusElement, b: TorusElement) -> TorusElement:
 def commutes(*elements: TorusElement) -> bool:
     """True iff every two of the elements commute: ab - ba = 0 exactly.
 
-    ``commutes(a, b)`` is ``commutator(a, b).is_zero()``.  Each element's
-    terms are packed once, and each pair is one flat pass over term pairs
-    on int keys (see ``_KeyLayout``): no commutator element is built.
-    Elements with off-grid q-keys go through ``commutator`` pair by pair.
+    ``commutes(a, b)`` is ``commutator(a, b).is_zero()``, but no
+    commutator element is built.  Each element's terms are encoded once
+    (see ``_TermCode``): a term becomes a key, its exponent vector packed
+    into one int, and a value, its whole q-polynomial as one int.  Each
+    pair of elements is then one pass over term pairs with one dict update
+    per pair of non-commuting terms; the pair commutes iff every value the
+    pass sums is 0.  Elements with an off-grid q-key, or whose bounds would
+    make the ints too wide (``_TermCode.of``), go through ``commutator``
+    pair by pair.
     """
     for el in elements[1:]:
         elements[0]._check(el)
     if len(elements) < 2:
         return True
-    if any(type(k) is not int for el in elements for cs in el._terms.values() for k in cs):
+    code = _TermCode.of(elements)
+    if code is None:
         return all(commutator(a, b).is_zero() for a, b in combinations(elements, 2))
-    _, packed = _pack_terms(elements)
-    return all(not any(_packed_commutator(a, b).values()) for a, b in combinations(packed, 2))
+    encoded = [code.encode(el, scale) for el, scale in zip(elements, code.scales)]
+    return all(not any(_encoded_commutator(code, a, b).values()) for a, b in combinations(encoded, 2))
 
 
-class _KeyLayout:
-    """One int key per (exponent vector u, q-key k) in balanced fields.
+# unsigned array formats by item size in bytes, the widths a term code's fields take
+_FIELD_FORMATS = {array(f).itemsize: f for f in "BHIQ"}
+# values grow with the q-key span and the pairing bound, not with the
+# number of terms: past this many bits the pairwise route is cheaper
+_MAX_VALUE_BITS = 1 << 16
 
-        key = k + sum_i u_i 2^(qbits + i*vbits)
 
-    Each field holds a signed digit d with |d| < 2^(width-1), which the
-    key's residue mod 2^width fixes, so two keys are equal iff all their
-    fields are.  The widths hold any sum of two packed terms, with a q
-    shift of at most ``shift_bound`` added: |u_i + v_i| <= 2*exp_bound and
-    |k_a + k_b +- s| <= 2*q_bound + shift_bound.  So keys of products add
-    as ints and are never unpacked.  ``pack`` raises on a term outside
-    the bounds, never wraps it.
+class _TermCode:
+    """Bounds and one field width under which ``commutes`` writes terms
+    of a set of elements as exact ints.
+
+    - ``key(u)`` reads the fields u_i + exp_bound, ``width`` bytes each,
+      as one unsigned int.  A field of key(u) + key(v) holds u_i + v_i +
+      2*exp_bound, in [0, 4*exp_bound], so it never carries: the sum of
+      two keys fixes u + v.
+    - A term's q-polynomial sum_k c_k q^(k/den) is the value
+      alpha * 2^shift with alpha = sum_k c_k 2^(qbits*(k - k0)), k0 its
+      least q-key and shift = qbits*(k0 - q_low): a numeral in base
+      2^qbits with signed digits.  An element with Fraction coefficients
+      is first scaled by the lcm of their denominators, its entry in
+      ``scales`` (None for an element of int coefficients); scaling does
+      not change whether two elements commute.
+    - E(u)E(v) - E(v)E(u) = (q^s - q^-s) E(u+v) with s = den<u,v>, so a
+      term pair adds alpha_u alpha_v 2^(shift_u + shift_v) (2^(qbits
+      (shift_bound + s)) - 2^(qbits (shift_bound - s))) under key(u) +
+      key(v): the numeral of its commutator terms, q-key k at digit
+      k - 2*q_low + shift_bound.  Each digit of a sum over term pairs is
+      a commutator coefficient, at most L1(a)*L1(b) in size, L1 the sum
+      of an element's absolute coefficients; qbits makes that below
+      2^(qbits-1), so a sum is 0 iff all its digits are.
+    - |den<u,v>| <= shift_bound = exp_bound^2 * sum_ij |den s_ij|, so every
+      shift is >= 0, and the pairings of u with every term of an element
+      fit one packed int, s + 2^(8*width-1) per field (see ``encode``).
     """
 
-    __slots__ = ("exp_bound", "q_bound", "shift_bound", "qbits", "vbits")
+    __slots__ = ("exp_bound", "shift_bound", "q_low", "qbits", "width", "scales", "_entries")
 
-    def __init__(self, exp_bound: int, q_bound: int, shift_bound: int):
-        self.exp_bound, self.q_bound, self.shift_bound = exp_bound, q_bound, shift_bound
-        self.vbits = (2 * exp_bound).bit_length() + 1
-        self.qbits = (2 * q_bound + shift_bound).bit_length() + 1
+    @classmethod
+    def of(cls, elements: Sequence[TorusElement]) -> "_TermCode | None":
+        """The code of the elements, or None when there is nothing to
+        encode (no generators or no terms), a q-key is off the grid, a
+        bound outgrows 8-byte fields or a value would pass
+        ``_MAX_VALUE_BITS``."""
+        ctx = elements[0].ctx
+        cmaps = [cs for el in elements for cs in el._terms.values()]
+        if not ctx.rank or not cmaps or set(map(type, chain.from_iterable(cmaps))) - {int}:
+            return None
+        code = object.__new__(cls)
+        code._entries = [(i, j, x) for i, row in enumerate(ctx.rows) for j, x in row.items()]
+        vecs = [u for el in elements for u in el._terms]
+        eb = max(max(map(max, vecs)), -min(map(min, vecs)))
+        code.exp_bound = eb
+        code.shift_bound = eb * eb * sum(abs(x) for _, _, x in code._entries)
+        code.q_low = min(map(min, cmaps))
+        need = max(4 * eb, 2 * code.shift_bound + 1)
+        code.width = next((w for w in sorted(_FIELD_FORMATS) if need < 1 << 8 * w), None)
+        code.scales, l1s = [], []
+        for el in elements:
+            l1 = sum(map(abs, chain.from_iterable(map(dict.values, el._terms.values()))))
+            scale = None
+            if type(l1) is not int:
+                scale = lcm(*(c.denominator for cs in el._terms.values() for c in cs.values()))
+                l1 = int(l1 * scale)
+            code.scales.append(scale)
+            l1s.append(l1)
+        l1s.sort()
+        code.qbits = (l1s[-1] * l1s[-2]).bit_length() + 1
+        # the digits a summed value spans: both q-key ranges and +-shift_bound
+        digits = 2 * (max(map(max, cmaps)) - code.q_low) + 2 * code.shift_bound + 1
+        if code.width is None or code.qbits * digits > _MAX_VALUE_BITS:
+            return None
+        return code
 
-    def pack(self, vec: Vec, qkey: int) -> int:
-        if abs(qkey) > self.q_bound or max(map(abs, vec), default=0) > self.exp_bound:
-            raise OverflowError(f"term {vec}, q-key {qkey} does not fit the key layout")
-        key, at = qkey, self.qbits
-        for x in vec:
-            key += x << at
-            at += self.vbits
-        return key
+    def encode(self, el: TorusElement, scale: int | None = None) -> tuple[list[tuple], list[int], int]:
+        """The element's terms as (u, key(u), alpha, shift), the packed
+        pairings of each generator with them, and their bias.
+
+        Column i is sum_v den<e_i, v> 2^(8*width*t(v)), t(v) the term's
+        place, so sum_i u_i column_i + bias holds den<u,v> + 2^(8*width-1)
+        in v's field.  Raises OverflowError on an exponent past the code's
+        bound, rather than wrap.
+        """
+        terms = el._terms
+        if scale is not None:
+            terms = {u: {k: int(c * scale) for k, c in cs.items()} for u, cs in terms.items()}
+        vecs = list(terms)
+        n, w, eb, qbits, q_low = len(vecs), self.width, self.exp_bound, self.qbits, self.q_low
+        m = el.ctx.rank
+        fmt = _FIELD_FORMATS[w]
+        fields = array(fmt, map(operator.add, chain.from_iterable(vecs), repeat(eb)))
+        if fields and max(fields) > 2 * eb:
+            raise OverflowError(f"an exponent of {el!r} exceeds the bound {eb}")
+        buf, step, order = fields.tobytes(), m * w, sys.byteorder
+        keys = [int.from_bytes(buf[at : at + step], order) for at in range(0, n * step, step)]
+        values = []
+        for cs in terms.values():
+            if len(cs) == 1:
+                for k, c in cs.items():
+                    values.append((c, qbits * (k - q_low)))
+            else:
+                k0 = min(cs)
+                values.append(
+                    (sum(c << qbits * (k - k0) for k, c in cs.items()), qbits * (k0 - q_low))
+                )
+        ones = int.from_bytes(array(fmt, repeat(1, n)).tobytes(), order)
+        cols = [int.from_bytes(fields[j::m].tobytes(), order) - eb * ones for j in range(m)]
+        columns = [0] * m
+        for i, j, x in self._entries:
+            columns[i] += x * cols[j]
+        encoded = [(u, k, a, e) for u, k, (a, e) in zip(vecs, keys, values)]
+        return encoded, columns, ones << 8 * w - 1
 
 
-def _pack_terms(elements: Sequence[TorusElement]) -> tuple[_KeyLayout, list[list[tuple]]]:
-    """One layout for all the elements' terms, and per element its
-    non-central terms as (pairing row, vector, [(key, coefficient)]).
-
-    A term u with u s = 0 pairs to zero with every v, so it is dropped:
-    den<u,v> = sum_j r(u)_j v_j = -sum_j r(v)_j u_j.
-    """
-    rows = elements[0].ctx.rows
-    exp_bound = q_bound = row_bound = 0
-    staged = []
-    for el in elements:
-        terms = []
-        for u, cu in el._terms.items():
-            r = _pairing_row(rows, u)
-            if r:
-                terms.append((r, u, cu))
-                exp_bound = max(exp_bound, max(map(abs, u)))
-                q_bound = max(q_bound, max(map(abs, cu)))
-                row_bound = max(row_bound, sum(abs(x) for _, x in r))
-        staged.append(terms)
-    # |den<u,v>| <= |r(u)|_1 * max_j |v_j|
-    layout = _KeyLayout(exp_bound, q_bound, row_bound * exp_bound)
-    pack = layout.pack
-    return layout, [
-        [(r, u, [(pack(u, k), c) for k, c in cu.items()]) for r, u, cu in terms]
-        for terms in staged
-    ]
-
-
-def _packed_commutator(pa: list[tuple], pb: list[tuple]) -> dict[int, int]:
-    """ab - ba of two packed elements as {key: coefficient}, zero sums
-    kept: E(u)E(v) - E(v)E(u) = (q^s - q^-s) E(u+v) with s = den<u,v>,
-    and s lands in the key's lowest field, the q-key's."""
+def _encoded_commutator(code: _TermCode, ea: tuple, eb: tuple) -> dict[int, int]:
+    """ab - ba of two encoded elements as {key(u + v): value}, zero sums
+    kept.  Per term u of a, one packed int holds den<u,v> for every term v
+    of b; a v with den<u,v> = 0 is skipped, and every other adds once."""
+    (a_terms, _, _), (b_terms, columns, bias) = ea, eb
     out: dict[int, int] = {}
     get = out.get
-    for r, _, ku in pa:
-        for _, v, kv in pb:
-            s = 0
-            for j, x in r:
-                s += x * v[j]
-            if not s:
-                continue
-            for pu, cu in ku:
-                for pv, cv in kv:
-                    k, c = pu + pv, cu * cv
-                    out[k + s] = get(k + s, 0) + c
-                    out[k - s] = get(k - s, 0) - c
+    qbits, mid = code.qbits, code.qbits * code.shift_bound
+    nbytes, fmt, order = len(b_terms) * code.width, _FIELD_FORMATS[code.width], sys.byteorder
+    half = 1 << 8 * code.width - 1
+    for u, ku, au, eu in a_terms:
+        packed = bias
+        for x, col in zip(u, columns):
+            if x:
+                packed += x * col
+        if packed == bias:
+            continue  # u pairs to 0 with every term of b
+        eu += mid
+        pairings = memoryview(packed.to_bytes(nbytes, order)).cast(fmt)
+        for s, (_, kv, av, ev) in zip(pairings, b_terms):
+            if s != half:
+                k = ku + kv
+                p = au * av
+                e = eu + ev
+                s = (s - half) * qbits
+                out[k] = get(k, 0) + (p << e + s) - (p << e - s)
     return out
 
 

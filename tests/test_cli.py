@@ -74,8 +74,11 @@ def test_route_agreement_modulo_shift(capsys):
 def test_verify_exit_codes(capsys):
     code, _ = run(capsys, "verify", "--check", "oracle", "--type", "A", "--rank", "2", "--all-words")
     assert code == 0
-    code, _ = run(capsys, "verify", "--check", "rtt", "--type", "A", "--rank", "2", "--all-words")
+    code, _ = run(capsys, "verify", "--check", "rtt", "--type", "A", "--rank", "2")
     assert code == 0
+    # rtt runs on no word, so --all-words is refused like --word and --qvec
+    code, _ = run(capsys, "verify", "--check", "rtt", "--type", "A", "--rank", "2", "--all-words")
+    assert code == 2
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -115,6 +118,7 @@ def test_mutation_equiv_check(capsys):
         (["--check", "mutation-equiv", "--type", "A", "--rank", "3"], "--qvec=0,0"),
         (["--check", "rtt", "--rank", "2"], "--qvec=0"),
         (["--check", "rtt", "--rank", "2"], "--word=-1,-2,1,2"),
+        (["--check", "rtt", "--rank", "2"], "--all-words"),
     ],
 )
 def test_word_selectors_are_refused_by_checks_without_a_word(capsys, check, selector):

@@ -36,9 +36,12 @@ def test_reach_records_every_cell(tmp_path, capsys):
     ]
     # the sweep's own high-water mark, where the system keeps one
     peak_from = "VmHWM" if Path("/proc/self/status").exists() else "ru_maxrss"
+    assert record["runs"] == 3
     for cell in record["cells"]:
         assert cell["status"] == "ok" and cell["exit_code"] == 0
         assert cell["wall_s"] > 0 and cell["peak_rss_mib"] > 0 and cell["peak_rss_from"] == peak_from
+        # the median of three runs
+        assert len(cell["wall_s_runs"]) == 3 and cell["wall_s"] == sorted(cell["wall_s_runs"])[1]
         if cell["check"] == "naturality":
             # the library script's one line: 3 words of 4 vertices, all natural
             line = '{"check": "naturality", "type": "A", "rank": 2, "pairs": 12, "natural": 12}\n'
@@ -58,8 +61,35 @@ def test_reach_records_a_timeout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (cell,) = json.loads((tmp_path / "BENCH_cut.json").read_text())["cells"]
     assert cell["status"] == "timeout" and cell["exit_code"] is None and cell["stdout_sha256"] is None
+    # a cell that timed out is not run again
+    assert len(cell["wall_s_runs"]) == 1
     # a killed sweep runs no exit hook
     assert cell["peak_rss_from"] == "ru_maxrss"
+
+
+def test_reach_runs_a_cell_until_it_stops_being_ok(monkeypatch):
+    reach = load_reach()
+    script = []
+
+    def fake_run_cell(check, kind, rank, timeout):
+        status, wall, peak, digest = script.pop(0)
+        return {"status": status, "wall_s": wall, "peak_rss_mib": peak, "peak_rss_from": "VmHWM", "stdout_sha256": digest}
+
+    monkeypatch.setattr(reach, "run_cell", fake_run_cell)
+    assert reach.RUNS == 3
+    script[:] = [("ok", 3.0, 20.0, "x"), ("ok", 1.0, 25.0, "x"), ("ok", 2.0, 21.0, "x")]
+    cell = reach.run_cell_median("commute", "A", 2, 10)
+    assert (cell["status"], cell["wall_s"], cell["wall_s_runs"], cell["peak_rss_mib"]) == ("ok", 2.0, [3.0, 1.0, 2.0], 25.0)
+    # a failed run is not repeated, and neither is anything after it
+    script[:] = [("ok", 3.0, 20.0, "x"), ("failed", 1.0, 25.0, "x"), ("ok", 2.0, 21.0, "x")]
+    cell = reach.run_cell_median("commute", "A", 2, 10)
+    assert cell["wall_s_runs"] == [3.0, 1.0] and cell["status"] == "error" and len(script) == 1
+    script[:] = [("failed", 4.0, 20.0, "y")]
+    cell = reach.run_cell_median("commute", "A", 2, 10)
+    assert (cell["status"], cell["wall_s_runs"]) == ("failed", [4.0])
+    # runs that print different bytes are an error
+    script[:] = [("ok", 3.0, 20.0, "x"), ("ok", 1.0, 25.0, "x"), ("ok", 2.0, 21.0, "z")]
+    assert reach.run_cell_median("commute", "A", 2, 10)["status"] == "error"
 
 
 def test_peak_is_read_from_the_status_file(tmp_path, monkeypatch):

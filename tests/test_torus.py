@@ -1,6 +1,9 @@
-import pytest
+import sys
+from array import array
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,10 +13,9 @@ from qtoda.torus import (
     RationalLaurent,
     TorusContext,
     TorusElement,
-    _KeyLayout,
+    _TermCode,
+    _encoded_commutator,
     _nonzero,
-    _pack_terms,
-    _packed_commutator,
     _pairing_row,
     _product,
     _vec_add,
@@ -778,35 +780,44 @@ def test_off_grid_keys_meet_on_grid_keys():
 # the packed commute kernel against commutator()
 
 
-def _unpack(layout, rank, key):
-    """The tests' own reading of a packed key: (vector, q-key), each field
-    the balanced residue of its width, and nothing left over."""
+def _unpack_key(code, rank, key):
+    """The tests' own reading of key(u) + key(v): its fields, each
+    u_i + v_i + 2*exp_bound, and nothing left over."""
+    raw = key.to_bytes(rank * code.width, sys.byteorder)  # raises if key is too wide
+    return tuple(f - 2 * code.exp_bound for f in memoryview(raw).cast(FIELD_FORMATS[code.width]))
 
-    def digit(key, bits):
-        d = key & ((1 << bits) - 1)
-        if d >= 1 << (bits - 1):
-            d -= 1 << bits
-        return d, (key - d) >> bits
 
-    q, key = digit(key, layout.qbits)
-    vec = []
-    for _ in range(rank):
-        x, key = digit(key, layout.vbits)
-        vec.append(x)
-    assert key == 0
-    return tuple(vec), q
+def _unpack_value(code, value):
+    """The tests' own reading of a summed value: {q-key: coefficient}, one
+    balanced digit of qbits bits per q-key, digit d at q-key
+    d + 2*q_low - shift_bound.  Read in one pass as base-2 text, with
+    every digit lifted by 2^(qbits-1) so that none is negative."""
+    bits = code.qbits
+    n = value.bit_length() // bits + 2
+    lift = ((1 << bits * n) - 1) // ((1 << bits) - 1) << (bits - 1)
+    text = format(value + lift, "b").zfill(bits * n)
+    assert len(text) == bits * n
+    out = {}
+    for d in range(n):
+        x = int(text[bits * (n - d - 1) : bits * (n - d)], 2) - (1 << (bits - 1))
+        if x:
+            out[d + 2 * code.q_low - code.shift_bound] = x
+    return out
 
 
 def _unpacked_commutator(els):
-    """Per pair (i, j), the packed kernel's ab - ba read back as a term map."""
-    layout, packed = _pack_terms(els)
+    """Per pair (i, j), the encoded kernel's ab - ba read back as a term
+    map, divided by the scales that cleared Fraction coefficients."""
+    code = _TermCode.of(els)
+    encoded = [code.encode(el, scale) for el, scale in zip(els, code.scales)]
     out = {}
     for i, j in combinations(range(len(els)), 2):
         terms = {}
-        for key, c in _packed_commutator(packed[i], packed[j]).items():
-            if c:
-                vec, q = _unpack(layout, els[0].ctx.rank, key)
-                terms.setdefault(vec, {})[q] = c
+        for key, value in _encoded_commutator(code, encoded[i], encoded[j]).items():
+            if value:
+                scale = (code.scales[i] or 1) * (code.scales[j] or 1)
+                coeffs = {q: Fraction(c, scale) for q, c in _unpack_value(code, value).items()}
+                terms[_unpack_key(code, els[0].ctx.rank, key)] = coeffs
         out[i, j] = terms
     return out
 
@@ -821,36 +832,39 @@ def _check_against_commutator(els):
 
 
 coefficient = st.integers(min_value=-5, max_value=5).filter(bool)
+fraction_coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+# unsigned array formats by item size, to read packed fields back
+FIELD_FORMATS = {array(f).itemsize: f for f in "BHIQ"}
 
 
 def on_grid_qpow(ctx, bound=3):
     return st.integers(min_value=-bound * ctx.den, max_value=bound * ctx.den).map(lambda k: Fraction(k, ctx.den))
 
 
-def element(ctx, exp=small_exp, qpow=None, min_terms=0, max_terms=4):
+def element(ctx, exp=small_exp, qpow=None, min_terms=0, max_terms=4, coeff=coefficient):
     """Elements with multi-q coefficient maps and non-unit coefficients of
     either sign."""
     vec = st.tuples(*[exp] * ctx.rank)
-    coeffs = st.dictionaries(qpow if qpow is not None else on_grid_qpow(ctx), coefficient, min_size=1, max_size=3)
+    coeffs = st.dictionaries(qpow if qpow is not None else on_grid_qpow(ctx), coeff, min_size=1, max_size=3)
     return st.dictionaries(vec, coeffs, min_size=min_terms, max_size=max_terms).map(lambda t: TorusElement(ctx, t))
 
 
 @st.composite
-def elements(draw, qpow=None):
+def elements(draw, qpow=None, coeff=coefficient):
     """2-4 elements: polynomials in one element x, which commute, each
     perturbed by a random element with some probability, which mostly
     does not."""
     ctx = draw(st.sampled_from(ORACLE_CONTEXTS))
-    x = draw(element(ctx, qpow=qpow, max_terms=3))
+    x = draw(element(ctx, qpow=qpow, max_terms=3, coeff=coeff))
     els = []
     for _ in range(draw(st.integers(min_value=2, max_value=4))):
         el = ctx.zero()
         power = ctx.one()
-        for c in draw(st.lists(coefficient, min_size=1, max_size=3)):
+        for c in draw(st.lists(coeff, min_size=1, max_size=3)):
             el = el + power.q_shift(draw(on_grid_qpow(ctx, 1)), c)
             power = power * x
         if draw(st.booleans()):
-            el = el + draw(element(ctx, qpow=qpow, max_terms=2))
+            el = el + draw(element(ctx, qpow=qpow, max_terms=2, coeff=coeff))
         els.append(el)
     return els
 
@@ -870,43 +884,90 @@ def test_commutes_with_off_grid_keys_matches_pairwise_commutators(els):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_commutes_on_wide_fields(data):
-    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
-    big = st.integers(min_value=-10**6, max_value=10**6)
-    wide = element(ctx, exp=big, qpow=on_grid_qpow(ctx, 10**9), min_terms=1, max_terms=3)
-    els = data.draw(st.lists(wide, min_size=2, max_size=4))
-    layout, _ = _pack_terms(els)
-    assume(layout.exp_bound >= 1000)
-    assert layout.vbits >= 12
+@given(elements(coeff=fraction_coefficient))
+def test_commutes_with_fraction_coefficients_matches_pairwise_commutators(els):
     oracle = _check_against_commutator(els)
     for pair, terms in _unpacked_commutator(els).items():
         assert terms == oracle[pair]._terms
 
 
-@pytest.mark.parametrize("e,k", [(1, 0), (3, 5), (7, -9), (1000, 2**40)])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_commutes_on_wide_fields(data):
+    # exponents past 7 widen the pairing fields of ctx2(1) to 2 bytes
+    ctx = data.draw(st.sampled_from(ORACLE_CONTEXTS))
+    big = st.integers(min_value=-12, max_value=12)
+    wide = element(ctx, exp=big, qpow=on_grid_qpow(ctx, 20), min_terms=1, max_terms=3)
+    els = data.draw(st.lists(wide, min_size=2, max_size=4))
+    code = _TermCode.of(els)
+    assume(code is not None and code.exp_bound >= 8)
+    assert code.width >= 2
+    oracle = _check_against_commutator(els)
+    for pair, terms in _unpacked_commutator(els).items():
+        assert terms == oracle[pair]._terms
+
+
+# field widths in bytes; at e = 1000 the values would pass _MAX_VALUE_BITS
+EXTREME_WIDTH = {1: 1, 3: 1, 7: 1, 8: 2, 1000: None}
+
+
+@pytest.mark.parametrize("e,k", [(1, 0), (3, 5), (7, -9), (8, 4), (1000, 2**40)])
 def test_layout_holds_its_extreme_sums(e, k):
-    # a = q^k E(e,0) and b = q^k E(0,e) reach the bounds of the q field:
-    # |den<u,v>| = e*e = |r(u)|_1 * max|v| and q-keys 2k +- e*e
+    # u = (e, -e) and v = (e, e) reach the pairing bound: den<u,v> =
+    # e*e - (-e)*e = 2e^2 = e^2 * sum_ij |den s_ij|; e = 7 is the last
+    # bound whose pairings fit one byte, 2*98 + 1 < 2^8
     ctx = ctx2(Fraction(1))
-    a = ctx.monomial((e, 0), k, -3)
-    b = ctx.monomial((0, e), k, 2)
-    layout, _ = _pack_terms([a, b])
-    assert (layout.exp_bound, layout.q_bound, layout.shift_bound) == (e, abs(k), e * e)
+    a = ctx.monomial((e, -e), k, -3)
+    b = ctx.monomial((e, e), k, 2)
+    # a + b = (2e, 0) takes a key field up to 4e, a + d = (0, -2e) one down to 0
+    d = ctx.monomial((-e, -e), k + 1, 5) + ctx.monomial((0, 0), k)
+    assert not commutes(a, b) and not commutes(a, d) and commutes(a, a * a, a.q_shift(1, 4))
+    code = _TermCode.of([a, b])
+    if EXTREME_WIDTH[e] is None:
+        assert code is None and _TermCode.of([a, d]) is None
+        return
+    assert (code.exp_bound, code.q_low, code.shift_bound, code.width) == (e, k, 2 * e * e, EXTREME_WIDTH[e])
     assert _unpacked_commutator([a, b])[0, 1] == commutator(a, b)._terms
-    assert not commutes(a, b) and commutes(a, a * a, a.q_shift(1, 4))
-    # and u + v = (2e, e) fills the vector fields
-    d = ctx.monomial((e, e), -k, 5)
-    assert _unpacked_commutator([a, d])[0, 1] == commutator(a, d)._terms
+    assert _unpacked_commutator([a, d])[0, 1] == commutator(a, d)._terms != {}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_value_holds_a_digit_of_l1_a_times_l1_b(sign):
+    # a = (3 - 4 q^2) E(1,0), b = 9 E(0,1), den<u,v> = 1: q^1 collects
+    # 3*9 from q^(0+1) and -(-4)*9 from q^(2-1), 63 = L1(a) * L1(b), the
+    # widest digit that qbits = 7 holds
+    ctx = ctx2(Fraction(1))
+    a = TorusElement(ctx, {(1, 0): {Fraction(0): 3, Fraction(2): -4}})
+    b = ctx.monomial((0, 1), 0, 9 * sign)
+    code = _TermCode.of([a, b])
+    assert code.qbits == 7
+    assert commutator(a, b)._terms[(1, 1)][1] == 63 * sign
+    assert _unpacked_commutator([a, b])[0, 1] == commutator(a, b)._terms
+    assert not commutes(a, b)
 
 
 def test_layout_raises_rather_than_wraps():
-    layout = _KeyLayout(2, 3, 4)
-    assert layout.pack((2, -2), -3) != layout.pack((2, -2), 3)
-    with pytest.raises(OverflowError):
-        layout.pack((3, 0), 0)
-    with pytest.raises(OverflowError):
-        layout.pack((0, 0), -4)
+    ctx = ctx2(Fraction(1))
+    code = _TermCode.of([ctx.monomial((2, -2)), ctx.monomial((0, 1))])
+    assert (code.exp_bound, code.width) == (2, 1)
+    key = {vec: code.encode(ctx.monomial(vec))[0][0][1] for vec in ((2, -2), (-2, 2), (0, 0))}
+    assert key[(2, -2)] + key[(-2, 2)] == 2 * key[(0, 0)]
+    # past exp_bound is refused even where the field would still fit its
+    # byte: the width was chosen for key sums within 4 * exp_bound
+    for vec in ((3, 0), (0, -3)):
+        with pytest.raises(OverflowError):
+            code.encode(ctx.monomial(vec))
+
+
+def test_off_grid_keys_and_huge_pairings_take_the_commutator_route():
+    ctx = ctx2(Fraction(1))
+    a, b = ctx.monomial((1, 0), Fraction(1, 3)), ctx.monomial((0, 1))
+    assert _TermCode.of([a, b]) is None and not commutes(a, b)
+    # values past _MAX_VALUE_BITS: a wide q-key span, a large pairing
+    # bound, and a bound past 8-byte fields
+    for e, k in ((1, 2**20), (200, 0), (2**32, 0)):
+        a, b = ctx.monomial((e, 0), k), ctx.monomial((0, e))
+        assert _TermCode.of([a, b]) is None and not commutes(a, b) and commutes(a, a * a)
 
 
 def test_commutes_of_many_elements_checks_contexts():
@@ -919,3 +980,37 @@ def test_commutes_of_many_elements_checks_contexts():
         commutes(x, x * x, other)
     with pytest.raises(ValueError, match="context mismatch"):
         commutes(other, x)
+
+
+def test_commute_check_rejects_a_coefficient_off_by_one(capsys, monkeypatch):
+    # negative control on real Hamiltonians: C3 word 0 with 1 added to the
+    # coefficient of H_2's least term, which pairs nonzero with others
+    import json
+
+    from qtoda import cli
+    from qtoda.correspondence import commutator_witness
+    from qtoda.words import enumerate_double_coxeter
+
+    fold, folded = cli.fold_hamiltonians, []
+
+    def off_by_one(net, sizes, table):
+        hs = fold(net, sizes, table)
+        hs[2] = hs[2] + hs[2].ctx.monomial(min(hs[2]._terms))
+        folded.append(hs)
+        return hs
+
+    word = enumerate_double_coxeter(3)[0]
+    argv = ["verify", "--check", "commute", "--type", "C", "--rank", "3", "--word=" + ",".join(map(str, word.letters))]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "fold_hamiltonians", off_by_one)
+    assert cli.main(argv) == 1
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]
+    (hs,) = folded
+    assert not commutes(*hs.values())
+    bad = [[a, b] for a, b in combinations(hs, 2) if not commutator(hs[a], hs[b]).is_zero()]
+    assert bad and all(2 in pair for pair in bad)
+    assert not rep["ok"] and rep["noncommuting_pairs"] == bad
+    assert rep["witnesses"] == [
+        json.loads(json.dumps({"pair": [a, b], **commutator_witness(hs[a], hs[b])})) for a, b in bad
+    ]
