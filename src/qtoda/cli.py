@@ -5,8 +5,10 @@ Exit codes of the ``qtoda`` command: 0 all passed, 1 verification
 failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
 ``--depth -1``, ``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K``
 or one at no vertex of the seed, an ``--index`` outside 1..count of the
-Hamiltonians, a ``--word`` or ``--qvec`` on ``verify --check
-mutation-equiv`` or ``rtt``, which run on no chosen word, included), 3
+Hamiltonians, and a word selector that a command would ignore included:
+``--word``, ``--qvec`` or ``--all-words`` on ``words`` or ``verify
+--check rtt``, ``--word`` or ``--qvec`` on ``verify --check
+mutation-equiv``), 3
 resource limit exceeded (``QTODA_MAX_FAMILIES``), 4 internal error (a
 fault of the program, not of its input), each reported as one line on
 stderr.  A stdout closed by its reader (``qtoda ... | head -1``) ends
@@ -31,7 +33,6 @@ import argparse
 import re
 import signal
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import lax as laxmod
@@ -53,30 +54,13 @@ from .network import (
     reference_chip_matrices,
     strand_table,
 )
-from .torus import commutes
+from .torus import commutator, commutes
 from .words import (
     DoubleWord,
     enumerate_double_coxeter,
     quiver_vector_of,
     word_of_quiver_vector,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    kind: str = "A"
-    rank: int = 2
-    word: tuple[int, ...] | None = None
-    qvec: tuple[int, ...] | None = None
-    all_words: bool = False
-    fmt: str = "text"
-    route: str = "lax"
-    check: str = "commute"
-    index: int | None = None
-    depth: int = 6
-    jobs: int = 1
-    sequence: tuple[tuple[str, int], ...] = ()
 
 
 _MOVE = re.compile(r"(tau|mu):([+-]?\d+)")
@@ -100,25 +84,25 @@ def _parse_seq(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(moves)
 
 
-def _select_words(cfg: RunConfig) -> list[DoubleWord]:
-    selectors = sum(x is not None for x in (cfg.word, cfg.qvec)) + cfg.all_words
+def _select_words(args: argparse.Namespace) -> list[DoubleWord]:
+    selectors = sum(x is not None for x in (args.word, args.qvec)) + args.all_words
     if selectors != 1:
         raise SystemExit2("exactly one of --word, --qvec, --all-words is required")
-    if cfg.all_words:
-        return enumerate_double_coxeter(cfg.rank)
+    if args.all_words:
+        return enumerate_double_coxeter(args.rank)
     try:
-        if cfg.word is not None:
-            return [DoubleWord(cfg.rank, cfg.word)]
-        return [word_of_quiver_vector(cfg.rank, cfg.qvec)]
+        if args.word is not None:
+            return [DoubleWord(args.rank, args.word)]
+        return [word_of_quiver_vector(args.rank, args.qvec)]
     except ValueError as exc:
-        flag = "--word" if cfg.word is not None else "--qvec"
+        flag = "--word" if args.word is not None else "--qvec"
         raise SystemExit2(f"{flag}: {exc}") from None
 
 
-def _one_word(cfg: RunConfig) -> DoubleWord:
-    words = _select_words(cfg)
+def _one_word(args: argparse.Namespace) -> DoubleWord:
+    words = _select_words(args)
     if len(words) != 1:
-        raise SystemExit2(f"{cfg.command} takes one word; --all-words selects {len(words)}")
+        raise SystemExit2(f"{args.command} takes one word; --all-words selects {len(words)}")
     return words[0]
 
 
@@ -126,10 +110,10 @@ class SystemExit2(Exception):
     pass
 
 
-def _emit(payload, cfg: RunConfig, latex_fn=None, text_fn=None):
-    if cfg.fmt == "json":
+def _emit(payload, args: argparse.Namespace, latex_fn=None, text_fn=None):
+    if args.fmt == "json":
         print(serialize.dumps(payload))
-    elif cfg.fmt == "latex" and latex_fn is not None:
+    elif args.fmt == "latex" and latex_fn is not None:
         print(latex_fn())
     elif text_fn is not None:
         print(text_fn())
@@ -137,94 +121,107 @@ def _emit(payload, cfg: RunConfig, latex_fn=None, text_fn=None):
         print(serialize.dumps(payload))
 
 
-def cmd_words(cfg: RunConfig) -> int:
-    words = enumerate_double_coxeter(cfg.rank)
+def _refuse_selectors(args: argparse.Namespace, where: str, all_words: bool) -> None:
+    """A usage error for a word selector that ``where``, a command that
+    picks its own words of --rank, would ignore: ``--word``, ``--qvec``,
+    and ``--all-words`` too if ``all_words``."""
+    selectors = [("--word", args.word), ("--qvec", args.qvec)]
+    if all_words:
+        selectors.append(("--all-words", args.all_words or None))
+    for flag, value in selectors:
+        if value is not None:
+            raise SystemExit2(f"{flag} does not apply to {where} of --rank")
+
+
+def cmd_words(args: argparse.Namespace) -> int:
+    _refuse_selectors(args, "words, which lists every word", all_words=True)
+    words = enumerate_double_coxeter(args.rank)
     payload = {
         "schema_version": serialize.SCHEMA_VERSION,
-        "rank": cfg.rank,
+        "rank": args.rank,
         "count": len(words),
         "words": [list(w.letters) for w in words],
         "quiver_vectors": [list(quiver_vector_of(w)) for w in words],
     }
-    _emit(payload, cfg, text_fn=lambda: "\n".join(
+    _emit(payload, args, text_fn=lambda: "\n".join(
         f"{list(w.letters)}  Q={list(quiver_vector_of(w))}" for w in words
     ))
     return 0
 
 
-def cmd_network(cfg: RunConfig) -> int:
-    word = _one_word(cfg)
-    net = build_network(cfg.kind, word)
-    if cfg.fmt == "dot":
+def cmd_network(args: argparse.Namespace) -> int:
+    word = _one_word(args)
+    net = build_network(args.kind, word)
+    if args.fmt == "dot":
         print(serialize.network_to_dot(net))
     else:
         print(serialize.dumps(serialize.network_to_dict(net)))
     return 0
 
 
-def cmd_quiver(cfg: RunConfig) -> int:
+def cmd_quiver(args: argparse.Namespace) -> int:
     from .cluster import seed_from_word
 
-    word = _one_word(cfg)
-    seed = seed_from_word(cfg.kind, word)
-    if cfg.fmt == "dot":
+    word = _one_word(args)
+    seed = seed_from_word(args.kind, word)
+    if args.fmt == "dot":
         print(serialize.seed_to_dot(seed))
     else:
         print(serialize.dumps(serialize.seed_to_dict(seed)))
     return 0
 
 
-def _indices(cfg: RunConfig, count: int) -> list[int]:
+def _indices(args: argparse.Namespace, count: int) -> list[int]:
     """The Hamiltonian indices to print: ``--index`` if given, else all."""
-    if cfg.index is None:
+    if args.index is None:
         return list(range(1, count + 1))
-    if not 1 <= cfg.index <= count:
-        raise SystemExit2(f"--index must be between 1 and {count}, got {cfg.index}")
-    return [cfg.index]
+    if not 1 <= args.index <= count:
+        raise SystemExit2(f"--index must be between 1 and {count}, got {args.index}")
+    return [args.index]
 
 
-def cmd_hamiltonians(cfg: RunConfig) -> int:
+def cmd_hamiltonians(args: argparse.Namespace) -> int:
     # on the lax/recursive routes of type A, --rank counts the chain
     # sites, one more than the network rank of the underlying word
-    if cfg.route != "network" and cfg.kind == "A":
-        if cfg.rank < 2:
-            raise SystemExit2(f"--rank must be at least 2 on the {cfg.route} route of type A, got {cfg.rank}")
-        if cfg.qvec is not None and len(cfg.qvec) != cfg.rank - 2:
+    if args.route != "network" and args.kind == "A":
+        if args.rank < 2:
+            raise SystemExit2(f"--rank must be at least 2 on the {args.route} route of type A, got {args.rank}")
+        if args.qvec is not None and len(args.qvec) != args.rank - 2:
             raise SystemExit2(
-                f"--qvec: --rank {cfg.rank} on the {cfg.route} route of type A takes the quiver "
-                f"vector of the rank-{cfg.rank - 1} word, {cfg.rank - 2} entries; got {len(cfg.qvec)}"
+                f"--qvec: --rank {args.rank} on the {args.route} route of type A takes the quiver "
+                f"vector of the rank-{args.rank - 1} word, {args.rank - 2} entries; got {len(args.qvec)}"
             )
-        cfg = RunConfig(**{**cfg.__dict__, "rank": cfg.rank - 1})
-    word = _one_word(cfg)
+        args = argparse.Namespace(**{**vars(args), "rank": args.rank - 1})
+    word = _one_word(args)
     out = {}
-    if cfg.route == "network":
-        net = build_network(cfg.kind, word)
-        indices = _indices(cfg, net.num_rows)
+    if args.route == "network":
+        net = build_network(args.kind, word)
+        indices = _indices(args, net.num_rows)
         hams = fold_hamiltonians(net, indices, strand_table(net))
         for i in indices:
             out[f"H_{i}"] = hams[i]
     else:
-        ctx, kvec = lax_params(cfg.kind, word)
-        count = len(kvec) + 1 if cfg.kind == "A" else 2 * len(kvec) + 1
-        indices = _indices(cfg, count)
-        if cfg.route == "lax":
-            hams = laxmod.lax_hamiltonians(ctx, kvec, cfg.kind)
+        ctx, kvec = lax_params(args.kind, word)
+        count = len(kvec) + 1 if args.kind == "A" else 2 * len(kvec) + 1
+        indices = _indices(args, count)
+        if args.route == "lax":
+            hams = laxmod.lax_hamiltonians(ctx, kvec, args.kind)
             for i in indices:
                 out[f"H_{i}"] = hams[i - 1]
         else:
-            hams = laxmod.recursive_hamiltonians(ctx, kvec, cfg.kind, indices)
+            hams = laxmod.recursive_hamiltonians(ctx, kvec, args.kind, indices)
             for i in indices:
                 out[f"H_{i}"] = hams[i]
     payload = {
         "schema_version": serialize.SCHEMA_VERSION,
-        "type": cfg.kind,
+        "type": args.kind,
         "word": list(word.letters),
-        "route": cfg.route,
+        "route": args.route,
         "hamiltonians": {k: serialize.element_to_dict(v) for k, v in out.items()},
     }
     _emit(
         payload,
-        cfg,
+        args,
         latex_fn=lambda: "\n".join(
             f"{k} = {serialize.element_to_latex(v)}" for k, v in out.items()
         ),
@@ -244,16 +241,15 @@ def _check_one_word(args) -> dict:
         return verify_weight_map(net)
     if check == "commute":
         hs = fold_hamiltonians(net, range(1, word.n + 1), lax_strand_table(net))
-        # one packed pass over every pair; only a failing word is split into pairs
-        bad = [] if commutes(*hs.values()) else [
-            [a, b] for a, b in combinations(hs, 2) if not commutes(hs[a], hs[b])
-        ]
-        report = {"word": list(letters), "ok": not bad, "noncommuting_pairs": bad}
-        if bad:
+        # one packed pass over every pair; only a failing word builds the
+        # commutator of each pair, once
+        comms = {} if commutes(*hs.values()) else {
+            (a, b): c for a, b in combinations(hs, 2) if (c := commutator(hs[a], hs[b]))
+        }
+        report = {"word": list(letters), "ok": not comms, "noncommuting_pairs": [[a, b] for a, b in comms]}
+        if comms:
             # per failing pair, the least term of its commutator
-            report["witnesses"] = [
-                {"pair": [a, b], **commutator_witness(hs[a], hs[b])} for a, b in bad
-            ]
+            report["witnesses"] = [{"pair": [a, b], **commutator_witness(c)} for (a, b), c in comms.items()]
         return report
     if check == "oracle":
         got = classical_matrix(net)
@@ -267,18 +263,14 @@ def _check_one_word(args) -> dict:
     raise ValueError(f"unknown check {check!r}")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     # neither check runs on a chosen word: a selector would be ignored, and
     # rtt runs on no word at all, so --all-words would be ignored there too
-    runs_on = {"rtt": "fixed index vectors", "mutation-equiv": "every word"}.get(cfg.check)
-    selectors = [("--word", cfg.word), ("--qvec", cfg.qvec)]
-    if cfg.check == "rtt":
-        selectors.append(("--all-words", cfg.all_words or None))
-    for flag, value in selectors:
-        if runs_on and value is not None:
-            raise SystemExit2(f"{flag} does not apply to --check {cfg.check}, which runs on {runs_on} of --rank")
-    if cfg.check == "rtt":
-        n = max(cfg.rank, 2)
+    runs_on = {"rtt": "fixed index vectors", "mutation-equiv": "every word"}.get(args.check)
+    if runs_on:
+        _refuse_selectors(args, f"--check {args.check}, which runs on {runs_on}", all_words=args.check == "rtt")
+    if args.check == "rtt":
+        n = max(args.rank, 2)
         ctx = laxmod.lax_context(n)
         cases = [
             ({"site": i, "k": k, "barred": barred}, laxmod.local_lax(ctx, i, k, barred))
@@ -300,12 +292,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         ok = all(r["ok"] for r in reports)
         print(serialize.dumps({"check": "rtt", "ok": ok, "reports": reports}))
         return 0 if ok else 1
-    if cfg.check == "mutation-equiv":
+    if args.check == "mutation-equiv":
         from .cluster import mutation_equivalent, seed_from_word
 
-        words = enumerate_double_coxeter(cfg.rank)
-        seeds = [seed_from_word(cfg.kind, w) for w in words]
-        paths = mutation_equivalent(seeds[0], seeds[1:], cfg.depth)
+        words = enumerate_double_coxeter(args.rank)
+        seeds = [seed_from_word(args.kind, w) for w in words]
+        paths = mutation_equivalent(seeds[0], seeds[1:], args.depth)
         reports = [
             {"word": list(w.letters), "reachable": path is not None, "path": path}
             for w, path in zip(words[1:], paths)
@@ -314,10 +306,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(serialize.dumps({"check": "mutation-equiv", "ok": ok, "reports": reports}))
         return 0 if ok else 1
 
-    words = _select_words(cfg)
-    tasks = [(cfg.kind, cfg.check, list(w.letters)) for w in words]
+    words = _select_words(args)
+    tasks = [(args.kind, args.check, list(w.letters)) for w in words]
     # the pool forks all its workers up front: no more than there are words
-    workers = min(cfg.jobs, len(tasks))
+    workers = min(args.jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -328,19 +320,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     ok = all(r["ok"] for r in reports)
     print(
         serialize.dumps(
-            {"check": cfg.check, "type": cfg.kind, "ok": ok, "reports": reports}
+            {"check": args.check, "type": args.kind, "ok": ok, "reports": reports}
         )
     )
     return 0 if ok else 1
 
 
-def cmd_mutate(cfg: RunConfig) -> int:
+def cmd_mutate(args: argparse.Namespace) -> int:
     from .cluster import mutate_seed, mutate_swap, seed_from_word
 
-    word = _one_word(cfg)
-    seed = seed_from_word(cfg.kind, word)
+    word = _one_word(args)
+    seed = seed_from_word(args.kind, word)
     applied = []
-    for tag, v in cfg.sequence:
+    for tag, v in args.seq:
         try:
             if tag == "tau":
                 seed, _ = mutate_swap(seed, v)
@@ -350,7 +342,7 @@ def cmd_mutate(cfg: RunConfig) -> int:
             # tau:K mutates at -K: name the move as typed
             raise SystemExit2(f"--seq move {tag}:{v} cannot be applied: {exc}") from None
         applied.append([tag, v])
-    if cfg.fmt == "dot":
+    if args.fmt == "dot":
         print(serialize.seed_to_dot(seed))
     else:
         payload = serialize.seed_to_dict(seed)
@@ -414,29 +406,18 @@ def main(argv=None) -> int:
         "mutate": cmd_mutate,
     }
     try:
-        cfg = RunConfig(
-            command=args.command,
-            kind=getattr(args, "kind", "A"),
-            rank=getattr(args, "rank", 2),
-            word=_parse_ints(args.word, "--word") if getattr(args, "word", None) else None,
-            qvec=_parse_ints(args.qvec, "--qvec") if getattr(args, "qvec", None) is not None else None,
-            all_words=getattr(args, "all_words", False),
-            fmt=getattr(args, "fmt", "json"),
-            route=getattr(args, "route", "lax"),
-            check=getattr(args, "check", "commute"),
-            index=getattr(args, "index", None),
-            depth=getattr(args, "depth", 6),
-            jobs=getattr(args, "jobs", 1),
-            sequence=_parse_seq(getattr(args, "seq", "")),
-        )
-        for flag, value, least in (
-            ("--rank", cfg.rank, 1),
-            ("--jobs", cfg.jobs, 1),
-            ("--depth", cfg.depth, 0),
-        ):
-            if value < least:
+        # parsed in place; every default is the parser's
+        args.word = _parse_ints(args.word, "--word") if args.word else None
+        if args.qvec is not None:
+            args.qvec = _parse_ints(args.qvec, "--qvec")
+        if args.command == "mutate":
+            args.seq = _parse_seq(args.seq)
+        # --depth is a flag of verify alone
+        for flag, name, least in (("--rank", "rank", 1), ("--jobs", "jobs", 1), ("--depth", "depth", 0)):
+            value = vars(args).get(name)
+            if value is not None and value < least:
                 raise SystemExit2(f"{flag} must be at least {least}, got {value}")
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

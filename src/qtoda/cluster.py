@@ -22,7 +22,7 @@ k <-> -k), which renames two labels without moving an entry.
 a base seed for every target, calling the kernel on flat matrices and
 comparing them up to relabeling by their canonical key
 (``_matrix_key``, which ``Seed.canonical_key`` also calls); a matrix met
-before is not keyed again.  The quantum mutation is kept factored.
+before is not keyed again.
 
 ``check_ensemble_naturality`` compares the two sides of the classical
 naturality identity in factored form: each is a monomial in the A
@@ -39,8 +39,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from types import MappingProxyType
 
-from .network import _doubled_face_weights, cartan_matrix, face_weights, symmetrizers
-from .torus import RationalLaurent, TorusContext, classical_context
+from .network import _doubled_face_weights, cartan_matrix, symmetrizers
+from .torus import RationalLaurent, classical_context
 from .words import DoubleWord
 
 
@@ -176,7 +176,6 @@ def disk_seed_from_word(kind: str, word: DoubleWord) -> Seed:
     cut into frozen faces (\"L\", k), (\"R\", k); entries may be halves."""
     n = word.n
     d_roots = symmetrizers(kind, n)
-    omega = face_weights(kind, word, disk=True)
     labels = tuple(range(-n, 0)) + tuple(
         lab for k in range(1, n + 1) for lab in (("L", k), ("R", k))
     )
@@ -184,8 +183,9 @@ def disk_seed_from_word(kind: str, word: DoubleWord) -> Seed:
     for l in labels:
         d[l] = d_roots[abs(l) - 1] if isinstance(l, int) else d_roots[l[1] - 1]
     eps = {}
-    for (i, j), w in omega.items():
-        val = Fraction(w, d[j])
+    # the doubled weights are 2 w_ij, and eps_ij = w_ij / d_j
+    for (i, j), w2 in _doubled_face_weights(kind, word, True).items():
+        val = Fraction(w2, 2 * d[j])
         eps[(i, j)] = val if val.denominator != 1 else val.numerator
     return Seed(labels, eps, d, frozenset(l for l in labels if not isinstance(l, int)))
 
@@ -421,17 +421,10 @@ def check_ensemble_naturality(seed: Seed, k) -> bool:
     return lhs == rhs
 
 
-def seed_x_context(seed: Seed) -> TorusContext:
-    return classical_context(tuple(f"X[{l}]" for l in seed.labels))
-
-
-def seed_a_context(seed: Seed) -> TorusContext:
-    return classical_context(tuple(f"A[{l}]" for l in seed.labels))
-
-
 def a_assignment(seed: Seed) -> dict:
-    """The generators of ``seed_a_context(seed)`` as rational functions."""
-    ctx = seed_a_context(seed)
+    """The generators A[l] of the zero-skew context on the seed's labels,
+    as rational functions."""
+    ctx = classical_context(tuple(f"A[{l}]" for l in seed.labels))
     return {l: RationalLaurent(ctx.generator(i)) for i, l in enumerate(seed.labels)}
 
 
@@ -478,70 +471,3 @@ def ensemble_substitution(seed: Seed, a_vals: dict) -> dict:
                 expr *= a_vals[j] ** _integral(e)
         out[i] = expr
     return out
-
-
-# ---------------------------------------------------------------------------
-# quantum mutation, kept factored
-
-
-@dataclass(frozen=True)
-class BinomialFactor:
-    """(1 + q^r X)^(exponent) with X a torus monomial."""
-
-    qpow: Fraction
-    vec: tuple[int, ...]
-    exponent: int
-
-
-@dataclass(frozen=True)
-class FactoredExpression:
-    ctx: TorusContext
-    monomial_vec: tuple[int, ...]
-    factors: tuple[BinomialFactor, ...]
-
-    def specialize_classical(self, assignment: dict):
-        """q -> 1 as a rational function, unsimplified; assignment maps
-        each generator name to a field element (a ``RationalLaurent``
-        or a sympy symbol, say)."""
-        expr = 1
-        for name, e in zip(self.ctx.names, self.monomial_vec):
-            if e:
-                expr *= assignment[name] ** e
-        for f in self.factors:
-            base = 1
-            for name, e in zip(self.ctx.names, f.vec):
-                if e:
-                    base *= assignment[name] ** e
-            expr *= (1 + base) ** f.exponent
-        return expr
-
-
-def quantum_mutate(seed: Seed, k, i) -> FactoredExpression:
-    """Image of X_i under the quantum mutation at k, as a factored
-    expression: X_k^-1 at i = k, otherwise X_i times binomial factors
-    (1 + q_i^(2r-1) X_k^(+-1))^(+-1) with q_i = q^(d_i)."""
-    if k in seed.frozen:
-        raise ValueError("cannot mutate at a frozen index")
-    ctx = seed_x_context(seed)
-    pos = {l: idx for idx, l in enumerate(seed.labels)}
-
-    def basis(l, power=1):
-        v = [0] * len(seed.labels)
-        v[pos[l]] = power
-        return tuple(v)
-
-    if i == k:
-        return FactoredExpression(ctx, basis(k, -1), ())
-    e = seed.entry(k, i)
-    if e.denominator != 1:
-        raise ValueError("quantum mutation needs integral entries")
-    e = int(e)
-    d_i = seed.d[i]
-    factors = []
-    if e <= 0:
-        for r in range(1, -e + 1):
-            factors.append(BinomialFactor(Fraction(d_i * (2 * r - 1)), basis(k), 1))
-    else:
-        for r in range(1, e + 1):
-            factors.append(BinomialFactor(Fraction(d_i * (2 * r - 1)), basis(k, -1), -1))
-    return FactoredExpression(ctx, basis(i), tuple(factors))

@@ -28,7 +28,7 @@ from .network import (
     strand_table,
     weight_vector,
 )
-from .torus import MonomialMap, TorusContext, TorusElement, _pairing_row, commutator
+from .torus import MonomialMap, TorusContext, TorusElement, _pairing_row
 from .words import DoubleWord, QuiverVector, index_vector_of, quiver_vector_of
 
 
@@ -261,11 +261,10 @@ def _compare(lhs: TorusElement, rhs: TorusElement) -> dict:
     }
 
 
-def commutator_witness(a: TorusElement, b: TorusElement) -> dict:
-    """The least nonzero term of ab - ba: its exponents and q-coefficients,
-    in the shape of ``_compare``'s first_diff.  For a pair that does not
-    commute; a commuting pair has no witness."""
-    c = commutator(a, b)
+def commutator_witness(c: TorusElement) -> dict:
+    """The least term of a nonzero commutator c = ab - ba: its exponents
+    and q-coefficients, in the shape of ``_compare``'s first_diff.  A
+    commuting pair has no witness."""
     vec = min(c.terms)
     return {"exponents": list(vec), "coeff": _coeff_list(c, vec)}
 
@@ -313,7 +312,7 @@ def verify_equivalence_A(word: DoubleWord) -> dict:
     }
 
 
-def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
+def verify_equivalence_C(word: DoubleWord) -> dict:
     """H_i(network) = H_{i+1}(double Lax, (Q, 0)) for i = 1..n, plus the
     subnetwork identities on the bottom and top row bands."""
     n = word.n
@@ -324,10 +323,8 @@ def verify_equivalence_C(word: DoubleWord, subnetworks: bool = True) -> dict:
     ctx, kvec = lax_params("C", word)
     hams = laxmod.lax_hamiltonians(ctx, kvec, "C")
     # (rows lo..hi, size r, prefactor sign): bottom bands, then top bands
-    bands = []
-    if subnetworks:
-        bands = [(1, m, m, -1) for m in range(2, n + 1)]
-        bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
+    bands = [(1, m, m, -1) for m in range(2, n + 1)]
+    bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
     # one family search of the network folds it and every band
     spans = {(1, 2 * n): range(1, n + 1)}
     spans.update({(lo, hi): range(1, r + 1) for lo, hi, r, _ in bands})

@@ -329,16 +329,11 @@ def _contract(ctx: TorusContext, col: dict, parts: dict) -> None:
             down[k - shift] = down.get(k - shift, 0) + c
 
 
-def sigma_doubled(kvec: IndexVector) -> int:
-    """2 * sum s_i with s_i = (k_i - 1)/2."""
-    return sum(k - 1 for k in kvec)
-
-
 def _window(kvec: IndexVector, kind: str) -> list[int]:
     """The doubled z-degrees of H_1, H_2, ... in the (1,1) entry."""
     n = len(kvec)
     if kind == "A":
-        lo2 = sigma_doubled(kvec)
+        lo2 = sum(k - 1 for k in kvec)  # 2 * sum s_i with s_i = (k_i - 1)/2
         count = n + 1
     elif kind == "C":
         lo2 = -2 * n
@@ -518,7 +513,7 @@ def _recursive_C(ctx: TorusContext, kvec: IndexVector, i: int, cache: dict) -> T
 def bar_w(a: TorusElement) -> TorusElement:
     """The symmetry w_i -> w_i^-1 (with q -> 1/q, making it a ring map)."""
     n = a.ctx.rank // 2
-    return a.flipped(range(n), negate_q=True)
+    return a.flipped(range(n))
 
 
 def _solve_exact(rows: list[list[int]], rhs: list, width: int) -> list[Fraction] | None:

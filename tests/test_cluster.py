@@ -26,11 +26,10 @@ from qtoda.cluster import (
     mutate_swap,
     mutate_X_classical,
     mutation_equivalent,
-    quantum_mutate,
     seed_from_word,
     standard_exchange_matrix,
 )
-from qtoda.network import face_weights, symmetrizers
+from qtoda.network import _doubled_face_weights, symmetrizers
 from qtoda.serialize import dumps, seed_to_dict, seed_to_dot
 from qtoda.torus import RationalLaurent
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
@@ -218,15 +217,16 @@ def test_vertex_count_and_integrality():
 
 
 def fraction_route_seed(kind, word):
-    """The cylinder seed read off ``face_weights``: eps_ij = w_ij / d_j
-    as a Fraction, kept where it is an integer."""
+    """The cylinder seed read off the face weights w_ij, halves of the
+    doubled ones: eps_ij = w_ij / d_j as a Fraction, kept where it is an
+    integer."""
     n = word.n
     d_roots = symmetrizers(kind, n)
     labels = tuple(range(-n, 0)) + tuple(range(1, n + 1))
     d = {l: d_roots[abs(l) - 1] for l in labels}
     eps = {}
-    for (i, j), w in face_weights(kind, word).items():
-        val = Fraction(w, d[j])
+    for (i, j), w2 in _doubled_face_weights(kind, word, False).items():
+        val = Fraction(Fraction(w2, 2), d[j])
         assert val.denominator == 1, (i, j)
         eps[(i, j)] = val.numerator
     return Seed(labels, eps, d, frozenset())
@@ -847,35 +847,6 @@ def test_classical_double_mutation_restores():
     back_a = mutate_A_classical(once_a, mutate_seed(s, k), k)
     for l in s.labels:
         assert sympy.simplify(back_a[l] - a_vals[l]) == 0
-
-
-# -- quantum mutation -----------------------------------------------------------
-
-
-def test_quantum_mutation_shapes():
-    s = qseed("A", 2, (0,))
-    f = quantum_mutate(s, 1, 1)
-    assert f.factors == ()
-    assert f.monomial_vec[s.labels.index(1)] == -1
-    far = next(l for l in s.labels if s.entry(1, l) == 0 and l != 1)
-    g = quantum_mutate(s, 1, far)
-    assert g.factors == ()
-    h = quantum_mutate(s, 1, -1)  # eps(1, -1) = -2: two plain binomials
-    assert len(h.factors) == 2
-    assert [f.exponent for f in h.factors] == [1, 1]
-    assert [f.qpow for f in h.factors] == [Fraction(1), Fraction(3)]
-
-
-def test_quantum_mutation_specializes_to_classical():
-    for q in [(-1,), (0,), (1,)]:
-        s = qseed("A", 2, q)
-        names = {f"X[{l}]": sympy.Symbol(f"x_{i}", positive=True) for i, l in enumerate(s.labels)}
-        xvals = {l: names[f"X[{l}]"] for l in s.labels}
-        for k in s.labels:
-            cls = mutate_X_classical(xvals, s, k)
-            for i in s.labels:
-                fe = quantum_mutate(s, k, i)
-                assert sympy.simplify(fe.specialize_classical(names) - cls[i]) == 0
 
 
 def test_seed_dot_emitter():

@@ -25,7 +25,6 @@ from qtoda.network import (
     fold_hamiltonians,
     network_hamiltonian,
     path_families,
-    quantized_path_weight,
     subnetwork,
     weight_vector,
 )
@@ -179,7 +178,7 @@ def test_int_strand_images_match_plain_products():
                     view = label_image(kind, n, qvec, ctx, p.label)
                     assert view == (qp, vec) and type(view[0]) is Fraction
                     wv = weight_vector(net, p)
-                    assert quantized_path_weight(net, p) == net.ctx.monomial(wv)
+                    assert net.ctx.weyl(p.letters) == net.ctx.monomial(wv)
                     _, (u, _, tkey, _) = table.entries[p.label]
                     assert (u, tkey) == ([(j, x) for j, x in enumerate(wv + vec) if x], key)
 

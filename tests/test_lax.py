@@ -50,7 +50,8 @@ def zpoly(ctx, coeffs):
 
 def z_inverted(el):
     """z -> 1/z: the z-exponent of every term negated."""
-    return el.flipped([el.ctx.rank - 2], negate_q=False)
+    z = el.ctx.rank - 2
+    return TorusElement(el.ctx, {v[:z] + (-v[z],) + v[z + 1 :]: c for v, c in el.terms.items()})
 
 
 def inverted_transpose(t, scale):

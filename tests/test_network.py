@@ -9,23 +9,23 @@ from qtoda.network import (
     FAMILY_CAP_ENV,
     LabeledPath,
     _colored_row,
+    _doubled_face_weights,
     _fold_families,
     _search_strands,
     _vertex_mask,
     build_network,
     classical_matrix,
     enumerate_labeled_paths,
-    face_weights,
     fold_hamiltonians,
     matrix_product,
     network_hamiltonian,
     path_families,
-    quantized_path_weight,
     reference_chip_matrices,
     strand_table,
     subnetwork,
     symmetrizers,
     weight_context,
+    weight_vector,
 )
 from qtoda.serialize import network_to_dict, network_to_dot
 from qtoda.torus import TorusContext, TorusElement, specialize_classical
@@ -42,9 +42,9 @@ def test_a1_paths_and_weights():
     assert set(paths) == {(1, 1), (2, 2), (1, 2)}
     t1 = net.ctx.generator(net.t_index(1))
     c1 = net.ctx.generator(net.c_index(1))
-    assert quantized_path_weight(net, paths[(1, 1)]) == t1
-    assert quantized_path_weight(net, paths[(2, 2)]) == net.ctx.generator(net.t_index(1), -1)
-    assert quantized_path_weight(net, paths[(1, 2)]) == net.ctx.weyl(
+    assert net.ctx.weyl(paths[(1, 1)].letters) == t1
+    assert net.ctx.weyl(paths[(2, 2)].letters) == net.ctx.generator(net.t_index(1), -1)
+    assert net.ctx.weyl(paths[(1, 2)].letters) == net.ctx.weyl(
         [(net.t_index(1), 1), (net.c_index(1), 1)]
     )
 
@@ -65,8 +65,7 @@ def test_unit_weight_path_is_unit():
     # strand picks up tokens only on the diagonal chip
     net = build_network("A", standard_word(2))
     p = next(p for p in enumerate_labeled_paths(net) if p.label == (1, 2))
-    w = quantized_path_weight(net, p)
-    assert w == net.ctx.weyl(p.letters)
+    assert net.ctx.weyl(p.letters) == net.ctx.monomial(weight_vector(net, p))
 
 
 def test_path_weight_reversal_invariance():
@@ -144,8 +143,8 @@ def test_family_members_commute_in_type_a():
             for i in range(2, net.num_rows + 1):
                 for fam in path_families(net, i):
                     for p, q in combinations(fam, 2):
-                        a = quantized_path_weight(net, p)
-                        b = quantized_path_weight(net, q)
+                        a = net.ctx.weyl(p.letters)
+                        b = net.ctx.weyl(q.letters)
                         assert a * b == b * a, (w.letters, p.label, q.label)
 
 
@@ -378,7 +377,7 @@ def family_weight(net, family):
     """Product of member weights multiplied one at a time, top row first."""
     acc = net.ctx.one()
     for p in sorted(family, key=lambda p: -p.source):
-        acc = acc * quantized_path_weight(net, p)
+        acc = acc * net.ctx.weyl(p.letters)
     return acc
 
 
@@ -477,9 +476,9 @@ def test_int_face_weights_match_the_fraction_reference():
         for n in ranks:
             for w in all_words(n):
                 for disk in (False, True):
-                    got, ref = face_weights(kind, w, disk), fraction_face_weights(kind, w, disk)
-                    assert list(got.items()) == list(ref.items()), (kind, w.letters, disk)
-                    assert all(type(v) is Fraction for v in got.values())
+                    got, ref = _doubled_face_weights(kind, w, disk), fraction_face_weights(kind, w, disk)
+                    assert [(k, Fraction(v, 2)) for k, v in got.items()] == list(ref.items()), (kind, w.letters, disk)
+                    assert all(type(v) is int for v in got.values())
                 ctx, ref_ctx = weight_context(kind, w), fraction_weight_context(kind, w)
                 assert ctx == ref_ctx and (ctx.den, ctx.rows) == (ref_ctx.den, ref_ctx.rows), (kind, w.letters)
                 assert all(type(x) is Fraction for row in ctx.skew for x in row)
