@@ -8,7 +8,9 @@ or one at no vertex of the seed, an ``--index`` outside 1..count of the
 Hamiltonians, and a word selector that a command would ignore included:
 ``--word``, ``--qvec`` or ``--all-words`` on ``words`` or ``verify
 --check rtt``, ``--word`` or ``--qvec`` on ``verify --check
-mutation-equiv``), 3
+mutation-equiv``, and a ``--format`` the subcommand does not emit:
+``words`` emits json or text, ``network``, ``quiver`` and ``mutate``
+json or dot, ``hamiltonians`` json, latex or text, ``verify`` json), 3
 resource limit exceeded (``QTODA_MAX_FAMILIES``), 4 internal error (a
 fault of the program, not of its input), each reported as one line on
 stderr.  A stdout closed by its reader (``qtoda ... | head -1``) ends
@@ -110,15 +112,25 @@ class SystemExit2(Exception):
     pass
 
 
-def _emit(payload, args: argparse.Namespace, latex_fn=None, text_fn=None):
+# the --format values each subcommand emits; the parser offers all four
+# to every subcommand, and ``main`` refuses the others
+_FORMATS = {
+    "words": ("json", "text"),
+    "network": ("json", "dot"),
+    "quiver": ("json", "dot"),
+    "hamiltonians": ("json", "latex", "text"),
+    "verify": ("json",),
+    "mutate": ("json", "dot"),
+}
+
+
+def _emit(payload, args: argparse.Namespace, text_fn, latex_fn=None):
     if args.fmt == "json":
         print(serialize.dumps(payload))
-    elif args.fmt == "latex" and latex_fn is not None:
+    elif args.fmt == "latex":
         print(latex_fn())
-    elif text_fn is not None:
-        print(text_fn())
     else:
-        print(serialize.dumps(payload))
+        print(text_fn())
 
 
 def _refuse_selectors(args: argparse.Namespace, where: str, all_words: bool) -> None:
@@ -412,6 +424,9 @@ def main(argv=None) -> int:
             args.qvec = _parse_ints(args.qvec, "--qvec")
         if args.command == "mutate":
             args.seq = _parse_seq(args.seq)
+        if args.fmt not in _FORMATS[args.command]:
+            emits = "|".join(_FORMATS[args.command])
+            raise SystemExit2(f"--format {args.fmt} does not apply to {args.command}, which emits {emits}")
         # --depth is a flag of verify alone
         for flag, name, least in (("--rank", "rank", 1), ("--jobs", "jobs", 1), ("--depth", "depth", 0)):
             value = vars(args).get(name)

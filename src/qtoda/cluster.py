@@ -20,9 +20,13 @@ so does ``mutate_swap``, the signed move tau_k (mutation at -k, then
 k <-> -k), which renames two labels without moving an entry.
 ``mutation_equivalent`` runs one breadth-first search of tau moves from
 a base seed for every target, calling the kernel on flat matrices and
-comparing them up to relabeling by their canonical key
-(``_matrix_key``, which ``Seed.canonical_key`` also calls); a matrix met
-before is not keyed again.
+comparing them up to relabeling; a matrix met before is skipped.  A new
+matrix is first told apart by a cheap invariant (``_invariant``: the
+sorted symmetrizer, frozen flag and sorted row of each position).  It is
+keyed by its canonical key (``_matrix_key``, which
+``Seed.canonical_key`` also calls) only when a class met before, or a
+target, has the same invariant.  Equal keys imply equal invariants, so
+the walk makes the decisions that keying every matrix would make.
 
 ``check_ensemble_naturality`` compares the two sides of the classical
 naturality identity in factored form: each is a monomial in the A
@@ -39,7 +43,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from types import MappingProxyType
 
-from .network import _doubled_face_weights, cartan_matrix, symmetrizers
+from .network import _doubled_face_weights, symmetrizers
 from .torus import RationalLaurent, classical_context
 from .words import DoubleWord
 
@@ -190,19 +194,6 @@ def disk_seed_from_word(kind: str, word: DoubleWord) -> Seed:
     return Seed(labels, eps, d, frozenset(l for l in labels if not isinstance(l, int)))
 
 
-def standard_exchange_matrix(kind: str, n: int):
-    """The block matrix [[0, C], [-C, 0]] on labels -1..-n, 1..n."""
-    c = cartan_matrix(kind, n)
-    labels = [-(j + 1) for j in range(n)] + [j + 1 for j in range(n)]
-    eps = {}
-    for a in range(n):
-        for b in range(n):
-            if c[a][b]:
-                eps[(-(a + 1), b + 1)] = c[a][b]
-                eps[(a + 1, -(b + 1))] = -c[a][b]
-    return labels, eps
-
-
 def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
     """Self-amalgamation: merge frozen vertex pairs inside one seed."""
     rename = {}
@@ -287,20 +278,40 @@ def mutate_swap(seed: Seed, k: int) -> tuple[Seed, dict]:
     return seed._with(_mutate(seed.flat, seed.labels, *seed._positional(), -k), swap), swap
 
 
-def _tau_orbit(seed: Seed, max_depth: int):
-    """Breadth-first walk over tau moves from seed: yields (canonical key,
-    first move sequence reaching it) for each new key within max_depth
-    moves, seed itself first with [].
+def _invariant(flat: tuple, d: tuple, frozen: tuple, ids: dict) -> tuple:
+    """A cheap isomorphism invariant of a flat m x m matrix whose
+    positions carry the symmetrizers d and frozen flags: the sorted
+    (symmetrizer, frozen flag, sorted row entries) triples of its
+    positions, each written as its number in ``ids``.  ``ids`` numbers
+    every triple met so far and gains the new ones, so two invariants
+    compare only under one ``ids``.
+
+    The triples are read off ``_matrix_key``'s value too, so matrices
+    with equal keys have equal invariants, and different invariants mean
+    different classes."""
+    rows = map(tuple, map(sorted, zip(*[iter(flat)] * len(d))))
+    return tuple(sorted([ids.setdefault(t, len(ids)) for t in zip(d, frozen, rows)]))
+
+
+def _tau_orbit(seed: Seed, max_depth: int, ids: dict):
+    """Breadth-first walk over tau moves from seed: yields (invariant,
+    flat matrix, first move sequence reaching it) for one matrix of each
+    isomorphism class within max_depth moves, seed's first with [].
+    Invariants are numbered in ``ids`` (see ``_invariant``).
 
     The walk holds flat matrices with the names of their positions, not
-    seeds, and keys each one with ``_matrix_key``; a matrix met before
-    is not keyed again, since its key is already seen.
+    seeds; a matrix met before is skipped.  A new matrix whose invariant
+    no class has yet is a new class, and is not keyed.  One whose
+    invariant is shared is keyed (``_matrix_key``) and compared with the
+    keys of the classes holding that invariant, each keyed once.
     """
     d, frozen = seed._positional()
     ranks = sorted({abs(l) for l in seed.labels if isinstance(l, int)})
-    key = seed.canonical_key()
-    yield key, []
-    seen = {key}
+    inv = _invariant(seed.flat, d, frozen, ids)
+    yield inv, seed.flat, []
+    # invariant -> the flat matrix of the one class met with it, unkeyed,
+    # or the set of keys of the classes met with it once another shares it
+    classes = {inv: seed.flat}
     met = {seed.flat}
     frontier = [(seed.flat, seed.labels, [])]
     for _ in range(max_depth):
@@ -311,13 +322,18 @@ def _tau_orbit(seed: Seed, max_depth: int):
                 if cand in met:
                     continue
                 met.add(cand)
-                key = _matrix_key(cand, d, frozen)
-                if key not in seen:
-                    seen.add(key)
-                    path = hist + [("tau", k)]
-                    yield key, path
-                    swap = {k: -k, -k: k}
-                    nxt.append((cand, tuple(swap.get(l, l) for l in names), path))
+                inv = _invariant(cand, d, frozen, ids)
+                held = classes.setdefault(inv, cand)
+                if held is not cand:
+                    if type(held) is tuple:
+                        held = classes[inv] = {_matrix_key(held, d, frozen)}
+                    key = _matrix_key(cand, d, frozen)
+                    if key in held:
+                        continue
+                    held.add(key)
+                path = hist + [("tau", k)]
+                yield inv, cand, path
+                nxt.append((cand, tuple([-l if l == k or l == -k else l for l in names]), path))
         frontier = nxt
 
 
@@ -329,16 +345,22 @@ def mutation_equivalent(s1: Seed, targets, max_depth: int) -> list:
     [] for a target isomorphic to s1, or None when no sequence of at
     most max_depth moves does.  The walk order does not depend on the
     targets, so each sequence is the one a search for that target alone
-    finds; the walk stops as soon as every target is reached.
+    finds; the walk stops as soon as every target is reached.  A class
+    the walk meets is keyed only when its invariant is a target's.
     """
     keys = [t.canonical_key() for t in targets]
-    wanted = set(keys)
+    ids: dict = {}
+    wanted: dict = {}
+    for t, key in zip(targets, keys):
+        wanted.setdefault(_invariant(t.flat, *t._positional(), ids), set()).add(key)
     found: dict = {}
-    if wanted:
-        for key, path in _tau_orbit(s1, max_depth):
-            if key in wanted:
+    if keys:
+        d, frozen = s1._positional()
+        distinct = len(set(keys))
+        for inv, flat, path in _tau_orbit(s1, max_depth, ids):
+            if inv in wanted and (key := _matrix_key(flat, d, frozen)) in wanted[inv]:
                 found[key] = path
-                if len(found) == len(wanted):
+                if len(found) == distinct:
                     break
     return [found.get(key) for key in keys]
 

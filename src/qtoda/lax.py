@@ -23,8 +23,9 @@ term map for that z-degree is closed.
 The recursion formulas (``recursive_hamiltonians``) give the same
 Hamiltonians, signs included, by a third route.  The local matrices
 and the full 2x2 products (``local_lax``, ``monodromy``,
-``double_monodromy``), read through ``z_coefficients``, stay for the RTT
-check, the one check that uses w, and as the tests' oracle.
+``double_monodromy``) stay for the RTT check, the one check that uses
+w, and as the tests' oracle, which splits their entries by z-degree
+itself.
 """
 
 from __future__ import annotations
@@ -87,21 +88,6 @@ def w_index(ctx: TorusContext, i: int) -> int:
 
 def d_index(ctx: TorusContext, i: int) -> int:
     return ctx.rank // 2 + i - 1
-
-
-def z_coefficients(el: TorusElement, ctx: TorusContext) -> dict[int, TorusElement]:
-    """The coefficients of ``el``, an element of ``spectral_context(ctx)``
-    free of w, as elements of ``ctx`` keyed by doubled z-degree."""
-    sctx = spectral_context(ctx)
-    if el.ctx is not sctx and el.ctx != sctx:
-        raise ValueError("element is not over the spectral context")
-    m = ctx.rank
-    parts: dict[int, dict] = {}
-    for vec, coeffs in el._terms.items():
-        if vec[m + 1]:
-            raise ValueError("element depends on w")
-        parts.setdefault(vec[m], {})[vec[:m]] = coeffs
-    return {e: TorusElement._make(ctx, terms) for e, terms in parts.items()}
 
 
 @dataclass(frozen=True)
@@ -508,12 +494,6 @@ def _recursive_C(ctx: TorusContext, kvec: IndexVector, i: int, cache: dict) -> T
                     continue
                 parts.append(left * mid * raw(_truncate(kvec, mright), j))
     return TorusElement.sum(ctx, parts).q_shift(0, (-1) ** n * _normal_sign("C", n, i))
-
-
-def bar_w(a: TorusElement) -> TorusElement:
-    """The symmetry w_i -> w_i^-1 (with q -> 1/q, making it a ring map)."""
-    n = a.ctx.rank // 2
-    return a.flipped(range(n))
 
 
 def _solve_exact(rows: list[list[int]], rhs: list, width: int) -> list[Fraction] | None:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import signal
@@ -143,6 +144,47 @@ def test_word_selectors_are_refused_by_words(capsys, selector):
     assert captured.err == f"usage error: {flag} does not apply to words, which lists every word of --rank\n"
     code, out = run(capsys, "words", "--rank", "2")
     assert code == 0 and json.loads(out)["count"] == 3
+
+
+# one small run of each subcommand
+_FORMAT_RUNS = {
+    "words": ("--rank", "2"),
+    "network": ("--rank", "2", "--qvec", "0"),
+    "quiver": ("--rank", "2", "--qvec", "0"),
+    "hamiltonians": ("--rank", "3", "--qvec", "0"),
+    "verify": ("--check", "rtt", "--rank", "2"),
+    "mutate": ("--rank", "2", "--qvec", "0", "--seq", "tau:1"),
+}
+# stdout sha256 of each format a subcommand emits, recorded when every
+# subcommand still accepted every format
+_FORMAT_PINS = {
+    ("words", "json"): "ad12cbb0b6c7a7754102bfa669fc18d0e7ec5ce16df40b008c4bc5edffa8d66d",
+    ("words", "text"): "430c6abbe3d36a5edcb3ddb484abc73a928b61f5e40af0af18c985a0aad51f76",
+    ("network", "json"): "07fdc875022d8ff337bee2c69711b7f01dbd3371c1e4a976f2add37cdd1a2861",
+    ("network", "dot"): "6c0dfad30ce143aec4213dbb4fe791b1bb83a8c0b4914f631f221a1083e7150f",
+    ("quiver", "json"): "d989ca75a068524f05dd84748b76b1e206d2946c7347ccdc9d79f737fd7495fb",
+    ("quiver", "dot"): "ba69a7fbada8713a3311ca7b17799ae184f7fe7702d36fe2ddaf8706c5d773b2",
+    ("hamiltonians", "json"): "86f9e52f55cae8e7d574206622e2e065709b8d82082eafc274fc516c1c853c80",
+    ("hamiltonians", "latex"): "f755b6086fcdea297fb8e09ae449917fb621659e344d411092f9f6ce4a661ce6",
+    ("hamiltonians", "text"): "da2705a2612f3e49d6e4f4752b7074c44424e87964e865abeee13be82dd684bb",
+    ("verify", "json"): "bfe7d18a68f45bda747def32b91223020c8294316f75ea5c3e2ca2fa5cb2b693",
+    ("mutate", "json"): "9f1d6c40d1208e6a27b5dfd668fb23a3f8c7a6a3895e7d8c7ef909eedb9b3523",
+    ("mutate", "dot"): "9287738fbce35e94047ec0b1abf710ea1931ff2eeb292605f91d1b7bba4e95eb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FORMAT_RUNS))
+@pytest.mark.parametrize("fmt", ["json", "latex", "dot", "text"])
+def test_format_a_subcommand_does_not_emit_is_a_usage_error(capsys, command, fmt):
+    code = main([command, *_FORMAT_RUNS[command], "--format", fmt])
+    captured = capsys.readouterr()
+    if (command, fmt) in _FORMAT_PINS:
+        assert code == 0 and captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == _FORMAT_PINS[command, fmt]
+        return
+    emits = "|".join(f for c, f in _FORMAT_PINS if c == command)
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"usage error: --format {fmt} does not apply to {command}, which emits {emits}\n"
 
 
 def test_mutate_sequence(capsys):

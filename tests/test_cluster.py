@@ -10,12 +10,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtoda import cluster
 from qtoda.cli import main
 from qtoda.cluster import (
     Seed,
+    _invariant,
     _matrix_key,
     _mutate,
     _naturality_sides,
+    _tau_orbit,
     a_assignment,
     amalgamate_pairs,
     check_ensemble_naturality,
@@ -27,9 +30,8 @@ from qtoda.cluster import (
     mutate_X_classical,
     mutation_equivalent,
     seed_from_word,
-    standard_exchange_matrix,
 )
-from qtoda.network import _doubled_face_weights, symmetrizers
+from qtoda.network import _doubled_face_weights, cartan_matrix, symmetrizers
 from qtoda.serialize import dumps, seed_to_dict, seed_to_dot
 from qtoda.torus import RationalLaurent
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
@@ -37,6 +39,19 @@ from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_
 
 def qseed(kind, n, q):
     return seed_from_word(kind, word_of_quiver_vector(n, q))
+
+
+def standard_exchange_matrix(kind: str, n: int):
+    """The block matrix [[0, C], [-C, 0]] on labels -1..-n, 1..n."""
+    c = cartan_matrix(kind, n)
+    labels = [-(j + 1) for j in range(n)] + [j + 1 for j in range(n)]
+    eps = {}
+    for a in range(n):
+        for b in range(n):
+            if c[a][b]:
+                eps[(-(a + 1), b + 1)] = c[a][b]
+                eps[(a + 1, -(b + 1))] = -c[a][b]
+    return labels, eps
 
 
 # -- all-pairs references for the sparse seed operations -----------------------
@@ -422,6 +437,21 @@ def test_mutation_equiv_json_is_pinned(capsys, kind, rank, code, sha):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
+@pytest.mark.parametrize(
+    "kind, rank, depth, code, sha",
+    [
+        ("A", 4, 8, 0, "33ab9be97c2fad74f3760844086175c945e511b087df817ffbe933deb1248369"),
+        ("A", 5, 6, 1, "26c95a4f20175c5e723cfad72019eb490e33469ab6e94340a33c0378765263d8"),
+    ],
+)
+def test_mutation_equiv_json_is_pinned_where_classes_share_invariants(capsys, kind, rank, depth, code, sha):
+    # bytes of the search that keyed every new matrix; at A5 depth 6, 100
+    # of the classes met share their invariant with another class, so
+    # each of them is told apart only by its key
+    assert main(["verify", "--check", "mutation-equiv", "--type", kind, "--rank", str(rank), "--depth", str(depth)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
 _SEED_OUTPUT_PINS = {
     ("A", "quiver", "json"): "827de426b6035fd2d14a0c75db687925b508701864b7804ad51b260a7170c821",
     ("A", "quiver", "dot"): "3fb773a0d0642f639219293a8358af64f8b70b7cefe948be4ebf698537265621",
@@ -654,6 +684,48 @@ def test_mutation_equiv_type_c_rank4_false_negative(capsys):
         "-1 -2 -3 -4 4 3 2 1",
     }
     assert len(reports) == 26 and all(r["path"] is None for r in reports if not r["reachable"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=random_seeds(max_vertices=6), data=st.data())
+def test_invariant_is_kept_by_relabeling(s, data):
+    # the same seed listed in another vertex order under new names: each
+    # position takes its d, frozen flag, row and column along
+    image = data.draw(st.permutations(s.labels))
+    t = s.relabeled(dict(zip(s.labels, image)))
+    t = Seed(tuple(data.draw(st.permutations(t.labels))), t.eps, t.d, t.frozen)
+    ids = {}
+    assert _invariant(t.flat, *t._positional(), ids) == _invariant(s.flat, *s._positional(), ids)
+    assert t.canonical_key() == s.canonical_key()
+
+
+@pytest.mark.parametrize("kind, rank, depth, classes, sharing", [("A", 4, 6, 979, 0), ("C", 4, 8, 7943, 4)])
+def test_equal_keys_have_equal_invariants(monkeypatch, kind, rank, depth, classes, sharing):
+    # every matrix the search meets, keyed: one invariant per key, and the
+    # walk yields each class once, with its key
+    seeds = [seed_from_word(kind, w) for w in enumerate_double_coxeter(rank)]
+    d, frozen = seeds[0]._positional()
+    met = {seeds[0].flat}
+    mutate = cluster._mutate
+
+    def recorded(*args):
+        met.add(out := mutate(*args))
+        return out
+
+    monkeypatch.setattr(cluster, "_mutate", recorded)
+    ids = {}
+    walk = [(inv, _matrix_key(flat, d, frozen), path) for inv, flat, path in _tau_orbit(seeds[0], depth, ids)]
+    invariants = {}
+    for flat in met:
+        invariants.setdefault(_matrix_key(flat, d, frozen), set()).add(_invariant(flat, d, frozen, ids))
+    assert all(len(invs) == 1 for invs in invariants.values())
+    assert len(invariants) == len(walk) == classes
+    assert {key: {inv} for inv, key, _ in walk} == invariants
+    # classes told apart only by their keys
+    per_invariant = {}
+    for invs in invariants.values():
+        per_invariant[min(invs)] = per_invariant.get(min(invs), 0) + 1
+    assert sum(n for n in per_invariant.values() if n > 1) == sharing
 
 
 # -- ensemble map and classical mutations --------------------------------------

@@ -13,7 +13,6 @@ from qtoda.lax import (
     _contract,
     _site_terms,
     _walk,
-    bar_w,
     boundary_gauge,
     check_rtt,
     d_index,
@@ -26,9 +25,29 @@ from qtoda.lax import (
     recursive_hamiltonians,
     spectral_context,
     w_index,
-    z_coefficients,
 )
 from qtoda.torus import MonomialMap, TorusElement, _nonzero, _pairing_row, commutes
+
+
+def z_coefficients(el: TorusElement, ctx) -> dict[int, TorusElement]:
+    """The coefficients of ``el``, an element of ``spectral_context(ctx)``
+    free of w, as elements of ``ctx`` keyed by doubled z-degree."""
+    sctx = spectral_context(ctx)
+    if el.ctx is not sctx and el.ctx != sctx:
+        raise ValueError("element is not over the spectral context")
+    m = ctx.rank
+    parts: dict[int, dict] = {}
+    for vec, coeffs in el._terms.items():
+        if vec[m + 1]:
+            raise ValueError("element depends on w")
+        parts.setdefault(vec[m], {})[vec[:m]] = coeffs
+    return {e: TorusElement._make(ctx, terms) for e, terms in parts.items()}
+
+
+def bar_w(a: TorusElement) -> TorusElement:
+    """The symmetry w_i -> w_i^-1 (with q -> 1/q, making it a ring map)."""
+    n = a.ctx.rank // 2
+    return a.flipped(range(n))
 
 
 def all_kvecs(m):
