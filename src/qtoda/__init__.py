@@ -12,8 +12,6 @@ from .torus import (
     TorusElement,
     commutator,
     commutes,
-    poisson_bracket,
-    specialize_classical,
 )
 from .words import (
     DoubleWord,
@@ -33,9 +31,7 @@ __all__ = [
     "commutes",
     "enumerate_double_coxeter",
     "index_vector_of",
-    "poisson_bracket",
     "quiver_vector_of",
-    "specialize_classical",
     "standard_word",
     "word_of_quiver_vector",
 ]

@@ -31,9 +31,9 @@ the walk makes the decisions that keying every matrix would make.
 ``check_ensemble_naturality`` compares the two sides of the classical
 naturality identity in factored form: each is a monomial in the A
 variables times a power of the one exchange binomial, read off integer
-columns of the exchange matrix, as slices of ``flat``.  The exact
-rational functions (``RationalLaurent``) of ``ensemble_substitution``
-and the classical mutations build the same sides and are its oracle.
+columns of the exchange matrix, as slices of ``flat``.  The tests build
+the same sides as exact rational functions, through the ensemble map
+and the classical X and A mutations, as its oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from itertools import permutations, product
 from types import MappingProxyType
 
 from .network import _doubled_face_weights, symmetrizers
-from .torus import RationalLaurent, classical_context
 from .words import DoubleWord
 
 
@@ -366,13 +365,11 @@ def mutation_equivalent(s1: Seed, targets, max_depth: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# ensemble map and classical mutations
+# ensemble naturality
 #
 # ``check_ensemble_naturality`` compares both sides of the identity in
-# factored form, on integer vectors.  The functions below it build the
-# same sides as exact rational functions and stay as its oracle: they
-# use only +, *, / and integer powers, so they run on any field-like
-# values, ``RationalLaurent`` or sympy symbols in the tests.
+# factored form, on integer vectors.  Its oracle, which builds the same
+# sides as exact rational functions, lives in the tests.
 
 
 def _integral(e) -> int:
@@ -441,55 +438,3 @@ def check_ensemble_naturality(seed: Seed, k) -> bool:
     mutated = mutate_seed(seed, k)
     lhs, rhs = _naturality_sides(seed, k, mutated)
     return lhs == rhs
-
-
-def a_assignment(seed: Seed) -> dict:
-    """The generators A[l] of the zero-skew context on the seed's labels,
-    as rational functions."""
-    ctx = classical_context(tuple(f"A[{l}]" for l in seed.labels))
-    return {l: RationalLaurent(ctx.generator(i)) for i, l in enumerate(seed.labels)}
-
-
-def mutate_X_classical(assignment: dict, seed: Seed, k) -> dict:
-    """Pullback of the new X-coordinates through the mutation at k:
-    X_k -> X_k^-1 and X_i -> X_i X_k^[eps_ki]+ (1 + X_k)^(-eps_ki),
-    over field elements, unsimplified."""
-    out = {}
-    xk = assignment[k]
-    for i in seed.labels:
-        if i == k:
-            out[i] = 1 / xk
-            continue
-        e = _integral(seed.entry(k, i))
-        out[i] = assignment[i] * xk ** max(e, 0) * (1 + xk) ** (-e)
-    return out
-
-
-def mutate_A_classical(assignment: dict, seed: Seed, k) -> dict:
-    """A_k -> A_k^-1 (prod A_j^[eps_jk]+ + prod A_j^[-eps_jk]+), over
-    field elements, unsimplified."""
-    out = dict(assignment)
-    plus = 1
-    minus = 1
-    for j in seed.labels:
-        e = _integral(seed.entry(j, k))
-        if e > 0:
-            plus *= assignment[j] ** e
-        elif e < 0:
-            minus *= assignment[j] ** (-e)
-    out[k] = (plus + minus) / assignment[k]
-    return out
-
-
-def ensemble_substitution(seed: Seed, a_vals: dict) -> dict:
-    """Evaluate the ensemble map on an A-assignment."""
-    out = {}
-    for i in seed.labels:
-        # the field's one, not the int 1: 1 / 1 would be a float
-        expr = a_vals[i] ** 0
-        for j in seed.labels:
-            e = seed.entry(j, i)
-            if e:
-                expr *= a_vals[j] ** _integral(e)
-        out[i] = expr
-    return out

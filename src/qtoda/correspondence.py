@@ -112,13 +112,6 @@ def _q_entry(qvec_desc: QuiverVector, n: int, l: int) -> int:
     return 0
 
 
-def label_image(kind: str, n: int, qvec: QuiverVector, lax_ctx: TorusContext, label):
-    """(q-power, exponent vector) of a path label in the Lax torus: the
-    ``Fraction`` view of ``_label_term``."""
-    key, vec = _label_term(kind, n, qvec, lax_ctx.rank // 2, label)
-    return Fraction(key, 2), vec
-
-
 def _label_term(kind: str, n: int, qvec: QuiverVector, sites: int, label) -> tuple[int, tuple[int, ...]]:
     """(q-key, exponent vector) of a path label's image on a Lax torus of
     ``sites`` sites, in closed form.
@@ -181,12 +174,15 @@ def lax_params(kind: str, word: DoubleWord) -> tuple[TorusContext, tuple[int, ..
 
 
 def build_weight_map(net: Network, alg: LabelAlgebra | None = None) -> MonomialMap:
-    """Monomial map from the label torus into the Lax torus."""
+    """Monomial map from the label torus into the Lax torus: each label
+    goes to its ``_label_term`` image, its q-key read back as a
+    ``Fraction`` q-power."""
     alg = alg or label_algebra(net)
     lax_ctx, _ = lax_params(net.kind, net.word)
     qvec = quiver_vector_of(net.word)
-    images = tuple(label_image(net.kind, net.n, qvec, lax_ctx, label) for label in alg.labels)
-    return MonomialMap(alg.ctx, lax_ctx, images)
+    sites = lax_ctx.rank // 2
+    terms = (_label_term(net.kind, net.n, qvec, sites, label) for label in alg.labels)
+    return MonomialMap(alg.ctx, lax_ctx, tuple((Fraction(key, 2), vec) for key, vec in terms))
 
 
 def lax_strand_table(net: Network) -> StrandTable:
@@ -270,9 +266,9 @@ def commutator_witness(c: TorusElement) -> dict:
 
 
 def _rtt_witness(t: laxmod.LaxMatrix) -> dict | None:
-    """The first cell, in row-major order, where R T1 T2 and T2 T1 R of
-    ``lax.check_rtt`` differ, with ``_compare``'s first_diff there; None
-    where the RTT relation holds."""
+    """The first cell, in row-major order, where the two sides R T1 T2
+    and T2 T1 R of the RTT relation (``lax._rtt_sides``) differ, with
+    ``_compare``'s first_diff there; None where the relation holds."""
     lhs, rhs = laxmod._rtt_sides(t)
     for i in range(4):
         for j in range(4):
@@ -314,7 +310,7 @@ def verify_equivalence_A(word: DoubleWord) -> dict:
 
 def verify_equivalence_C(word: DoubleWord) -> dict:
     """H_i(network) = H_{i+1}(double Lax, (Q, 0)) for i = 1..n, plus the
-    subnetwork identities on the bottom and top row bands."""
+    identities of the networks induced on the bottom and top row bands."""
     n = word.n
     net = build_network("C", word)
     # the bands' strands are the parent's, with the same Lax images

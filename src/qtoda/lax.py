@@ -22,10 +22,10 @@ term map for that z-degree is closed.
 
 The recursion formulas (``recursive_hamiltonians``) give the same
 Hamiltonians, signs included, by a third route.  The local matrices
-and the full 2x2 products (``local_lax``, ``monodromy``,
-``double_monodromy``) stay for the RTT check, the one check that uses
-w, and as the tests' oracle, which splits their entries by z-degree
-itself.
+and the monodromy (``local_lax``, ``monodromy``) stay for the RTT
+relation (``_rtt_sides``), the one check that uses w.  The tests build
+the full 2x2 products, the double monodromy among them, as the oracle
+of the path sum, and split their entries by z-degree themselves.
 """
 
 from __future__ import annotations
@@ -156,24 +156,9 @@ def monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
     return acc
 
 
-def double_monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
-    """Lbar_1^(-k_1) ... Lbar_n^(-k_n) L_n^(k_n) ... L_1^(k_1).
-
-    This equals (-1)^n [T(1/z)]^T T(z) with T = monodromy(ctx, kvec), the
-    identity behind the type C expansion; the tests check it.
-    """
-    n = ctx.rank // 2
-    if len(kvec) != n:
-        raise ValueError("index vector length must match the context rank")
-    acc = None
-    for site, k in zip(range(1, n + 1), reversed(kvec)):
-        m = local_lax(ctx, site, -k, barred=True)
-        acc = m if acc is None else acc * m
-    return acc * monodromy(ctx, kvec)
-
-
 def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str) -> dict[int, dict[Vec, dict[QKey, int]]]:
-    """The (1,1) entry of ``monodromy`` (type A) or ``double_monodromy``
+    """The (1,1) entry of ``monodromy`` (type A) or of the double
+    monodromy Lbar_1^(-k_1) ... Lbar_n^(-k_n) L_n^(k_n) ... L_1^(k_1)
     (type C), the latter without its (-1)^n, as a path sum: per doubled
     z-degree a term map, zero coefficients not yet dropped.
 
@@ -340,7 +325,11 @@ def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str) -> list[To
     Type A: H_i = (-1)^(n+1-i) times the coefficient of z^(sigma_n + i - 1)
     in the (1,1) entry of ``monodromy``, i = 1..n+1.
     Type C: H_i = (-1)^(i-1) times the coefficient of z^(-n + i - 1) in
-    the (1,1) entry of ``double_monodromy``, i = 1..2n+1.
+    the (1,1) entry of the double monodromy
+    Lbar_1^(-k_1) ... Lbar_n^(-k_n) L_n^(k_n) ... L_1^(k_1), whose
+    barred factors are ``local_lax(..., barred=True)``, i = 1..2n+1.
+    That product, equal to (-1)^n [T(1/z)]^T T(z) with T the monodromy,
+    is the tests' oracle (``tests/test_lax.py``).
     Each coefficient's sign, the type C (-1)^n of the entry included, is
     applied once, as its term map is closed.  Raises if the z-support
     leaves the window.
@@ -649,18 +638,10 @@ def _at_w(el: TorusElement) -> TorusElement:
     return TorusElement._make(el.ctx, {v[:zi] + (0, v[zi]): c for v, c in el._terms.items()})
 
 
-def check_rtt(t: LaxMatrix) -> bool:
-    """R(z/w) T1(z) T2(w) = T2(w) T1(z) R(z/w), denominators cleared.
-
-    T1 = T (x) 1 and T2 = 1 (x) T, as 4x4 matrices over the spectral
-    context, with T2 read at w.
-    """
-    lhs, rhs = _rtt_sides(t)
-    return lhs == rhs
-
-
 def _rtt_sides(t: LaxMatrix) -> tuple[list[list[TorusElement]], list[list[TorusElement]]]:
-    """The 4x4 matrices R T1 T2 and T2 T1 R of ``check_rtt``."""
+    """The two sides of R(z/w) T1(z) T2(w) = T2(w) T1(z) R(z/w), with
+    denominators cleared, as 4x4 matrices over the spectral context:
+    T1 = T (x) 1 and T2 = 1 (x) T, the latter read at w."""
     sctx = spectral_context(t.ctx)
     zero = sctx.zero()
     t1 = [[zero] * 4 for _ in range(4)]

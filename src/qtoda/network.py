@@ -39,26 +39,12 @@ def symmetrizers(kind: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unknown type {kind!r}")
 
 
-def cartan_matrix(kind: str, n: int) -> list[list[int]]:
-    """Cartan matrix with d_i C_ij = d_j C_ji for the d's above."""
-    c = [[0] * n for _ in range(n)]
-    for i in range(n):
-        c[i][i] = 2
-        if i + 1 < n:
-            c[i][i + 1] = -1
-            c[i + 1][i] = -1
-    if kind == "C" and n >= 2:
-        c[n - 2][n - 1] = -1
-        c[n - 1][n - 2] = -2
-    return c
-
-
 @dataclass(frozen=True)
 class Network:
     """Chip network on rows row_lo..row_hi with its strand table.
 
     ``strands`` is the sorted table of ``enumerate_labeled_paths``, found
-    once by ``build_network`` and filtered by ``subnetwork``.
+    once by ``build_network``.
     """
 
     kind: str
@@ -537,9 +523,10 @@ def fold_hamiltonians(net: Network, sizes, table: StrandTable) -> dict[int, Toru
 
 
 def fold_bands(net: Network, bands: dict, table: StrandTable) -> dict:
-    """Per band (lo, hi) -> indices, ``fold_hamiltonians`` of
-    ``subnetwork(net, lo, hi)`` for those indices, from one family search
-    of ``net``.
+    """Per band (lo, hi) -> indices, ``fold_hamiltonians`` of the
+    network induced on rows lo..hi (its strands the parent's strands that
+    stay inside the band) for those indices, from one family search of
+    ``net``.
 
     A band's families are the families of ``net`` whose rows lie in the
     band, with the same folds: each family of the search adds its term to
@@ -580,18 +567,6 @@ def fold_bands(net: Network, bands: dict, table: StrandTable) -> dict:
 def network_hamiltonian(net: Network, i: int) -> TorusElement:
     """Sum over size-i vertex-disjoint families of their weights."""
     return fold_hamiltonians(net, (i,), strand_table(net))[i]
-
-
-def subnetwork(net: Network, lo: int, hi: int) -> Network:
-    """Induced network on rows lo..hi; edges leaving the range removed.
-
-    Its strands are the parent's strands that stay inside the band: the
-    band's transitions are the parent's on those rows.
-    """
-    if not (net.row_lo <= lo <= hi <= net.row_hi):
-        raise ValueError("row range out of bounds")
-    strands = tuple(p for p in net.strands if lo <= p.low and max(p.rows) <= hi)
-    return replace(net, row_lo=lo, row_hi=hi, strands=strands)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ is the empty term map.  All values are immutable after construction and
 all operations are pure functions.
 
 With zero skew (``classical_context``) the torus is the commutative
-Laurent ring, the q -> 1 limit: ``specialize_classical`` lands there,
-each coefficient under q^0, and ``poisson_bracket`` and
-``RationalLaurent`` work on it.
+Laurent ring, the q -> 1 limit, each coefficient under q^0; the
+classical transfer matrices of ``network`` are built over it.
 
 q-exponents are stored as integers on the context's grid (1/den)Z, with
 den the lcm of the skew denominators: q^r is kept under the key den*r.
@@ -334,20 +333,6 @@ class TorusElement:
             },
         )
 
-    def flipped(self, indices: Iterable[int]) -> "TorusElement":
-        """Basis map E(a) -> E(a') negating the listed exponents, and q."""
-        idx = set(indices)
-        # a bijection on exponent vectors and on q-powers: nothing merges
-        return TorusElement._make(
-            self.ctx,
-            {
-                tuple(-x if i in idx else x for i, x in enumerate(vec)): {
-                    -k: c for k, c in coeffs.items()
-                }
-                for vec, coeffs in self._terms.items()
-            },
-        )
-
     # -- views -------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Vec, list[tuple[QPow, int]]]]:
@@ -628,125 +613,6 @@ def classical_context(names: Sequence[str]) -> TorusContext:
     m = len(names)
     zero = tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(m))
     return TorusContext(tuple(names), zero)
-
-
-class RationalLaurent:
-    """Exact rational function num/den of two elements over a zero-skew
-    context (``classical_context``).
-
-    Fractions are never reduced.  The Laurent ring is a domain, so
-    a/b == c/d exactly when a*d == c*b, and equality needs no gcd.
-    Ints are accepted on either side of ``+``, ``*`` and ``/``.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: TorusElement, den: TorusElement | None = None):
-        if den is None:
-            den = num.ctx.one()
-        if den.is_zero():
-            raise ZeroDivisionError("RationalLaurent with zero denominator")
-        self.num = num
-        self.den = den
-
-    def _coerce(self, other) -> "RationalLaurent":
-        if isinstance(other, RationalLaurent):
-            return other
-        if isinstance(other, int):
-            ctx = self.num.ctx
-            return RationalLaurent(ctx.monomial(ctx.unit_vec(), coeff=other))
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __add__(self, other) -> "RationalLaurent":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalLaurent(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "RationalLaurent":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalLaurent(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalLaurent":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalLaurent(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalLaurent":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, e: int) -> "RationalLaurent":
-        if e == 0:
-            return self._coerce(1)
-        out = self
-        for _ in range(abs(e) - 1):
-            out = RationalLaurent(out.num * self.num, out.den * self.den)
-        return out if e > 0 else RationalLaurent(out.den, out.num)
-
-    def __repr__(self) -> str:
-        return f"({self.num!r}) / ({self.den!r})"
-
-
-def specialize_classical(a: TorusElement) -> TorusElement:
-    """Set q = 1.  A ring homomorphism onto the commutative Laurent ring,
-    the torus over ``classical_context(a.ctx.names)``."""
-    out: dict[Vec, dict[QKey, int]] = {}
-    for vec, coeffs in a._terms.items():
-        c = sum(coeffs.values())
-        if c:
-            out[vec] = {0: c}
-    return TorusElement._make(classical_context(a.ctx.names), out)
-
-
-def poisson_bracket(
-    f: TorusElement,
-    g: TorusElement,
-    bracket: Sequence[Sequence[Fraction]],
-) -> TorusElement:
-    """Log-canonical bracket {x^a, x^b} = (sum B_ij a_i b_j) x^(a+b) of
-    two elements over one zero-skew context, coefficients under q^0."""
-    f._check(g)
-    if any(f.ctx.rows):
-        raise ValueError("poisson bracket needs a zero-skew context")
-    m = f.ctx.rank
-    for i in range(m):
-        for j in range(m):
-            if bracket[i][j] != -bracket[j][i]:
-                raise ValueError("bracket matrix is not skew-symmetric")
-    out: dict[Vec, Fraction] = {}
-    for a, ca in f._terms.items():
-        for b, cb in g._terms.items():
-            w = Fraction(0)
-            for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for j, bj in enumerate(b):
-                    if bj and bracket[i][j]:
-                        w += Fraction(bracket[i][j]) * ai * bj
-            if w:
-                v = _vec_add(a, b)
-                out[v] = out.get(v, Fraction(0)) + w * ca[0] * cb[0]
-    return TorusElement(f.ctx, {v: {0: c} for v, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,9 @@ def standard_word(n: int) -> DoubleWord:
 def quiver_vector_of(word: DoubleWord) -> QuiverVector:
     """Entries Q_k from the relative placement of letters +-(k+1) vs +-k.
 
-    Q_k = [-(k+1) precedes -k] - [(k+1) precedes k]; the doubly-flipped
-    placement is rotation-equivalent to the unflipped one, and the
-    difference formula lands it on 0 accordingly.
+    Q_k = [-(k+1) precedes -k] - [(k+1) precedes k]; the placement with
+    both pairs swapped is rotation-equivalent to the unswapped one, and
+    the difference formula lands it on 0 accordingly.
     """
     neg_rank = {-x: i for i, x in enumerate(word.negatives)}
     pos_rank = {x: i for i, x in enumerate(word.positives)}

@@ -15,7 +15,9 @@ from itertools import combinations, product
 from qtoda import lax as laxmod
 from qtoda.cluster import (
     Seed,
+    amalgamate_pairs,
     check_ensemble_naturality,
+    disk_seed_from_word,
     mutate_seed,
     mutation_equivalent,
     seed_from_word,
@@ -37,7 +39,7 @@ from qtoda.network import (
 from qtoda.torus import MonomialMap, TorusElement, commutes
 from qtoda.words import DoubleWord, enumerate_double_coxeter
 from test_cluster import standard_exchange_matrix
-from test_lax import bar_w, z_coefficients
+from test_lax import bar_w, check_rtt, z_coefficients
 
 
 def identity_map(ctx):
@@ -150,16 +152,16 @@ def test_criterion_06_rtt():
     ctx = laxmod.lax_context(2)
     for i in (1, 2):
         for k in (-1, 0, 1):
-            assert laxmod.check_rtt(laxmod.local_lax(ctx, i, k))
-            assert laxmod.check_rtt(laxmod.local_lax(ctx, i, k, barred=True))
+            assert check_rtt(laxmod.local_lax(ctx, i, k))
+            assert check_rtt(laxmod.local_lax(ctx, i, k, barred=True))
     for kv in product((-1, 0, 1), repeat=2):
-        assert laxmod.check_rtt(laxmod.monodromy(ctx, kv)), kv
+        assert check_rtt(laxmod.monodromy(ctx, kv)), kv
     t = laxmod.monodromy(ctx, (0, 1))
     terms = z_coefficients(t[0, 0], ctx)
     d0 = sorted(terms)[0]
     terms[d0] = -terms[d0]
     bad = laxmod.LaxMatrix(ctx, ((zpoly(ctx, terms), t[0, 1]), (t[1, 0], t[1, 1])))
-    assert not laxmod.check_rtt(bad)
+    assert not check_rtt(bad)
     _report("06 RTT relation + negative control", True)
 
 
@@ -300,6 +302,22 @@ def test_criterion_09_cluster_suite():
                     assert check_ensemble_naturality(s, k), (kind, n, w.letters, k)
                     pairs += 1
             assert pairs == 2 * n * 3 ** (n - 1)  # 810 at rank 5
+    # the cylinder seed is the disk seed with its cut glued, L_k to R_k,
+    # entry by entry on every word of types A and C through rank 5
+    words = 0
+    for kind in ("A", "C"):
+        for n in (2, 3, 4, 5):
+            cut = [(("L", k), ("R", k)) for k in range(1, n + 1)]
+            for w in enumerate_double_coxeter(n):
+                glued = amalgamate_pairs(disk_seed_from_word(kind, w), cut, list(range(1, n + 1)))
+                cyl = seed_from_word(kind, w)
+                assert set(glued.labels) == set(cyl.labels) and glued.frozen == cyl.frozen, (kind, w.letters)
+                assert dict(glued.d) == dict(cyl.d), (kind, w.letters)
+                for i in cyl.labels:
+                    for j in cyl.labels:
+                        assert glued.entry(i, j) == cyl.entry(i, j), (kind, w.letters, i, j)
+                words += 1
+    assert words == 240
     for n in (2, 3):
         seeds = [seed_from_word("A", w) for w in enumerate_double_coxeter(n)]
         # one search per source over its later words: every pair once

@@ -14,27 +14,25 @@ from qtoda import cluster
 from qtoda.cli import main
 from qtoda.cluster import (
     Seed,
+    _integral,
     _invariant,
     _matrix_key,
     _mutate,
     _naturality_sides,
     _tau_orbit,
-    a_assignment,
     amalgamate_pairs,
     check_ensemble_naturality,
     disk_seed_from_word,
-    ensemble_substitution,
-    mutate_A_classical,
     mutate_seed,
     mutate_swap,
-    mutate_X_classical,
     mutation_equivalent,
     seed_from_word,
 )
-from qtoda.network import _doubled_face_weights, cartan_matrix, symmetrizers
+from qtoda.network import _doubled_face_weights, symmetrizers
 from qtoda.serialize import dumps, seed_to_dict, seed_to_dot
-from qtoda.torus import RationalLaurent
+from qtoda.torus import classical_context
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
+from test_torus import RationalLaurent
 
 
 def qseed(kind, n, q):
@@ -42,8 +40,17 @@ def qseed(kind, n, q):
 
 
 def standard_exchange_matrix(kind: str, n: int):
-    """The block matrix [[0, C], [-C, 0]] on labels -1..-n, 1..n."""
-    c = cartan_matrix(kind, n)
+    """The block matrix [[0, C], [-C, 0]] on labels -1..-n, 1..n, with C
+    the Cartan matrix, d_i C_ij = d_j C_ji for the d's of ``symmetrizers``."""
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        c[i][i] = 2
+        if i + 1 < n:
+            c[i][i + 1] = -1
+            c[i + 1][i] = -1
+    if kind == "C" and n >= 2:
+        c[n - 2][n - 1] = -1
+        c[n - 1][n - 2] = -2
     labels = [-(j + 1) for j in range(n)] + [j + 1 for j in range(n)]
     eps = {}
     for a in range(n):
@@ -729,6 +736,63 @@ def test_equal_keys_have_equal_invariants(monkeypatch, kind, rank, depth, classe
 
 
 # -- ensemble map and classical mutations --------------------------------------
+# The oracle of ``check_ensemble_naturality``: both sides of the identity
+# as exact rational functions.  These functions use only +, *, / and
+# integer powers, so they run on any field-like values, ``RationalLaurent``
+# or sympy symbols.
+
+
+def a_assignment(seed: Seed) -> dict:
+    """The generators A[l] of the zero-skew context on the seed's labels,
+    as rational functions."""
+    ctx = classical_context(tuple(f"A[{l}]" for l in seed.labels))
+    return {l: RationalLaurent(ctx.generator(i)) for i, l in enumerate(seed.labels)}
+
+
+def mutate_X_classical(assignment: dict, seed: Seed, k) -> dict:
+    """Pullback of the new X-coordinates through the mutation at k:
+    X_k -> X_k^-1 and X_i -> X_i X_k^[eps_ki]+ (1 + X_k)^(-eps_ki),
+    over field elements, unsimplified."""
+    out = {}
+    xk = assignment[k]
+    for i in seed.labels:
+        if i == k:
+            out[i] = 1 / xk
+            continue
+        e = _integral(seed.entry(k, i))
+        out[i] = assignment[i] * xk ** max(e, 0) * (1 + xk) ** (-e)
+    return out
+
+
+def mutate_A_classical(assignment: dict, seed: Seed, k) -> dict:
+    """A_k -> A_k^-1 (prod A_j^[eps_jk]+ + prod A_j^[-eps_jk]+), over
+    field elements, unsimplified."""
+    out = dict(assignment)
+    plus = 1
+    minus = 1
+    for j in seed.labels:
+        e = _integral(seed.entry(j, k))
+        if e > 0:
+            plus *= assignment[j] ** e
+        elif e < 0:
+            minus *= assignment[j] ** (-e)
+    out[k] = (plus + minus) / assignment[k]
+    return out
+
+
+def ensemble_substitution(seed: Seed, a_vals: dict) -> dict:
+    """Evaluate the ensemble map on an A-assignment."""
+    out = {}
+    for i in seed.labels:
+        # the field's one, not the int 1: 1 / 1 would be a float
+        expr = a_vals[i] ** 0
+        for j in seed.labels:
+            e = seed.entry(j, i)
+            if e:
+                expr *= a_vals[j] ** _integral(e)
+        out[i] = expr
+    return out
+
 
 
 def test_ensemble_substitution_trivial_and_column_read():

@@ -13,7 +13,6 @@ from qtoda.correspondence import (
     build_weight_map,
     label_algebra,
     label_hamiltonian,
-    label_image,
     lax_strand_table,
     verify_equivalence_A,
     verify_equivalence_C,
@@ -25,11 +24,19 @@ from qtoda.network import (
     fold_hamiltonians,
     network_hamiltonian,
     path_families,
-    subnetwork,
     weight_vector,
 )
 from qtoda.torus import MonomialMap, TorusElement, commutes
 from qtoda.words import enumerate_double_coxeter, quiver_vector_of, standard_word, word_of_quiver_vector
+from test_network import subnetwork
+
+
+def label_image(kind, n, qvec, lax_ctx, label):
+    """(q-power, exponent vector) of a path label in the Lax torus: the
+    ``Fraction`` view of ``_label_term`` that ``build_weight_map`` maps
+    each label to."""
+    key, vec = _label_term(kind, n, qvec, lax_ctx.rank // 2, label)
+    return Fraction(key, 2), vec
 
 
 def lax_ctx(kind, n):
@@ -205,7 +212,8 @@ def test_weight_map_homomorphism_reports():
 
 def test_label_algebra_and_weight_map_match_the_fraction_reference(monkeypatch):
     # every word of A1-A4 and C1-C3: the int label skew and the int image
-    # comparison against one Fraction pairing per pair
+    # comparison against one Fraction pairing per pair; each image is the
+    # label's Fraction view
     for kind, ranks in (("A", (1, 2, 3, 4)), ("C", (1, 2, 3))):
         for n in ranks:
             for w in enumerate_double_coxeter(n):
@@ -213,7 +221,10 @@ def test_label_algebra_and_weight_map_match_the_fraction_reference(monkeypatch):
                 alg = label_algebra(net)
                 assert alg.ctx.skew == fraction_label_skew(net, alg), (kind, w.letters)
                 rep = verify_weight_map(net)
-                assert rep["ok"] and rep["failures"] == fraction_weight_map_failures(alg, build_weight_map(net, alg))
+                wmap = build_weight_map(net, alg)
+                assert rep["ok"] and rep["failures"] == fraction_weight_map_failures(alg, wmap)
+                qvec = quiver_vector_of(w)
+                assert wmap.images == tuple(label_image(kind, n, qvec, wmap.target, l) for l in alg.labels)
     # a corrupted image: the same failing pairs and factors as the reference
     net = build_network("A", standard_word(2))
     alg = label_algebra(net)

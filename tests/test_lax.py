@@ -14,9 +14,7 @@ from qtoda.lax import (
     _site_terms,
     _walk,
     boundary_gauge,
-    check_rtt,
     d_index,
-    double_monodromy,
     gauge_parts,
     lax_context,
     lax_hamiltonians,
@@ -44,10 +42,75 @@ def z_coefficients(el: TorusElement, ctx) -> dict[int, TorusElement]:
     return {e: TorusElement._make(ctx, terms) for e, terms in parts.items()}
 
 
+def flipped(a: TorusElement, indices) -> TorusElement:
+    """Basis map E(a) -> E(a') negating the listed exponents, and q."""
+    idx = set(indices)
+    # a bijection on exponent vectors and on q-powers: nothing merges
+    return TorusElement._make(
+        a.ctx,
+        {
+            tuple(-x if i in idx else x for i, x in enumerate(vec)): {
+                -k: c for k, c in coeffs.items()
+            }
+            for vec, coeffs in a._terms.items()
+        },
+    )
+
+
 def bar_w(a: TorusElement) -> TorusElement:
     """The symmetry w_i -> w_i^-1 (with q -> 1/q, making it a ring map)."""
     n = a.ctx.rank // 2
-    return a.flipped(range(n))
+    return flipped(a, range(n))
+
+
+def double_monodromy(ctx, kvec) -> LaxMatrix:
+    """Lbar_1^(-k_1) ... Lbar_n^(-k_n) L_n^(k_n) ... L_1^(k_1), the full
+    product whose (1,1) entry holds the type C Hamiltonians.
+
+    This equals (-1)^n [T(1/z)]^T T(z) with T = monodromy(ctx, kvec), the
+    identity behind the type C expansion; the tests below check it.
+    """
+    n = ctx.rank // 2
+    if len(kvec) != n:
+        raise ValueError("index vector length must match the context rank")
+    acc = None
+    for site, k in zip(range(1, n + 1), reversed(kvec)):
+        m = local_lax(ctx, site, -k, barred=True)
+        acc = m if acc is None else acc * m
+    return acc * monodromy(ctx, kvec)
+
+
+def check_rtt(t: LaxMatrix) -> bool:
+    """R(z/w) T1(z) T2(w) = T2(w) T1(z) R(z/w), denominators cleared.
+
+    T1 = T (x) 1 and T2 = 1 (x) T, as 4x4 matrices over the spectral
+    context, with T2 read at w.
+    """
+    lhs, rhs = laxmod._rtt_sides(t)
+    return lhs == rhs
+
+
+# Several oracles read the same full products at ranks 1-4, so those are
+# built once and kept until this module's tests end; rank 5 products are
+# each read once and not kept.
+_PRODUCTS: dict = {}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _release_products():
+    yield
+    _PRODUCTS.clear()
+
+
+def full_product(kind: str, kvec) -> LaxMatrix:
+    """``monodromy`` (type A) or ``double_monodromy`` (type C) of
+    ``kvec`` over ``lax_context(len(kvec))``."""
+    got = _PRODUCTS.get((kind, kvec))
+    if got is None:
+        got = (monodromy if kind == "A" else double_monodromy)(lax_context(len(kvec)), kvec)
+        if len(kvec) <= 4:
+            _PRODUCTS[kind, kvec] = got
+    return got
 
 
 def all_kvecs(m):
@@ -91,7 +154,8 @@ def signed_window(ctx, kvec, kind, entry=None):
     entry has no z-support outside that window."""
     n = len(kvec)
     if entry is None:
-        entry = (monodromy if kind == "A" else double_monodromy)(ctx, kvec)[0, 0]
+        assert ctx is lax_context(n)
+        entry = full_product(kind, kvec)[0, 0]
     if kind == "A":
         lo, signs = sum(k - 1 for k in kvec), [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
     else:
@@ -214,11 +278,11 @@ def test_z_window_support():
     for m in (1, 2, 3):
         ctx = lax_context(m)
         for kv in all_kvecs(m):
-            t = monodromy(ctx, kv)
+            t = full_product("A", kv)
             lo = sum(k - 1 for k in kv)
             assert min(z_support(t[0, 0], ctx)) == lo
             assert max(z_support(t[0, 0], ctx)) == lo + 2 * m
-            dt = double_monodromy(ctx, kv)
+            dt = full_product("C", kv)
             assert min(z_support(dt[0, 0], ctx)) >= -2 * m
             assert max(z_support(dt[0, 0], ctx)) <= 2 * m
 
@@ -227,11 +291,10 @@ def test_double_monodromy_transpose_route_asserted():
     # the slow route, (-1)^n [T(1/z)]^T T(z), is the oracle for the
     # barred-matrix product
     for n in (1, 2, 3):
-        ctx = lax_context(n)
         for kv in all_kvecs(n):
-            t = monodromy(ctx, kv)
+            t = full_product("A", kv)
             alt = inverted_transpose(t, (-1) ** n) * t
-            assert double_monodromy(ctx, kv) == alt, kv
+            assert full_product("C", kv) == alt, kv
 
 
 def test_monodromy_entry_matches_full_products():
@@ -254,10 +317,10 @@ def test_type_c_entry_matches_inverted_column_products():
     for n in (1, 2, 3, 4):
         ctx = lax_context(n)
         for kv in all_kvecs(n):
-            t = monodromy(ctx, kv)
+            t = full_product("A", kv)
             x, y = t[0, 0], t[1, 0]
             ref = (z_inverted(x) * x + z_inverted(y) * y).q_shift(0, (-1) ** n)
-            assert ref == double_monodromy(ctx, kv)[0, 0], kv
+            assert ref == full_product("C", kv)[0, 0], kv
             assert lax_hamiltonians(ctx, kv, "C") == signed_window(ctx, kv, "C", ref), kv
 
 
@@ -413,7 +476,7 @@ def test_rtt_local_and_monodromy():
 def test_passing_rtt_matrices_have_no_witness(n):
     ctx = lax_context(n)
     mats = [local_lax(ctx, i, k, barred) for i in (1, 2) for k in (-1, 0, 1) for barred in (False, True)]
-    mats += [monodromy(ctx, kv) for kv in all_kvecs(n)]
+    mats += [full_product("A", kv) for kv in all_kvecs(n)]
     for m in mats:
         assert check_rtt(m) and _rtt_witness(m) is None
 

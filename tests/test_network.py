@@ -1,5 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,14 +23,27 @@ from qtoda.network import (
     path_families,
     reference_chip_matrices,
     strand_table,
-    subnetwork,
     symmetrizers,
     weight_context,
     weight_vector,
 )
 from qtoda.serialize import network_to_dict, network_to_dot
-from qtoda.torus import TorusContext, TorusElement, specialize_classical
+from qtoda.torus import TorusContext, TorusElement
 from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
+from test_torus import specialize_classical
+
+
+def subnetwork(net, lo: int, hi: int):
+    """Induced network on rows lo..hi; edges leaving the range removed:
+    the oracle of ``fold_bands``.
+
+    Its strands are the parent's strands that stay inside the band: the
+    band's transitions are the parent's on those rows.
+    """
+    if not (net.row_lo <= lo <= hi <= net.row_hi):
+        raise ValueError("row range out of bounds")
+    strands = tuple(p for p in net.strands if lo <= p.low and max(p.rows) <= hi)
+    return replace(net, row_lo=lo, row_hi=hi, strands=strands)
 
 
 def all_words(n):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qtoda.torus import (
     MonomialMap,
-    RationalLaurent,
     TorusContext,
     TorusElement,
     _TermCode,
@@ -22,9 +21,127 @@ from qtoda.torus import (
     classical_context,
     commutator,
     commutes,
-    poisson_bracket,
-    specialize_classical,
 )
+
+
+# -- the commutative (q -> 1) layer: the classical limit, its Poisson
+# bracket and rational functions, oracles for the tests of this and
+# other files
+
+
+def specialize_classical(a: TorusElement) -> TorusElement:
+    """Set q = 1.  A ring homomorphism onto the commutative Laurent ring,
+    the torus over ``classical_context(a.ctx.names)``."""
+    out = {}
+    for vec, coeffs in a._terms.items():
+        c = sum(coeffs.values())
+        if c:
+            out[vec] = {0: c}
+    return TorusElement._make(classical_context(a.ctx.names), out)
+
+
+def poisson_bracket(f: TorusElement, g: TorusElement, bracket) -> TorusElement:
+    """Log-canonical bracket {x^a, x^b} = (sum B_ij a_i b_j) x^(a+b) of
+    two elements over one zero-skew context, coefficients under q^0."""
+    f._check(g)
+    if any(f.ctx.rows):
+        raise ValueError("poisson bracket needs a zero-skew context")
+    m = f.ctx.rank
+    for i in range(m):
+        for j in range(m):
+            if bracket[i][j] != -bracket[j][i]:
+                raise ValueError("bracket matrix is not skew-symmetric")
+    out = {}
+    for a, ca in f._terms.items():
+        for b, cb in g._terms.items():
+            w = Fraction(0)
+            for i, ai in enumerate(a):
+                if not ai:
+                    continue
+                for j, bj in enumerate(b):
+                    if bj and bracket[i][j]:
+                        w += Fraction(bracket[i][j]) * ai * bj
+            if w:
+                v = _vec_add(a, b)
+                out[v] = out.get(v, Fraction(0)) + w * ca[0] * cb[0]
+    return TorusElement(f.ctx, {v: {0: c} for v, c in out.items()})
+
+
+class RationalLaurent:
+    """Exact rational function num/den of two elements over a zero-skew
+    context (``classical_context``).
+
+    Fractions are never reduced.  The Laurent ring is a domain, so
+    a/b == c/d exactly when a*d == c*b, and equality needs no gcd.
+    Ints are accepted on either side of ``+``, ``*`` and ``/``.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: TorusElement, den: TorusElement | None = None):
+        if den is None:
+            den = num.ctx.one()
+        if den.is_zero():
+            raise ZeroDivisionError("RationalLaurent with zero denominator")
+        self.num = num
+        self.den = den
+
+    def _coerce(self, other) -> "RationalLaurent":
+        if isinstance(other, RationalLaurent):
+            return other
+        if isinstance(other, int):
+            ctx = self.num.ctx
+            return RationalLaurent(ctx.monomial(ctx.unit_vec(), coeff=other))
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    __hash__ = None
+
+    def __add__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalLaurent(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalLaurent(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalLaurent(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other) -> "RationalLaurent":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, e: int) -> "RationalLaurent":
+        if e == 0:
+            return self._coerce(1)
+        out = self
+        for _ in range(abs(e) - 1):
+            out = RationalLaurent(out.num * self.num, out.den * self.den)
+        return out if e > 0 else RationalLaurent(out.den, out.num)
+
+    def __repr__(self) -> str:
+        return f"({self.num!r}) / ({self.den!r})"
 
 
 def ctx2(omega=Fraction(1)):
