@@ -6,7 +6,8 @@ Usage:
 Runs each cell of the grid ``RUNS`` (3) times, each run in a fresh
 interpreter on this checkout's ``src``, one cell after another:
 ``python -m qtoda.cli verify --check CHECK --type T --rank N
---all-words``, or for a ``naturality`` cell, which has no CLI command, a
+--all-words`` (with ``--depth D`` for a ``mutation-equiv`` cell written
+``@D``), or for a ``naturality`` cell, which has no CLI command, a
 library script that checks the ensemble naturality at every (seed,
 vertex) of the rank's words and prints one JSON line.  It writes
 ``DIR/BENCH_<NAME>.json`` (DIR defaults to the repository root) with the
@@ -24,7 +25,8 @@ or a killed sweep) the peak is the child's ``ru_maxrss``, which on
 Linux starts at the RSS of this script; ``peak_rss_from`` names the
 source.  A cell still running after ``--timeout`` seconds is killed and
 recorded with status "timeout", never dropped.  ``--cells`` replaces
-the grid, e.g. ``equivalence:A2,commute:C2,naturality:A2``.
+the grid, e.g. ``equivalence:A2,commute:C2,naturality:A2,mutation-equiv:C4@12``;
+each cell records its ``depth``, null where the CLI default is used.
 """
 
 from __future__ import annotations
@@ -43,15 +45,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+# (check, type, rank, depth); a depth of None leaves the CLI's default
 GRID = (
-    [("equivalence", "A", n) for n in (5, 6, 7)]
-    + [("equivalence", "C", n) for n in (4, 5, 6)]
-    + [("commute", "A", n) for n in (5, 6)]
-    + [("commute", "C", n) for n in (4, 5)]
-    + [("naturality", "A", n) for n in (5, 6, 7)]
-    + [("naturality", "C", n) for n in (4, 5, 6)]
-    + [("mutation-equiv", "A", n) for n in (4, 5)]
-    + [("mutation-equiv", "C", 4)]
+    [("equivalence", "A", n, None) for n in (5, 6, 7)]
+    + [("equivalence", "C", n, None) for n in (4, 5, 6)]
+    + [("commute", "A", n, None) for n in (5, 6)]
+    + [("commute", "C", n, None) for n in (4, 5)]
+    + [("naturality", "A", n, None) for n in (5, 6, 7)]
+    + [("naturality", "C", n, None) for n in (4, 5, 6)]
+    + [("mutation-equiv", "A", n, None) for n in (4, 5)]
+    + [("mutation-equiv", "C", 4, 12)]
 )
 POLL_S = 0.005
 RUNS = 3  # per cell; the record keeps the median wall time
@@ -100,25 +103,33 @@ else:
 """
 
 
-def parse_cells(text: str) -> list[tuple[str, str, int]]:
-    """``equivalence:A2,commute:C2`` -> [("equivalence", "A", 2), ...]."""
+def parse_cells(text: str) -> list[tuple[str, str, int, int | None]]:
+    """``equivalence:A2,mutation-equiv:C4@12`` ->
+    [("equivalence", "A", 2, None), ("mutation-equiv", "C", 4, 12)];
+    only a ``mutation-equiv`` cell takes a depth."""
     cells = []
     for part in filter(None, text.split(",")):
         check, _, cell = part.strip().partition(":")
-        if not check or cell[:1] not in ("A", "C") or not cell[1:].isdigit():
-            raise argparse.ArgumentTypeError(f"takes CHECK:TYPE+RANK entries such as commute:C4, got {part!r}")
-        cells.append((check, cell[0], int(cell[1:])))
+        cell, at, depth = cell.partition("@")
+        if (not check or cell[:1] not in ("A", "C") or not cell[1:].isdigit()
+                or at and (check != "mutation-equiv" or not depth.isdigit())):
+            raise argparse.ArgumentTypeError(
+                f"takes CHECK:TYPE+RANK entries such as commute:C4, and mutation-equiv:C4@DEPTH, got {part!r}")
+        cells.append((check, cell[0], int(cell[1:]), int(depth) if at else None))
     return cells
 
 
-def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
+def run_cell(check: str, kind: str, rank: int, timeout: float, depth: int | None = None) -> dict:
     """One sweep in a fresh interpreter, timed, with its own peak RSS;
-    killed and marked "timeout" once it runs past ``timeout``."""
+    killed and marked "timeout" once it runs past ``timeout``.  A depth
+    is passed to the CLI as ``--depth``."""
     if check == "naturality":
         target = ["-c", NATURALITY_SCRIPT, kind, str(rank)]
     else:
         target = ["-m", "qtoda.cli", "verify", "--check", check,
                   "--type", kind, "--rank", str(rank), "--all-words"]
+        if depth is not None:
+            target += ["--depth", str(depth)]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as tmp:
         peak_file = Path(tmp) / "vmhwm"
@@ -148,6 +159,7 @@ def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
         "check": check,
         "type": kind,
         "rank": rank,
+        "depth": depth,
         "status": "timeout" if timed_out else {0: "ok", 1: "failed"}.get(code, "error"),
         "exit_code": None if timed_out else code,
         "wall_s": round(wall, 3),
@@ -157,14 +169,14 @@ def run_cell(check: str, kind: str, rank: int, timeout: float) -> dict:
     }
 
 
-def run_cell_median(check: str, kind: str, rank: int, timeout: float) -> dict:
+def run_cell_median(check: str, kind: str, rank: int, timeout: float, depth: int | None = None) -> dict:
     """The cell run up to ``RUNS`` times: the median wall time, each run's
     in ``wall_s_runs``, and the largest peak.  A run that times out or
     fails ends the cell, and runs that end differently or print different
     bytes mark it "error"."""
     done = []
     while len(done) < RUNS:
-        done.append(run_cell(check, kind, rank, timeout))
+        done.append(run_cell(check, kind, rank, timeout, depth))
         if done[-1]["status"] != "ok":
             break
     cell = dict(done[0])
@@ -222,13 +234,15 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per cell (default 300)")
     p.add_argument("--out", type=Path, default=ROOT, help="output directory (default: repository root)")
-    p.add_argument("--cells", type=parse_cells, default=None, help="replace the grid, e.g. commute:C4,naturality:A5")
+    p.add_argument("--cells", type=parse_cells, default=None,
+                   help="replace the grid, e.g. commute:C4,naturality:A5,mutation-equiv:C4@12")
     args = p.parse_args(argv)
     origin = source()  # before the sweeps, which run this source
     cells = []
-    for check, kind, rank in args.cells or GRID:
-        cell = run_cell_median(check, kind, rank, args.timeout)
-        print(f"{check} {kind}{rank}: {cell['status']} {cell['wall_s']} s "
+    for check, kind, rank, depth in args.cells or GRID:
+        cell = run_cell_median(check, kind, rank, args.timeout, depth)
+        at = "" if depth is None else f"@{depth}"
+        print(f"{check} {kind}{rank}{at}: {cell['status']} {cell['wall_s']} s "
               f"{cell['peak_rss_mib']} MiB", file=sys.stderr)
         cells.append(cell)
     record = {

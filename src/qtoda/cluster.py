@@ -15,7 +15,9 @@ quiver are w_ij = eps_ij d_j.
 
 One kernel, ``_mutate``, mutates a flat matrix: it flips the row and
 column of the mutated position, adds sgn(a) a b to the entries they
-feed, and checks every entry it writes.  ``mutate_seed`` calls it, and
+feed, and checks each pair it writes once: eps_ij d_j = -eps_ji d_i is
+one condition on both entries of a pair, and it writes (i, j) exactly
+when it writes (j, i).  ``mutate_seed`` calls it, and
 so does ``mutate_swap``, the signed move tau_k (mutation at -k, then
 k <-> -k), which renames two labels without moving an entry.
 ``mutation_equivalent`` runs one breadth-first search of tau moves from
@@ -31,7 +33,8 @@ the walk makes the decisions that keying every matrix would make.
 ``check_ensemble_naturality`` compares the two sides of the classical
 naturality identity in factored form: each is a monomial in the A
 variables times a power of the one exchange binomial, read off integer
-columns of the exchange matrix, as slices of ``flat``.  The tests build
+columns of the exchange matrix, as slices of ``flat``; the mutated
+matrix is ``_mutate``'s, and no second seed is built.  The tests build
 the same sides as exact rational functions, through the ensemble map
 and the classical X and A mutations, as its oracle.
 """
@@ -201,12 +204,7 @@ def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
             raise ValueError("can only merge frozen vertices")
         rename[a] = lab
         rename[b] = lab
-    labels = []
-    for l in seed.labels:
-        t = rename.get(l, l)
-        if t not in labels:
-            labels.append(t)
-    d = {}
+    d = {}  # its keys, in order, are the new labels
     for l in seed.labels:
         t = rename.get(l, l)
         if t in d and d[t] != seed.d[l]:
@@ -219,7 +217,7 @@ def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
             continue
         eps[(a, b)] = eps.get((a, b), 0) + v
     frozen = frozenset(rename.get(l, l) for l in seed.frozen) - set(rename.values())
-    return Seed(tuple(labels), {k: v for k, v in eps.items() if v != 0}, d, frozen)
+    return Seed(tuple(d), {k: v for k, v in eps.items() if v != 0}, d, frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +227,9 @@ def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
 def _mutate(flat: tuple, labels: tuple, d: tuple, frozen: tuple, k) -> tuple:
     """Matrix mutation at the vertex named k of the flat matrix whose
     positions carry the names ``labels``, symmetrizers d and frozen
-    flags.  Every entry written is checked against its transpose,
-    eps_ij d_j = -eps_ji d_i, as the seed constructor does."""
+    flags, skew-symmetrizable with positive d as every seed's is.  Each
+    pair written is checked once, eps_ij d_j = -eps_ji d_i, as the seed
+    constructor does, so the result is skew-symmetrizable too."""
     if k not in labels:
         raise ValueError(f"no vertex {k!r} to mutate at")
     p = labels.index(k)
@@ -241,20 +240,22 @@ def _mutate(flat: tuple, labels: tuple, d: tuple, frozen: tuple, k) -> tuple:
     out = list(flat)
     row = [(j, b) for j, b in enumerate(flat[base : base + m]) if b]
     col = [(i, a) for i, a in enumerate(flat[p::m]) if a]
-    written = []
     # flip row and column p; eps_ij gains sgn(eps_ip) eps_ip eps_pj only
-    # where eps_ip and eps_pj are nonzero with one sign
+    # where eps_ip and eps_pj are nonzero with one sign.  Column p is
+    # nonzero where row p is, and (i, j) gains a term exactly when (j, i)
+    # does, so a pair is listed once, as (p, j) or with i < j
+    written = []
     for j, b in row:
         out[base + j] = -b
         written.append((p, j))
     for i, a in col:
         out[i * m + p] = -a
-        written.append((i, p))
     for i, a in col:
         for j, b in row:
             if i != j and (a > 0) == (b > 0):
                 out[i * m + j] += a * b if a > 0 else -a * b
-                written.append((i, j))
+                if i < j:
+                    written.append((i, j))
     for i, j in written:
         if out[i * m + j] * d[j] != -out[j * m + i] * d[i]:
             raise ValueError(f"eps not skew-symmetrizable at {(labels[i], labels[j])}")
@@ -378,17 +379,10 @@ def _integral(e) -> int:
     return int(e)
 
 
-def _integral_flat(seed: Seed) -> tuple:
-    """The entries of seed as ints: an all-int tuple (every cylinder
-    seed's) as it is, else each entry through ``_integral``."""
-    flat = seed.flat
-    return flat if all(type(v) is int for v in flat) else tuple(map(_integral, flat))
-
-
-def _naturality_sides(seed: Seed, k, mutated: Seed) -> tuple[list, list]:
+def _naturality_sides(seed: Seed, k, mutated: tuple) -> tuple[list, list]:
     """Both sides of the naturality identity at k, one (c, u, b) per
-    label, read off integer columns; ``mutated``, with the labels of
-    seed in the same order, is taken as mu_k(seed).
+    label, read off integer columns; ``mutated``, a flat matrix with the
+    labels of seed in the same order, is taken as mu_k(seed).
 
     Let col_i = (eps_ji)_j, so the ensemble map sends X_i to A^col_i, and
     let B = A^[col_k]+ + A^[-col_k]+ be the exchange binomial, which
@@ -408,23 +402,25 @@ def _naturality_sides(seed: Seed, k, mutated: Seed) -> tuple[list, list]:
     and then c = c' and u = u'.  When col_k = 0, B is the constant 2, and
     2^b is folded into c, leaving b = 0.
     """
-    flat, new = _integral_flat(seed), _integral_flat(mutated)
+    # an all-int tuple (every cylinder seed's) as it is, else each entry through _integral
+    flat, new = (f if all(type(v) is int for v in f) else tuple(map(_integral, f)) for f in (seed.flat, mutated))
     m = len(seed.labels)
     at_k = seed.labels.index(k)
     col_k = flat[at_k::m]
-    neg_k = [max(-a, 0) for a in col_k]
+    neg_k = [-a if a < 0 else 0 for a in col_k]
     lhs, rhs = [], []
-    for i in range(m):
+    for i, e in enumerate(flat[at_k * m : at_k * m + m]):
+        col = flat[i::m]
         if i == at_k:
-            lhs.append((1, tuple(-a for a in col_k), 0))
+            lhs.append((1, tuple([-a for a in col_k]), 0))
+        elif e:
+            p = e if e > 0 else 0
+            lhs.append((1, tuple([a + p * c + e * n for a, c, n in zip(col, col_k, neg_k)]), -e))
         else:
-            e = flat[at_k * m + i]
-            p = max(e, 0)
-            lhs.append((1, tuple(a + p * c + e * n for a, c, n in zip(flat[i::m], col_k, neg_k)), -e))
-        u = list(new[i::m])
+            lhs.append((1, col, 0))
+        u = new[i::m]
         b = u[at_k]
-        u[at_k] = -b
-        rhs.append((1, tuple(u), b))
+        rhs.append((1, u[:at_k] + (-b,) + u[at_k + 1 :], b))
     if not any(col_k):
         lhs, rhs = ([(Fraction(2) ** b, u, 0) for _, u, b in side] for side in (lhs, rhs))
     return lhs, rhs
@@ -434,7 +430,9 @@ def check_ensemble_naturality(seed: Seed, k) -> bool:
     """mu_k^X after the ensemble map equals the ensemble map of the
     mutated seed after mu_k^A, as exact functions of the A variables,
     compared in factored form (``_naturality_sides``).  An unknown or
-    frozen k, or a non-integral entry, is a ValueError."""
-    mutated = mutate_seed(seed, k)
+    frozen k, or a non-integral entry, is a ValueError.  The mutated
+    matrix is ``_mutate``'s, not a second seed: its unwritten entries are
+    the checked seed's and ``_mutate`` checks every pair it writes."""
+    mutated = _mutate(seed.flat, seed.labels, *seed._positional(), k)
     lhs, rhs = _naturality_sides(seed, k, mutated)
     return lhs == rhs

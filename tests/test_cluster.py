@@ -597,12 +597,71 @@ def test_built_seed_cannot_be_changed():
 
 def test_flat_search_checks_skew_symmetrizability():
     # a matrix no seed can hold, handed to the search's move directly:
-    # eps_1,-1 = eps_-1,1 = 1; the move checks every entry it writes
+    # eps_1,-1 = eps_-1,1 = 1; the move checks every pair it writes
     bad = (0, 1, 1, 0)
     with pytest.raises(ValueError, match="skew-symmetrizable"):
         Seed((1, -1), {(1, -1): 1, (-1, 1): 1}, {1: 1, -1: 1})
-    with pytest.raises(ValueError, match="skew-symmetrizable"):
+    with pytest.raises(ValueError, match=re.escape("eps not skew-symmetrizable at (-1, 1)")):
         _mutate(bad, (1, -1), (1, 1), (False, False), -1)
+
+
+def skewed_write(at):
+    """A list type whose item ``at``, when written, is stored off by
+    one: put in ``_mutate``'s place of ``list``, it makes the kernel
+    write one entry of one pair inconsistently."""
+
+    class Skewed(list):
+        def __setitem__(self, n, v):
+            super().__setitem__(n, v + 1 if n == at else v)
+
+    return Skewed
+
+
+@pytest.mark.parametrize("kind, n, index, entries", [("A", 3, 0, 64), ("C", 4, 5, 74)])
+def test_every_written_pair_is_checked(monkeypatch, kind, n, index, entries):
+    # each entry the kernel writes, written wrong in turn, at every vertex:
+    # the kernel's check of its pair refuses it, both in mutate_seed and in
+    # the naturality check, which builds no second seed to check it again
+    s = seed_from_word(kind, enumerate_double_coxeter(n)[index])
+    m = len(s.labels)
+    corrupted = 0
+    for k in s.labels:
+        mutated = mutate_seed(s, k).flat
+        for at in [x for x, (a, b) in enumerate(zip(s.flat, mutated)) if a != b]:
+            monkeypatch.setattr(cluster, "list", skewed_write(at), raising=False)
+            for route in (mutate_seed, check_ensemble_naturality):
+                with pytest.raises(ValueError, match="eps not skew-symmetrizable"):
+                    route(s, k)
+            corrupted += 1
+        # control: the diagonal entry, which the kernel never writes
+        monkeypatch.setattr(cluster, "list", skewed_write(s.labels.index(k) * (m + 1)), raising=False)
+        assert mutate_seed(s, k).flat == mutated and check_ensemble_naturality(s, k)
+        monkeypatch.undo()
+    assert corrupted == entries
+
+
+def test_tau_moves_check_each_written_pair_once():
+    # C4 word 5: its four tau moves write 38 entries, both of each of 19
+    # unordered pairs, and run one check per pair, each reading the two
+    # symmetrizers of its pair
+    s = seed_from_word("C", enumerate_double_coxeter(4)[5])
+    d, frozen = s._positional()
+    m = len(s.labels)
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, n):
+            reads.append(n)
+            return tuple.__getitem__(self, n)
+
+    entries, pairs = 0, 0
+    for k in (1, 2, 3, 4):
+        out = _mutate(s.flat, s.labels, Counted(d), frozen, -k)
+        written = [x for x, (a, b) in enumerate(zip(s.flat, out)) if a != b]
+        entries += len(written)
+        pairs += len({frozenset(divmod(x, m)) for x in written})
+    assert (entries, pairs) == (38, 19)
+    assert len(reads) == 2 * pairs
 
 
 def test_signed_moves_shift_the_quiver_vector():
@@ -891,7 +950,7 @@ def test_factored_sides_expand_to_the_rational_sides():
                 s = seed_from_word(kind, w)
                 for k in s.labels:
                     for t in (mutate_seed(s, k), s):
-                        lhs, rhs = _naturality_sides(s, k, t)
+                        lhs, rhs = _naturality_sides(s, k, t.flat)
                         assert [expand(s, k, lhs), expand(s, k, rhs)] == list(rational_sides(s, k, t)), (kind, w, k)
 
 
@@ -903,7 +962,7 @@ def test_factored_sides_reject_a_wrong_mutated_seed():
                 s = seed_from_word(kind, w)
                 for k in s.labels:
                     # the unmutated seed in place of the mutated one
-                    lhs, rhs = _naturality_sides(s, k, s)
+                    lhs, rhs = _naturality_sides(s, k, s.flat)
                     assert lhs != rhs, (kind, w, k)
                     pairs += 1
                     # the mutated seed with one arrow reversed
@@ -911,7 +970,7 @@ def test_factored_sides_reject_a_wrong_mutated_seed():
                     for (i, j), v in m.eps.items():
                         if i < j:
                             eps = {**m.eps, (i, j): -v, (j, i): -m.eps[(j, i)]}
-                            lhs, rhs = _naturality_sides(s, k, Seed(m.labels, eps, m.d))
+                            lhs, rhs = _naturality_sides(s, k, Seed(m.labels, eps, m.d).flat)
                             assert lhs != rhs, (kind, w, k, (i, j))
     assert pairs == 132
 
@@ -920,11 +979,11 @@ def test_isolated_vertex_folds_the_constant_binomial():
     # vertex 3 has no arrows, so B = 1 + 1 = 2
     s = Seed((1, 2, 3), {(1, 2): 1, (2, 1): -1}, {1: 1, 2: 1, 3: 1})
     assert all(check_ensemble_naturality(s, k) for k in s.labels)
-    lhs, rhs = _naturality_sides(s, 3, mutate_seed(s, 3))
+    lhs, rhs = _naturality_sides(s, 3, mutate_seed(s, 3).flat)
     assert lhs == rhs and all(c == 1 and b == 0 for c, _, b in lhs)
     # a wrong mutated seed with an arrow at 3: its power of 2 lands in c
     wrong = Seed(s.labels, {**s.eps, (3, 1): 1, (1, 3): -1}, s.d)
-    lhs, rhs = _naturality_sides(s, 3, wrong)
+    lhs, rhs = _naturality_sides(s, 3, wrong.flat)
     assert lhs[0] == (1, (0, -1, 0), 0) and rhs[0] == (2, (0, -1, -1), 0)
     assert [expand(s, 3, lhs), expand(s, 3, rhs)] == list(rational_sides(s, 3, wrong))
 
@@ -938,7 +997,7 @@ def test_half_entries_are_refused_at_every_vertex(kind, n):
         for k in s.labels:
             # each route reads every entry, and refuses the halves
             with pytest.raises(ValueError, match=integral):
-                _naturality_sides(s, k, s)
+                _naturality_sides(s, k, s.flat)
             with pytest.raises(ValueError, match=integral):
                 rational_sides(s, k, s)
             # the check reads k first, so a frozen k is refused as such

@@ -1,11 +1,15 @@
 """scripts/reach.py on a small grid: one record per cell, timeouts kept."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
 import subprocess
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from qtoda.cli import main
 
@@ -31,8 +35,8 @@ def test_reach_records_every_cell(tmp_path, capsys):
     assert record["timeout_s"] == 120
     assert {"cpu_count", "machine"} <= set(record["machine"])
     assert "commit" in record and len(record["source_sha256"]) == 64
-    assert [(c["check"], c["type"], c["rank"]) for c in record["cells"]] == [
-        ("equivalence", "A", 2), ("commute", "C", 2), ("naturality", "A", 2), ("mutation-equiv", "A", 3)
+    assert [(c["check"], c["type"], c["rank"], c["depth"]) for c in record["cells"]] == [
+        ("equivalence", "A", 2, None), ("commute", "C", 2, None), ("naturality", "A", 2, None), ("mutation-equiv", "A", 3, None)
     ]
     # the sweep's own high-water mark, where the system keeps one
     peak_from = "VmHWM" if Path("/proc/self/status").exists() else "ru_maxrss"
@@ -71,7 +75,7 @@ def test_reach_runs_a_cell_until_it_stops_being_ok(monkeypatch):
     reach = load_reach()
     script = []
 
-    def fake_run_cell(check, kind, rank, timeout):
+    def fake_run_cell(check, kind, rank, timeout, depth=None):
         status, wall, peak, digest = script.pop(0)
         return {"status": status, "wall_s": wall, "peak_rss_mib": peak, "peak_rss_from": "VmHWM", "stdout_sha256": digest}
 
@@ -119,3 +123,42 @@ def test_reach_rejects_a_malformed_cell(tmp_path):
     )
     assert proc.returncode != 0 and "commute:B4" in proc.stderr
     assert not (tmp_path / "BENCH_bad.json").exists()
+
+
+def test_cells_parse_with_a_depth_on_mutation_equiv_only():
+    reach = load_reach()
+    assert reach.parse_cells("mutation-equiv:C4@12,naturality:A3,mutation-equiv:A4") == [
+        ("mutation-equiv", "C", 4, 12), ("naturality", "A", 3, None), ("mutation-equiv", "A", 4, None)
+    ]
+    # the grid's C4 search runs at the depth that reaches every word
+    assert ("mutation-equiv", "C", 4, 12) in reach.GRID
+    for part in ("commute:A4@3", "naturality:A2@1", "equivalence:C3@6", "mutation-equiv:C4@", "mutation-equiv:C4@x",
+                 "mutation-equiv:C@4", "mutation-equiv:@12"):
+        with pytest.raises(argparse.ArgumentTypeError, match=re.escape(repr(part))):
+            reach.parse_cells(part)
+
+
+def test_reach_rejects_a_depth_on_another_check(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--label", "bad", "--out", str(tmp_path), "--cells", "naturality:A2@3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode != 0 and "naturality:A2@3" in proc.stderr
+    assert not (tmp_path / "BENCH_bad.json").exists()
+
+
+def test_reach_records_the_depth_it_ran(tmp_path, capsys):
+    # A3 at depth 2 leaves words unreached, so the sweep exits 1 where the
+    # default depth 6 passes: the depth reached the CLI
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--label", "deep", "--out", str(tmp_path), "--cells", "mutation-equiv:A3@2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "mutation-equiv A3@2: failed" in proc.stderr
+    (cell,) = json.loads((tmp_path / "BENCH_deep.json").read_text())["cells"]
+    assert (cell["check"], cell["type"], cell["rank"], cell["depth"]) == ("mutation-equiv", "A", 3, 2)
+    assert cell["status"] == "failed" and cell["exit_code"] == 1 and len(cell["wall_s_runs"]) == 1
+    argv = ["verify", "--check", "mutation-equiv", "--type", "A", "--rank", "3", "--all-words", "--depth", "2"]
+    assert main(argv) == 1
+    assert cell["stdout_sha256"] == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
