@@ -9,8 +9,9 @@ appears only for the half-weight entries of disk seeds (the boundary
 arrows of the face rules, before ``amalgamate_pairs`` glues them).
 ``Seed.eps`` is a view, a new dict of the nonzero entries keyed by label
 pairs.  Every seed, built from a dict or by a mutation, passes the one
-skew-symmetrizability check of the constructor, and since nothing can
-change it afterwards, it stays checked.  Edge weights in the drawn
+skew-symmetrizability check of the constructor, which also requires
+every symmetrizer to be positive, and since nothing can change it
+afterwards, it stays checked.  Edge weights in the drawn
 quiver are w_ij = eps_ij d_j.
 
 One kernel, ``_mutate``, mutates a flat matrix: it flips the row and
@@ -31,12 +32,15 @@ target, has the same invariant.  Equal keys imply equal invariants, so
 the walk makes the decisions that keying every matrix would make.
 
 ``check_ensemble_naturality`` compares the two sides of the classical
-naturality identity in factored form: each is a monomial in the A
-variables times a power of the one exchange binomial, read off integer
-columns of the exchange matrix, as slices of ``flat``; the mutated
-matrix is ``_mutate``'s, and no second seed is built.  The tests build
-the same sides as exact rational functions, through the ensemble map
-and the classical X and A mutations, as its oracle.
+naturality identity label by label: each is a monomial in the A
+variables times a power of the one exchange binomial, and the check
+compares the exponents, read straight off ``flat`` and off the flat
+matrix of ``_mutate``; no second seed, triple or list is built.  A seed
+keeps its symmetrizers and frozen flags in label order
+(``Seed._positional``) and whether every entry is an ``int``, computed
+once when it is built.  The tests build the same sides as factored
+triples and as exact rational functions, through the ensemble map and
+the classical X and A mutations, as its oracles.
 """
 
 from __future__ import annotations
@@ -71,14 +75,20 @@ class Seed:
         self._set(labels, tuple(flat), MappingProxyType(dict(d)), frozenset(frozen))
 
     def _set(self, labels, flat, d, frozen):
-        vars(self).update(labels=labels, flat=flat, d=d, frozen=frozen)
+        # kept for the mutation kernel and the naturality check, which read them per call
+        positional = tuple([d[l] for l in labels]), tuple([l in frozen for l in labels])
+        ints = all(type(v) is int for v in flat)
+        vars(self).update(labels=labels, flat=flat, d=d, frozen=frozen, _by_position=positional, _ints=ints)
         self._check()
 
     def _check(self):
-        # eps_ij d_j = -eps_ji d_i; a pair with both entries zero holds
+        # d > 0, and eps_ij d_j = -eps_ji d_i; a pair with both entries zero holds
         labels, flat = self.labels, self.flat
         m = len(labels)
-        d = [self.d[l] for l in labels]
+        d = self._by_position[0]
+        for l, v in zip(labels, d):
+            if not v > 0:
+                raise ValueError(f"symmetrizer of {l!r} is {v}, not positive")
         for n, a in enumerate(flat):
             if a:
                 i, j = divmod(n, m)
@@ -100,8 +110,7 @@ class Seed:
 
     def _positional(self) -> tuple[tuple, tuple]:
         """The symmetrizers and the frozen flags in label order."""
-        labels, d, frozen = self.labels, self.d, self.frozen
-        return tuple(d[l] for l in labels), tuple(l in frozen for l in labels)
+        return self._by_position
 
     @property
     def eps(self) -> dict:
@@ -368,9 +377,9 @@ def mutation_equivalent(s1: Seed, targets, max_depth: int) -> list:
 # ---------------------------------------------------------------------------
 # ensemble naturality
 #
-# ``check_ensemble_naturality`` compares both sides of the identity in
-# factored form, on integer vectors.  Its oracle, which builds the same
-# sides as exact rational functions, lives in the tests.
+# ``check_ensemble_naturality`` compares both sides of the identity label
+# by label, on integer entries.  Its oracles, which build the same sides
+# as factored triples and as exact rational functions, live in the tests.
 
 
 def _integral(e) -> int:
@@ -379,60 +388,49 @@ def _integral(e) -> int:
     return int(e)
 
 
-def _naturality_sides(seed: Seed, k, mutated: tuple) -> tuple[list, list]:
-    """Both sides of the naturality identity at k, one (c, u, b) per
-    label, read off integer columns; ``mutated``, a flat matrix with the
-    labels of seed in the same order, is taken as mu_k(seed).
-
-    Let col_i = (eps_ji)_j, so the ensemble map sends X_i to A^col_i, and
-    let B = A^[col_k]+ + A^[-col_k]+ be the exchange binomial, which
-    mu_k^A puts in A'_k = B / A_k.  Since 1 + A^col_k = A^-[-col_k]+ B,
-    each side is c A^u B^b:
-
-    - left, i = k: A^-col_k, so u = -col_k and b = 0;
-    - left, i != k, e = eps_ki: A^col_i A^([e]+ col_k) (1 + A^col_k)^-e,
-      so u = col_i + [e]+ col_k + e [-col_k]+ and b = -e;
-    - right: prod_j A'_j^eps'_ji, so u is col'_i with its k entry
-      negated and b = eps'_ki.
-
-    The triples decide equality exactly.  The Laurent ring Q[A^+-1] is a
-    UFD whose units are the terms c A^u.  When col_k != 0, B has two
-    distinct monomials, so it is no unit and neither is any nonzero power
-    of it; c A^u B^b = c' A^u' B^b' makes B^(b - b') a unit, so b = b',
-    and then c = c' and u = u'.  When col_k = 0, B is the constant 2, and
-    2^b is folded into c, leaving b = 0.
-    """
-    # an all-int tuple (every cylinder seed's) as it is, else each entry through _integral
-    flat, new = (f if all(type(v) is int for v in f) else tuple(map(_integral, f)) for f in (seed.flat, mutated))
-    m = len(seed.labels)
-    at_k = seed.labels.index(k)
-    col_k = flat[at_k::m]
-    neg_k = [-a if a < 0 else 0 for a in col_k]
-    lhs, rhs = [], []
-    for i, e in enumerate(flat[at_k * m : at_k * m + m]):
-        col = flat[i::m]
-        if i == at_k:
-            lhs.append((1, tuple([-a for a in col_k]), 0))
-        elif e:
-            p = e if e > 0 else 0
-            lhs.append((1, tuple([a + p * c + e * n for a, c, n in zip(col, col_k, neg_k)]), -e))
-        else:
-            lhs.append((1, col, 0))
-        u = new[i::m]
-        b = u[at_k]
-        rhs.append((1, u[:at_k] + (-b,) + u[at_k + 1 :], b))
-    if not any(col_k):
-        lhs, rhs = ([(Fraction(2) ** b, u, 0) for _, u, b in side] for side in (lhs, rhs))
-    return lhs, rhs
-
-
 def check_ensemble_naturality(seed: Seed, k) -> bool:
     """mu_k^X after the ensemble map equals the ensemble map of the
-    mutated seed after mu_k^A, as exact functions of the A variables,
-    compared in factored form (``_naturality_sides``).  An unknown or
-    frozen k, or a non-integral entry, is a ValueError.  The mutated
-    matrix is ``_mutate``'s, not a second seed: its unwritten entries are
-    the checked seed's and ``_mutate`` checks every pair it writes."""
-    mutated = _mutate(seed.flat, seed.labels, *seed._positional(), k)
-    lhs, rhs = _naturality_sides(seed, k, mutated)
-    return lhs == rhs
+    mutated seed after mu_k^A, as exact functions of the A variables.
+    mu_k^X takes X_k to 1/X_k and X_i to X_i X_k^[e]+ (1 + X_k)^-e, with
+    e = eps_ki: the eps_(k,i) exponent convention (the transport of the
+    quantum Hamiltonians needs -eps_(i,k)).  An unknown or frozen k, or
+    a non-integral entry, is a ValueError.
+
+    Let col_i = (eps_ji)_j, so the ensemble map sends X_i to A^col_i,
+    and B = A^[col_k]+ + A^[-col_k]+, the exchange binomial of
+    A'_k = B / A_k.  Each side at label i is c A^u B^b: on the left,
+    u = -col_k and b = 0 at k, else u = col_i + [e]+ col_k + e [-col_k]+
+    and b = -e; on the right, u is col'_i with its k entry negated and
+    b = eps'_ki.  Q[A^+-1] is a UFD whose units are the terms c A^u, and
+    B is no unit when col_k != 0, so the sides are equal exactly when
+    b = b' and u = u' (c = 1).  When col_k = 0, B = 2 and c = 2^b, and
+    2^b = 2^b' exactly when b = b'.  The k entry of u is e, so it agrees
+    when b does.  Read off the entries: column k of eps' is -col_k, a
+    column i with eps_ki = 0 is unchanged, and a column with e != 0 has
+    eps'_ki = -e and gains |e| eps_jk at each other row j where eps_jk
+    has the sign of e.  The mutated matrix is ``_mutate``'s, not a
+    second seed: its unwritten entries are the checked seed's and
+    ``_mutate`` checks every pair it writes."""
+    flat, labels = seed.flat, seed.labels
+    new = _mutate(flat, labels, *seed._positional(), k)
+    if not seed._ints:
+        for v in flat + new:
+            _integral(v)
+    m = len(labels)
+    p = labels.index(k)
+    col_k = flat[p::m]
+    if any(a + b for a, b in zip(col_k, new[p::m])):
+        return False
+    base = p * m
+    for i, e in enumerate(flat[base : base + m]):
+        if not e:
+            if i != p and flat[i::m] != new[i::m]:
+                return False
+        elif new[base + i] != -e:
+            return False
+        else:
+            ae, up = abs(e), e > 0
+            for j, (a, b, c) in enumerate(zip(flat[i::m], new[i::m], col_k)):
+                if j != p and b - a != (ae * c if (c > 0) is up else 0):
+                    return False
+    return True

@@ -18,7 +18,6 @@ from qtoda.cluster import (
     _invariant,
     _matrix_key,
     _mutate,
-    _naturality_sides,
     _tau_orbit,
     amalgamate_pairs,
     check_ensemble_naturality,
@@ -65,7 +64,10 @@ def standard_exchange_matrix(kind: str, n: int):
 
 
 def ref_skew_symmetrizable(labels, eps, d) -> bool:
-    """eps_ij d_j = -eps_ji d_i on every ordered pair of labels."""
+    """Positive symmetrizers, and eps_ij d_j = -eps_ji d_i on every
+    ordered pair of labels."""
+    if any(d[l] <= 0 for l in labels):
+        return False
     for i in labels:
         for j in labels:
             a = eps.get((i, j), Fraction(0))
@@ -400,6 +402,34 @@ def test_constructor_rejects_non_skew_symmetrizable(eps, d):
     assert not ref_skew_symmetrizable((1, 2), eps, d)
     with pytest.raises(ValueError, match="skew-symmetrizable"):
         Seed((1, 2), eps, d)
+
+
+@pytest.mark.parametrize(
+    "eps, d, value",
+    [
+        ({(1, 2): 1, (2, 1): 1}, {1: 1, 2: -1}, -1),  # both entries of the pair positive
+        ({(1, 2): 1}, {1: 1, 2: 0}, 0),  # a one-sided arrow
+    ],
+)
+def test_constructor_refuses_a_non_positive_symmetrizer(eps, d, value):
+    # eps_ij d_j = -eps_ji d_i holds on both pairs, but no positive d makes it hold
+    assert not ref_skew_symmetrizable((1, 2), eps, d)
+    with pytest.raises(ValueError, match=re.escape(f"symmetrizer of 2 is {value}, not positive")):
+        Seed((1, 2), eps, d)
+    # a label without arrows is refused too
+    with pytest.raises(ValueError, match="symmetrizer of 3 is 0, not positive"):
+        Seed((1, 2, 3), {}, {1: 1, 2: 1, 3: 0})
+
+
+def test_seed_keeps_its_positional_data():
+    # read once when the seed is built: the same tuples on every call
+    cylinder = qseed("C", 3, (1, -1))
+    for s in (cylinder, disk_seed_from_word("C", standard_word(2))):
+        for t in (s, s.relabeled({l: ("r", l) for l in s.labels}), mutate_seed(s, -1)):
+            assert t._positional() is t._positional()
+            assert t._positional() == (tuple(t.d[l] for l in t.labels), tuple(l in t.frozen for l in t.labels))
+            # a cylinder seed's entries are ints, a disk seed's halves Fractions
+            assert t._ints is all(type(v) is int for v in t.flat) is (s is cylinder)
 
 
 def test_constructor_accepts_zero_pairs_and_weighted_pairs():
@@ -811,7 +841,9 @@ def a_assignment(seed: Seed) -> dict:
 def mutate_X_classical(assignment: dict, seed: Seed, k) -> dict:
     """Pullback of the new X-coordinates through the mutation at k:
     X_k -> X_k^-1 and X_i -> X_i X_k^[eps_ki]+ (1 + X_k)^(-eps_ki),
-    over field elements, unsimplified."""
+    over field elements, unsimplified.  The exponent is eps_(k,i), the
+    convention of ``check_ensemble_naturality``; the transport of the
+    quantum Hamiltonians needs -eps_(i,k)."""
     out = {}
     xk = assignment[k]
     for i in seed.labels:
@@ -866,6 +898,54 @@ def test_ensemble_substitution_trivial_and_column_read():
         col = {a[j]: s2.entry(j, i) for j in s2.labels if s2.entry(j, i)}
         assert images[i].as_powers_dict() == col, i
     assert images[1] != 1
+
+
+def _naturality_sides(seed: Seed, k, mutated: tuple) -> tuple[list, list]:
+    """The factored oracle: both sides of the naturality identity at k,
+    one (c, u, b) per label, read off integer columns; ``mutated``, a
+    flat matrix with the labels of seed in the same order, is taken as
+    mu_k(seed).  The X mutation's exponent is eps_(k,i), as in
+    ``mutate_X_classical`` and ``check_ensemble_naturality``.
+
+    Let col_i = (eps_ji)_j, so the ensemble map sends X_i to A^col_i, and
+    let B = A^[col_k]+ + A^[-col_k]+ be the exchange binomial, which
+    mu_k^A puts in A'_k = B / A_k.  Since 1 + A^col_k = A^-[-col_k]+ B,
+    each side is c A^u B^b:
+
+    - left, i = k: A^-col_k, so u = -col_k and b = 0;
+    - left, i != k, e = eps_ki: A^col_i A^([e]+ col_k) (1 + A^col_k)^-e,
+      so u = col_i + [e]+ col_k + e [-col_k]+ and b = -e;
+    - right: prod_j A'_j^eps'_ji, so u is col'_i with its k entry
+      negated and b = eps'_ki.
+
+    The triples decide equality exactly.  The Laurent ring Q[A^+-1] is a
+    UFD whose units are the terms c A^u.  When col_k != 0, B has two
+    distinct monomials, so it is no unit and neither is any nonzero power
+    of it; c A^u B^b = c' A^u' B^b' makes B^(b - b') a unit, so b = b',
+    and then c = c' and u = u'.  When col_k = 0, B is the constant 2, and
+    2^b is folded into c, leaving b = 0.
+    """
+    flat, new = (tuple(map(_integral, f)) for f in (seed.flat, mutated))
+    m = len(seed.labels)
+    at_k = seed.labels.index(k)
+    col_k = flat[at_k::m]
+    neg_k = [-a if a < 0 else 0 for a in col_k]
+    lhs, rhs = [], []
+    for i, e in enumerate(flat[at_k * m : at_k * m + m]):
+        col = flat[i::m]
+        if i == at_k:
+            lhs.append((1, tuple([-a for a in col_k]), 0))
+        elif e:
+            p = e if e > 0 else 0
+            lhs.append((1, tuple([a + p * c + e * n for a, c, n in zip(col, col_k, neg_k)]), -e))
+        else:
+            lhs.append((1, col, 0))
+        u = new[i::m]
+        b = u[at_k]
+        rhs.append((1, u[:at_k] + (-b,) + u[at_k + 1 :], b))
+    if not any(col_k):
+        lhs, rhs = ([(Fraction(2) ** b, u, 0) for _, u, b in side] for side in (lhs, rhs))
+    return lhs, rhs
 
 
 def rational_sides(seed, k, mutated):
@@ -935,8 +1015,12 @@ def test_factored_naturality_matches_the_rational_route():
             for w in enumerate_double_coxeter(n):
                 s = seed_from_word(kind, w)
                 for k in s.labels:
-                    lhs, rhs = rational_sides(s, k, mutate_seed(s, k))
+                    mutated = mutate_seed(s, k)
+                    lhs, rhs = rational_sides(s, k, mutated)
                     assert check_ensemble_naturality(s, k) is (lhs == rhs) is True, (kind, w, k)
+                    # and the factored oracle agrees
+                    lhs, rhs = _naturality_sides(s, k, mutated.flat)
+                    assert lhs == rhs, (kind, w, k)
                     pairs += 1
     assert pairs == 564
 
@@ -973,6 +1057,98 @@ def test_factored_sides_reject_a_wrong_mutated_seed():
                             lhs, rhs = _naturality_sides(s, k, Seed(m.labels, eps, m.d).flat)
                             assert lhs != rhs, (kind, w, k, (i, j))
     assert pairs == 132
+
+
+def wrong_mutations(s, mutated):
+    """Flat matrices that are not ``mutated``, the flat mu_k(s): the
+    unmutated matrix, unless mutating at an arrowless vertex leaves it
+    as it is, the mutated one with one arrow reversed, and the mutated
+    one with one entry off by one, each in turn."""
+    m = len(s.labels)
+    if s.flat != mutated:
+        yield s.flat
+    for x, v in enumerate(mutated):
+        i, j = divmod(x, m)
+        if v and i < j:
+            reversed_ = list(mutated)
+            reversed_[x], reversed_[j * m + i] = -v, -mutated[j * m + i]
+            yield tuple(reversed_)
+    for x in range(m * m):
+        yield mutated[:x] + (mutated[x] + 1,) + mutated[x + 1 :]
+
+
+def test_wrong_mutations_fail_the_library_check(monkeypatch):
+    # the check itself, with a stand-in for the kernel that returns a
+    # wrong matrix: it says False on every wrong matrix, as the factored
+    # oracle does, and True with the real kernel
+    real = cluster._mutate
+    monkeypatch.setattr(cluster, "_mutate", lambda flat, labels, d, frozen, k: wrong)
+    pairs = controls = 0
+    for kind in ("A", "C"):
+        for n in (2, 3):
+            for w in enumerate_double_coxeter(n):
+                s = seed_from_word(kind, w)
+                for k in s.labels:
+                    mutated = real(s.flat, s.labels, *s._positional(), k)
+                    for wrong in wrong_mutations(s, mutated):
+                        lhs, rhs = _naturality_sides(s, k, wrong)
+                        assert check_ensemble_naturality(s, k) is (lhs == rhs) is False, (kind, w, k, wrong)
+                        controls += 1
+                    wrong = mutated
+                    assert check_ensemble_naturality(s, k), (kind, w, k)
+                    pairs += 1
+    # 132 unmutated matrices, 996 with one arrow reversed, 4,272 with one entry off by one
+    assert (pairs, controls) == (132, 5400)
+
+
+@st.composite
+def integral_seeds(draw):
+    """Skew-symmetrizable seeds with integral entries, each held as an
+    int or a ``Fraction``, some frozen labels and often a vertex without
+    arrows (whose exchange binomial is the constant 2); in about one seed
+    in five an entry may be a half, which the naturality check refuses."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    labels = tuple(range(1, m + 1))
+    d = {l: draw(st.sampled_from([1, 2])) for l in labels}
+    isolated = draw(st.sampled_from((None,) + labels))
+    halves = draw(st.integers(min_value=0, max_value=4)) == 0
+    eps = {}
+    for i in labels:
+        for j in labels:
+            if i >= j or isolated in (i, j):
+                continue
+            v = draw(st.sampled_from(_ENTRIES if halves else _ENTRIES[::2]))
+            back = -v * d[j] / d[i]
+            if v and (back * (2 if halves else 1)).denominator == 1:
+                eps[(i, j)], eps[(j, i)] = (x if draw(st.booleans()) or x.denominator != 1 else x.numerator for x in (v, back))
+    frozen = frozenset(l for l in labels if draw(st.booleans()) and l != 1)
+    return Seed(labels, eps, d, frozen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=integral_seeds())
+def test_check_matches_the_factored_oracle_on_random_seeds(s):
+    integral = all(v.denominator == 1 for v in s.flat)
+    for k in s.labels:
+        if k in s.frozen:
+            with pytest.raises(ValueError, match="cannot mutate at frozen index"):
+                check_ensemble_naturality(s, k)
+            continue
+        if not integral:
+            # both refuse the halves, with one message
+            for route in (lambda: check_ensemble_naturality(s, k), lambda: _naturality_sides(s, k, s.flat)):
+                with pytest.raises(ValueError, match="^classical mutation needs integral entries$"):
+                    route()
+            continue
+        mutated = mutate_seed(s, k).flat
+        lhs, rhs = _naturality_sides(s, k, mutated)
+        assert check_ensemble_naturality(s, k) is (lhs == rhs) is True
+        # a wrong matrix through a stand-in kernel: both say False
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cluster, "_mutate", lambda *args: wrong)
+            for wrong in wrong_mutations(s, mutated):
+                lhs, rhs = _naturality_sides(s, k, wrong)
+                assert check_ensemble_naturality(s, k) is (lhs == rhs) is False
 
 
 def test_isolated_vertex_folds_the_constant_binomial():
