@@ -217,9 +217,9 @@ def cmd_hamiltonians(args: argparse.Namespace) -> int:
         count = len(kvec) + 1 if args.kind == "A" else 2 * len(kvec) + 1
         indices = _indices(args, count)
         if args.route == "lax":
-            hams = laxmod.lax_hamiltonians(ctx, kvec, args.kind)
-            for i in indices:
-                out[f"H_{i}"] = hams[i - 1]
+            hams = laxmod.lax_hamiltonians(ctx, kvec, args.kind, indices)
+            for i, h in zip(indices, hams):
+                out[f"H_{i}"] = h
         else:
             hams = laxmod.recursive_hamiltonians(ctx, kvec, args.kind, indices)
             for i in indices:

@@ -4,15 +4,16 @@ classical ensemble checks.
 A seed stores its exchange matrix in one immutable format: ``flat``,
 the m^2 entries row by row in label order, next to the labels, a
 read-only mapping of symmetrizers and a frozen set.  Entries are exact:
-cylinder seeds are integral and store plain ints, and a ``Fraction``
-appears only for the half-weight entries of disk seeds (the boundary
-arrows of the face rules, before ``amalgamate_pairs`` glues them).
+the seeds of words are integral and store plain ints, and the
+constructor takes any exact entries (the tests' disk seeds keep a
+``Fraction`` for their half-weight boundary arrows).
 ``Seed.eps`` is a view, a new dict of the nonzero entries keyed by label
 pairs.  Every seed, built from a dict or by a mutation, passes the one
 skew-symmetrizability check of the constructor, which also requires
 every symmetrizer to be positive, and since nothing can change it
-afterwards, it stays checked.  Edge weights in the drawn
-quiver are w_ij = eps_ij d_j.
+afterwards, it stays checked.  The constructor refuses an entry, a
+symmetrizer or a frozen flag for a name that is not a label.  Edge
+weights in the drawn quiver are w_ij = eps_ij d_j.
 
 One kernel, ``_mutate``, mutates a flat matrix: it flips the row and
 column of the mutated position, adds sgn(a) a b to the entries they
@@ -66,13 +67,18 @@ class Seed:
     frozen: frozenset
 
     def __init__(self, labels, eps: dict, d: dict, frozen=frozenset()):
-        labels = tuple(labels)
+        labels, d, frozen = tuple(labels), dict(d), frozenset(frozen)
         m = len(labels)
         pos = {l: p for p, l in enumerate(labels)}
+        for what, names in (("symmetrizer", d), ("frozen flag", frozen)):
+            if stray := [l for l in names if l not in pos]:
+                raise ValueError(f"{what} for {stray[0]!r}, which is not a label")
         flat = [0] * (m * m)
         for (i, j), v in eps.items():
+            if i not in pos or j not in pos:
+                raise ValueError(f"eps entry at {(i, j)!r}: {i if i not in pos else j!r} is not a label")
             flat[pos[i] * m + pos[j]] = v
-        self._set(labels, tuple(flat), MappingProxyType(dict(d)), frozenset(frozen))
+        self._set(labels, tuple(flat), MappingProxyType(d), frozen)
 
     def _set(self, labels, flat, d, frozen):
         # kept for the mutation kernel and the naturality check, which read them per call
@@ -184,49 +190,6 @@ def seed_from_word(kind: str, word: DoubleWord) -> Seed:
             raise ValueError(f"non-integer exchange entry at {(i, j)}")
         eps[(i, j)] = e
     return Seed(labels, eps, d, frozenset())
-
-
-def disk_seed_from_word(kind: str, word: DoubleWord) -> Seed:
-    """Open-network seed: the outer face of each strip is split at the
-    cut into frozen faces (\"L\", k), (\"R\", k); entries may be halves."""
-    n = word.n
-    d_roots = symmetrizers(kind, n)
-    labels = tuple(range(-n, 0)) + tuple(
-        lab for k in range(1, n + 1) for lab in (("L", k), ("R", k))
-    )
-    d = {}
-    for l in labels:
-        d[l] = d_roots[abs(l) - 1] if isinstance(l, int) else d_roots[l[1] - 1]
-    eps = {}
-    # the doubled weights are 2 w_ij, and eps_ij = w_ij / d_j
-    for (i, j), w2 in _doubled_face_weights(kind, word, True).items():
-        val = Fraction(w2, 2 * d[j])
-        eps[(i, j)] = val if val.denominator != 1 else val.numerator
-    return Seed(labels, eps, d, frozenset(l for l in labels if not isinstance(l, int)))
-
-
-def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
-    """Self-amalgamation: merge frozen vertex pairs inside one seed."""
-    rename = {}
-    for (a, b), lab in zip(pairs, new_labels):
-        if a not in seed.frozen or b not in seed.frozen:
-            raise ValueError("can only merge frozen vertices")
-        rename[a] = lab
-        rename[b] = lab
-    d = {}  # its keys, in order, are the new labels
-    for l in seed.labels:
-        t = rename.get(l, l)
-        if t in d and d[t] != seed.d[l]:
-            raise ValueError("merged vertices have mismatched symmetrizers")
-        d[t] = seed.d[l]
-    eps: dict = {}
-    for (i, j), v in seed.eps.items():
-        a, b = rename.get(i, i), rename.get(j, j)
-        if a == b:
-            continue
-        eps[(a, b)] = eps.get((a, b), 0) + v
-    frozen = frozenset(rename.get(l, l) for l in seed.frozen) - set(rename.values())
-    return Seed(tuple(d), {k: v for k, v in eps.items() if v != 0}, d, frozen)
 
 
 # ---------------------------------------------------------------------------

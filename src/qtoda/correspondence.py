@@ -317,7 +317,8 @@ def verify_equivalence_C(word: DoubleWord) -> dict:
     table = lax_strand_table(net)
     qvec = quiver_vector_of(word)
     ctx, kvec = lax_params("C", word)
-    hams = laxmod.lax_hamiltonians(ctx, kvec, "C")
+    # only H_2..H_{n+1} are compared
+    hams = laxmod.lax_hamiltonians(ctx, kvec, "C", range(2, n + 2))
     # (rows lo..hi, size r, prefactor sign): bottom bands, then top bands
     bands = [(1, m, m, -1) for m in range(2, n + 1)]
     bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
@@ -328,7 +329,7 @@ def verify_equivalence_C(word: DoubleWord) -> dict:
     checks = []
     for i in range(1, n + 1):
         lhs = folds[1, 2 * n][i]
-        rhs = hams[i]  # index i+1
+        rhs = hams[i - 1]  # index i+1
         checks.append({"index": i, **_compare(lhs, rhs)})
     sub_checks = []
     # the band on rows 1..r and the top r rows share the Lax context,

@@ -15,10 +15,10 @@ next local matrix and updates its exponent vector and q-key with one
 pairing, E(A) E(a) = q^<A,a> E(A + a), so no Laurent product is built.
 Each site's monomials, with their q-keys and pairing rows, are ints read
 off the closed form of ``local_lax`` (``_site_terms``); no site matrix
-is built.  Type C contracts the first column of T with itself, taking
-each term with itself once and each unordered pair of terms once for
-both orders.  Each coefficient's sign is applied once, as the path sum's
-term map for that z-degree is closed.
+is built.  Only the requested coefficients are built: type A signs each
+as its term map is closed, and type C contracts the first column of T
+with itself (``_contract_columns``), writing each product only at a
+requested degree (or outside the window) and with that degree's sign.
 
 The recursion formulas (``recursive_hamiltonians``) give the same
 Hamiltonians, signs included, by a third route.  The local matrices
@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from .torus import (
@@ -43,7 +44,6 @@ from .torus import (
     Vec,
     _nonzero,
     _pairing_row,
-    _vec_add,
 )
 from .words import IndexVector
 
@@ -156,11 +156,15 @@ def monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
     return acc
 
 
-def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str) -> dict[int, dict[Vec, dict[QKey, int]]]:
+def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str, signs: dict | None = None) -> dict[int, dict]:
     """The (1,1) entry of ``monodromy`` (type A) or of the double
     monodromy Lbar_1^(-k_1) ... Lbar_n^(-k_n) L_n^(k_n) ... L_1^(k_1)
     (type C), the latter without its (-1)^n, as a path sum: per doubled
     z-degree a term map, zero coefficients not yet dropped.
+
+    Type A gives every degree, unsigned.  Type C gives the degrees of
+    ``signs`` (degree -> sign), signed and zero-free, and any degree
+    outside the window.
 
     A walk over the sites keeps, per end state (row or column 0 or 1), a
     map (doubled z-degree, exponent vector A) -> {q-key: coefficient}.
@@ -172,12 +176,7 @@ def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str) -> dict[int, d
     Type A carries the row e_1^T through L_n ... L_1 and reads state 0.
     Type C carries the column L_1 e_1 up through L_n, which gives the
     first column T_k1 of T, and contracts sum_k T_k1(1/z) T_k1(z), the
-    (1,1) entry of T(1/z)^T T(z).  In x(1/z) x(z) = sum_{e,f} x_e x_f
-    z^(f-e) each flat term c q^k E(u) z^e of a column meets itself once,
-    at z^0 with key 2k and vector 2u, and each unordered pair of terms at
-    (e, u) and (f, v) once: its shift den*<u,v> is computed once and
-    enters with + at z^(f-e) and with - at z^(e-f), since E(v) E(u) =
-    q^-<u,v> E(u + v).
+    (1,1) entry of T(1/z)^T T(z) (``_contract_columns``).
     """
     n = ctx.rank // 2
     if len(kvec) != n:
@@ -196,8 +195,7 @@ def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str) -> dict[int, d
     else:
         for site, k in reversed(sites):
             states = _walk(ctx, states, site, k, (0, 1), right=False)
-        for col in states:
-            _contract(ctx, col, parts)
+        parts = _contract_columns(ctx, states, signs or {}, set(_window(kvec, kind)))
     return parts
 
 
@@ -273,31 +271,62 @@ def _walk(ctx: TorusContext, states: list[dict], site: int, k: int, ends, right:
     return out
 
 
-def _contract(ctx: TorusContext, col: dict, parts: dict) -> None:
-    """Add x(1/z) x(z) for the column entry ``col`` into ``parts`` (per
-    doubled z-degree, a term map), over the flat terms c q^k E(u) z^e of
-    ``col``: each term with itself once, each unordered pair once, both
-    orders from one shift."""
+def _contract_columns(ctx: TorusContext, cols: list[dict], signs: dict[int, int], window: set[int]) -> dict:
+    """Sum of x(1/z) x(z) over the column entries x in ``cols``, per
+    doubled z-degree a zero-free term map, written only at the degrees of
+    ``signs``, times their sign, and unsigned outside ``window``.
+
+    In x(1/z) x(z) = sum_{e,f} x_e x_f z^(f-e) the flat terms c q^k E(u)
+    z^e of x are grouped by z-degree; a pair of groups (e, f) is multiplied
+    out only if z^(f-e) is written, its map and sign looked up once.  A
+    term at (e, u) times one at (f, v) gains the key shift r(u).v =
+    den*<u,v>.  Within a group, at z^0, each term meets itself once and
+    each later term once, its shift entering with + and with -, since
+    E(v) E(u) = q^-<u,v> E(u + v).  Only a sum that reaches 0 leaves a
+    zero, so only its degree goes through ``_nonzero``.
+    """
     rows = ctx.rows
-    terms = [
-        (e, u, k, c, _pairing_row(rows, u))
-        for (e, u), coeffs in col.items()
-        for k, c in coeffs.items()
-    ]
-    zero = parts.setdefault(0, {})
-    for s, (e, u, k1, c1, r) in enumerate(terms):
-        tgt = zero.setdefault(_vec_add(u, u), {})
-        tgt[2 * k1] = tgt.get(2 * k1, 0) + c1 * c1
-        for f, v, k2, c2, _ in terms[s + 1:]:
-            shift = 0
-            for t, x in r:
-                shift += x * v[t]
-            vec = _vec_add(u, v)
-            k, c = k1 + k2, c1 * c2
-            up = parts.setdefault(f - e, {}).setdefault(vec, {})
-            up[k + shift] = up.get(k + shift, 0) + c
-            down = parts.setdefault(e - f, {}).setdefault(vec, {})
-            down[k - shift] = down.get(k - shift, 0) + c
+    parts: dict = {}
+    cancelled = set()
+    for col in cols:
+        groups: dict[int, list] = {}
+        for (e, u), coeffs in col.items():
+            r = _pairing_row(rows, u)
+            groups.setdefault(e, []).extend([(u, k, c, r) for k, c in coeffs.items() if c])
+        for e, left in groups.items():
+            for f, right in groups.items():
+                d = f - e
+                sign = signs.get(d, 0 if d in window else 1)
+                if not sign:
+                    continue
+                tgt = parts.setdefault(d, {})
+                for s, (u, k1, c1, r) in enumerate(left):
+                    c = sign * c1
+                    if d == 0:  # u itself, then each later term of its group
+                        right = left[s + 1:]
+                        m = tgt.setdefault(tuple(map(add, u, u)), {})
+                        new = m[2 * k1] = m.get(2 * k1, 0) + c * c1
+                        if not new:
+                            cancelled.add(d)
+                    for v, k2, c2, _ in right:
+                        shift = 0
+                        for t, x in r:
+                            shift += x * v[t]
+                        k, cv, vec = k1 + k2, c * c2, tuple(map(add, u, v))
+                        m = tgt.get(vec)
+                        if m is None:
+                            tgt[vec] = m = {k + shift: cv}
+                        else:
+                            new = m[k + shift] = m.get(k + shift, 0) + cv
+                            if not new:
+                                cancelled.add(d)
+                        if d == 0:
+                            new = m[k - shift] = m.get(k - shift, 0) + cv
+                            if not new:
+                                cancelled.add(d)
+    for d in cancelled:
+        parts[d] = _nonzero(parts[d])
+    return parts
 
 
 def _window(kvec: IndexVector, kind: str) -> list[int]:
@@ -319,8 +348,9 @@ def _normal_sign(kind: str, n: int, i: int) -> int:
     return (-1) ** (n + 1 - i if kind == "A" else i - 1)
 
 
-def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str) -> list[TorusElement]:
-    """The Hamiltonians of an index vector, sign-normalized.
+def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, indices: Sequence[int] | None = None) -> list[TorusElement]:
+    """The Hamiltonians H_i of an index vector for each i in ``indices``,
+    in that order, sign-normalized; by default every index, in order.
 
     Type A: H_i = (-1)^(n+1-i) times the coefficient of z^(sigma_n + i - 1)
     in the (1,1) entry of ``monodromy``, i = 1..n+1.
@@ -330,21 +360,26 @@ def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str) -> list[To
     barred factors are ``local_lax(..., barred=True)``, i = 1..2n+1.
     That product, equal to (-1)^n [T(1/z)]^T T(z) with T the monodromy,
     is the tests' oracle (``tests/test_lax.py``).
-    Each coefficient's sign, the type C (-1)^n of the entry included, is
-    applied once, as its term map is closed.  Raises if the z-support
-    leaves the window.
+    Only the requested coefficients are built, each sign (the type C
+    (-1)^n included) applied once.  Raises for an index out of range,
+    and if the z-support leaves the window.
     """
-    parts = _entry_parts(ctx, kvec, kind)
     window = _window(kvec, kind)
+    n = len(kvec)
+    outer = (-1) ** n if kind == "C" else 1
+    degrees, signs = [], {}
+    for i in range(1, len(window) + 1) if indices is None else indices:
+        if not 1 <= i <= len(window):
+            raise ValueError(f"no H_{i}: the indices run over 1..{len(window)}")
+        degrees.append(window[i - 1])
+        signs[window[i - 1]] = outer * _normal_sign(kind, n, i)
+    parts = _entry_parts(ctx, kvec, kind, signs)
     outside = sorted(d for d, terms in parts.items() if d not in window and _closed(ctx, terms, 1))
     if outside:
         raise ValueError(f"z-support {outside} outside the predicted window")
-    n = len(kvec)
-    outer = (-1) ** n if kind == "C" else 1
-    return [
-        _closed(ctx, parts.get(d, {}), outer * _normal_sign(kind, n, i))
-        for i, d in enumerate(window, start=1)
-    ]
+    if kind == "C":  # the contraction wrote each sign and dropped each zero
+        return [TorusElement._make(ctx, parts.get(d, {})) for d in degrees]
+    return [_closed(ctx, parts.get(d, {}), signs[d]) for d in degrees]
 
 
 # ---------------------------------------------------------------------------

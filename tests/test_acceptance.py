@@ -15,9 +15,7 @@ from itertools import combinations, product
 from qtoda import lax as laxmod
 from qtoda.cluster import (
     Seed,
-    amalgamate_pairs,
     check_ensemble_naturality,
-    disk_seed_from_word,
     mutate_seed,
     mutation_equivalent,
     seed_from_word,
@@ -38,7 +36,7 @@ from qtoda.network import (
 )
 from qtoda.torus import MonomialMap, TorusElement, commutes
 from qtoda.words import DoubleWord, enumerate_double_coxeter
-from test_cluster import standard_exchange_matrix
+from test_cluster import amalgamate_pairs, disk_seed_from_word, standard_exchange_matrix
 from test_lax import bar_w, check_rtt, z_coefficients
 
 

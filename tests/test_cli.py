@@ -220,6 +220,29 @@ def test_hamiltonian_index_is_checked(capsys, route, kind, rank, count):
         assert json.loads(out)["hamiltonians"] == {f"H_{i}": every[f"H_{i}"]}
 
 
+@pytest.mark.parametrize(
+    "kind, rank, qvecs",
+    [
+        # the rank-3 words of type A take --rank 4 on the lax route
+        ("A", "4", ("0,0", "1,-1", "-1,1")),
+        ("C", "3", ("0,0", "1,-1", "-1,-1")),
+        ("C", "4", ("0,0,0", "1,-1,0", "-1,1,1")),
+    ],
+)
+def test_lax_route_builds_one_index_as_the_full_run_does(capsys, kind, rank, qvecs):
+    # --index asks the library for that H_i alone; it must print the same
+    # H_i as the run that builds all of them
+    for q in qvecs:
+        base = ["hamiltonians", "--route", "lax", "--type", kind, "--rank", rank, "--qvec=" + q]
+        code, out = run(capsys, *base)
+        every = json.loads(out)["hamiltonians"]
+        assert code == 0 and len(every) == (int(rank) + 1 if kind == "A" else 2 * int(rank) + 1)
+        for i in range(1, len(every) + 1):
+            code, out = run(capsys, *base, "--index", str(i))
+            assert code == 0
+            assert json.loads(out)["hamiltonians"] == {f"H_{i}": every[f"H_{i}"]}, (kind, q, i)
+
+
 @pytest.mark.parametrize("kind, rank", [("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3)])
 def test_lax_and_recursive_routes_print_the_same_hamiltonians(capsys, kind, rank):
     # every word of the rank; on these routes a type A --rank counts chain

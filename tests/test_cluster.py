@@ -19,9 +19,7 @@ from qtoda.cluster import (
     _matrix_key,
     _mutate,
     _tau_orbit,
-    amalgamate_pairs,
     check_ensemble_naturality,
-    disk_seed_from_word,
     mutate_seed,
     mutate_swap,
     mutation_equivalent,
@@ -30,7 +28,7 @@ from qtoda.cluster import (
 from qtoda.network import _doubled_face_weights, symmetrizers
 from qtoda.serialize import dumps, seed_to_dict, seed_to_dot
 from qtoda.torus import classical_context
-from qtoda.words import enumerate_double_coxeter, standard_word, word_of_quiver_vector
+from qtoda.words import DoubleWord, enumerate_double_coxeter, standard_word, word_of_quiver_vector
 from test_torus import RationalLaurent
 
 
@@ -273,6 +271,52 @@ def test_seed_from_word_rejects_a_non_integer_entry(monkeypatch):
         seed_from_word("A", standard_word(1))
 
 
+# -- the disk seed and its gluing (criterion 09) ---------------------------------
+
+
+def disk_seed_from_word(kind: str, word: DoubleWord) -> Seed:
+    """Open-network seed: the outer face of each strip is split at the
+    cut into frozen faces (\"L\", k), (\"R\", k); entries may be halves."""
+    n = word.n
+    d_roots = symmetrizers(kind, n)
+    labels = tuple(range(-n, 0)) + tuple(
+        lab for k in range(1, n + 1) for lab in (("L", k), ("R", k))
+    )
+    d = {}
+    for l in labels:
+        d[l] = d_roots[abs(l) - 1] if isinstance(l, int) else d_roots[l[1] - 1]
+    eps = {}
+    # the doubled weights are 2 w_ij, and eps_ij = w_ij / d_j
+    for (i, j), w2 in _doubled_face_weights(kind, word, True).items():
+        val = Fraction(w2, 2 * d[j])
+        eps[(i, j)] = val if val.denominator != 1 else val.numerator
+    return Seed(labels, eps, d, frozenset(l for l in labels if not isinstance(l, int)))
+
+
+def amalgamate_pairs(seed: Seed, pairs: list[tuple], new_labels: list) -> Seed:
+    """Self-amalgamation: merge frozen vertex pairs inside one seed."""
+    rename = {}
+    for (a, b), lab in zip(pairs, new_labels):
+        if a not in seed.frozen or b not in seed.frozen:
+            raise ValueError("can only merge frozen vertices")
+        rename[a] = lab
+        rename[b] = lab
+    d = {}  # its keys, in order, are the new labels
+    for l in seed.labels:
+        t = rename.get(l, l)
+        if t in d and d[t] != seed.d[l]:
+            raise ValueError("merged vertices have mismatched symmetrizers")
+        d[t] = seed.d[l]
+    eps: dict = {}
+    for (i, j), v in seed.eps.items():
+        a, b = rename.get(i, i), rename.get(j, j)
+        if a == b:
+            continue
+        eps[(a, b)] = eps.get((a, b), 0) + v
+    frozen = frozenset(rename.get(l, l) for l in seed.frozen) - set(rename.values())
+    return Seed(tuple(d), {k: v for k, v in eps.items() if v != 0}, d, frozen)
+
+
 def test_disk_amalgamation_reproduces_cylinder():
     for kind in ("A", "C"):
         for n in (1, 2, 3):
@@ -419,6 +463,25 @@ def test_constructor_refuses_a_non_positive_symmetrizer(eps, d, value):
     # a label without arrows is refused too
     with pytest.raises(ValueError, match="symmetrizer of 3 is 0, not positive"):
         Seed((1, 2, 3), {}, {1: 1, 2: 1, 3: 0})
+
+
+def test_constructor_refuses_a_name_that_is_not_a_label():
+    # a symmetrizer or a frozen flag for a stray name would make two seeds
+    # that serialize alike compare unequal
+    with pytest.raises(ValueError, match="symmetrizer for 2, which is not a label"):
+        Seed((1,), {}, {1: 1, 2: -5})
+    with pytest.raises(ValueError, match="frozen flag for 7, which is not a label"):
+        Seed((1,), {}, {1: 1}, frozenset([7]))
+    with pytest.raises(ValueError, match="frozen flag for 'x', which is not a label"):
+        Seed((1, 2), {}, {1: 1, 2: 1}, (l for l in (2, "x")))
+    # an eps entry at a stray name, on either side of the pair
+    with pytest.raises(ValueError, match=re.escape("eps entry at (1, 3): 3 is not a label")):
+        Seed((1, 2), {(1, 3): 1}, {1: 1, 2: 1})
+    with pytest.raises(ValueError, match=re.escape("eps entry at (3, 1): 3 is not a label")):
+        Seed((1, 2), {(3, 1): 1, (1, 3): -1}, {1: 1, 2: 1})
+    # the same seed without the stray names builds, and equals its round trip
+    s = Seed((1,), {}, {1: 1}, frozenset([1]))
+    assert s == Seed(s.labels, s.eps, s.d, s.frozen) and dict(s.d) == {1: 1} and s.frozen == {1}
 
 
 def test_seed_keeps_its_positional_data():

@@ -10,7 +10,8 @@ from qtoda import lax as laxmod
 from qtoda.correspondence import _rtt_witness
 from qtoda.lax import (
     LaxMatrix,
-    _contract,
+    _contract_columns,
+    _entry_parts,
     _site_terms,
     _walk,
     boundary_gauge,
@@ -24,7 +25,7 @@ from qtoda.lax import (
     spectral_context,
     w_index,
 )
-from qtoda.torus import MonomialMap, TorusElement, _nonzero, _pairing_row, commutes
+from qtoda.torus import MonomialMap, TorusElement, _nonzero, _pairing_row, _vec_add, commutes
 
 
 def z_coefficients(el: TorusElement, ctx) -> dict[int, TorusElement]:
@@ -311,6 +312,46 @@ def test_monodromy_entry_matches_full_products():
         lax_hamiltonians(lax_context(2), (0,), "A")
 
 
+def test_requested_indices_match_the_full_list():
+    # each single index, H_2..H_{n+1} (what the type C verdict reads) and
+    # every index in a shuffled order, against the default full list
+    rng = random.Random(32)
+    for n in (1, 2, 3, 4):
+        ctx = lax_context(n)
+        for kv in all_kvecs(n):
+            for kind in ("A", "C"):
+                full = lax_hamiltonians(ctx, kv, kind)
+                for i in range(1, len(full) + 1):
+                    assert lax_hamiltonians(ctx, kv, kind, [i]) == [full[i - 1]], (kind, kv, i)
+                assert lax_hamiltonians(ctx, kv, kind, range(2, n + 2)) == full[1 : n + 1], (kind, kv)
+                order = rng.sample(range(1, len(full) + 1), len(full))
+                assert lax_hamiltonians(ctx, kv, kind, order) == [full[i - 1] for i in order], (kind, kv, order)
+    ctx = lax_context(2)
+    assert lax_hamiltonians(ctx, (0, 1), "C", []) == []
+    for kind, count in (("A", 3), ("C", 5)):
+        for i in (0, count + 1):
+            with pytest.raises(ValueError, match=rf"no H_{i}: the indices run over 1\.\.{count}"):
+                lax_hamiltonians(ctx, (0, 1), kind, [1, i])
+
+
+def test_a_wrong_sign_at_one_degree_is_seen():
+    # negative control: the contraction writes each degree times the sign
+    # it is handed; one flipped sign spoils exactly that coefficient
+    ctx = lax_context(2)
+    for kv in all_kvecs(2):
+        window = [-4 + 2 * j for j in range(5)]
+        signs = {d: (-1) ** j for j, d in enumerate(window)}  # (-1)^n (-1)^(i-1), n = 2
+        oracle = signed_window(ctx, kv, "C")
+
+        def closed(parts):
+            return [TorusElement._make(ctx, _nonzero(parts.get(d, {}))) for d in window]
+
+        assert closed(_entry_parts(ctx, kv, "C", signs)) == oracle, kv
+        for j, d in enumerate(window):
+            got = closed(_entry_parts(ctx, kv, "C", {**signs, d: -signs[d]}))
+            assert [g == o for g, o in zip(got, oracle)] == [h != j or o.is_zero() for h, o in enumerate(oracle)], (kv, d)
+
+
 def test_type_c_entry_matches_inverted_column_products():
     # each unordered z-pair taken once against the full z-inverted
     # products of the first column of T, and the double monodromy
@@ -370,6 +411,34 @@ def from_parts(parts: dict) -> TorusElement:
     return TorusElement._make(WALK_SPECTRAL, _nonzero({u + (e, 0): c for e, t in parts.items() for u, c in t.items()}))
 
 
+def contract_both_orders(ctx, col: dict, parts: dict) -> None:
+    """Add x(1/z) x(z) for the column entry ``col`` into ``parts`` (per
+    doubled z-degree, a term map), over the flat terms c q^k E(u) z^e of
+    ``col``: each term with itself once, each unordered pair once, both
+    orders from one shift, every degree written and none signed.  The
+    oracle of ``_contract_columns``."""
+    rows = ctx.rows
+    terms = [
+        (e, u, k, c, _pairing_row(rows, u))
+        for (e, u), coeffs in col.items()
+        for k, c in coeffs.items()
+    ]
+    zero = parts.setdefault(0, {})
+    for s, (e, u, k1, c1, r) in enumerate(terms):
+        tgt = zero.setdefault(_vec_add(u, u), {})
+        tgt[2 * k1] = tgt.get(2 * k1, 0) + c1 * c1
+        for f, v, k2, c2, _ in terms[s + 1:]:
+            shift = 0
+            for t, x in r:
+                shift += x * v[t]
+            vec = _vec_add(u, v)
+            k, c = k1 + k2, c1 * c2
+            up = parts.setdefault(f - e, {}).setdefault(vec, {})
+            up[k + shift] = up.get(k + shift, 0) + c
+            down = parts.setdefault(e - f, {}).setdefault(vec, {})
+            down[k - shift] = down.get(k - shift, 0) + c
+
+
 def _by_degree(state: dict) -> dict:
     parts = {}
     for (e, u), c in state.items():
@@ -382,9 +451,76 @@ def _by_degree(state: dict) -> dict:
 def test_contraction_matches_inverted_products(x, y):
     # each term with itself, each unordered pair once, both orders
     parts = {}
-    _contract(WALK_CTX, as_state(x), parts)
-    _contract(WALK_CTX, as_state(y), parts)
+    contract_both_orders(WALK_CTX, as_state(x), parts)
+    contract_both_orders(WALK_CTX, as_state(y), parts)
     assert from_parts(parts) == z_inverted(x) * x + z_inverted(y) * y
+
+
+_DEGREES = range(-6, 7)  # every z-degree difference of two z_entries terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=z_entries(),
+    y=z_entries(),
+    window=st.sets(st.sampled_from(_DEGREES)),
+    signs=st.dictionaries(st.sampled_from(_DEGREES), st.sampled_from([-1, 1])),
+)
+def test_grouped_contraction_matches_the_oracle(x, y, window, signs):
+    # with every degree asked for: the oracle and the z-inverted products
+    every = dict.fromkeys(_DEGREES, 1)
+    oracle = {}
+    contract_both_orders(WALK_CTX, as_state(x), oracle)
+    contract_both_orders(WALK_CTX, as_state(y), oracle)
+    got = _contract_columns(WALK_CTX, [as_state(x), as_state(y)], every, set(every))
+    assert from_parts(got) == from_parts(oracle) == z_inverted(x) * x + z_inverted(y) * y
+    # the maps come back without zero coefficients, where sums cancel too
+    assert got == {d: _nonzero(t) for d, t in got.items()}
+    # with some degrees asked for, each with a sign: those degrees, signed,
+    # and every degree outside the window, unsigned
+    window |= set(signs)
+    got = _contract_columns(WALK_CTX, [as_state(x), as_state(y)], signs, window)
+    assert got == {d: _nonzero(t) for d, t in got.items()}
+    kept = {
+        d: {u: {k: signs.get(d, 1) * c for k, c in coeffs.items()} for u, coeffs in terms.items()}
+        for d, terms in oracle.items()
+        if d in signs or d not in window
+    }
+    assert from_parts(got) == from_parts(kept)
+
+
+def test_a_same_degree_pair_needs_both_orders():
+    # negative control: x = E(u) z^(1/2) + 2 E(v) z^(1/2) - E(u) z^(-1/2),
+    # with den*<u,v> != 0; the pair (u, v) at one degree enters z^0 as
+    # E(u)E(v) and as E(v)E(u), and dropping the second order is seen
+    u, v = WALK_CTX.basis_vec(w_index(WALK_CTX, 1)), WALK_CTX.basis_vec(d_index(WALK_CTX, 1))
+    shift = sum(x * v[t] for t, x in _pairing_row(WALK_CTX.rows, u))
+    assert shift
+    x = TorusElement(WALK_SPECTRAL, {u + (1, 0): {0: 1}, v + (1, 0): {0: 2}, u + (-1, 0): {0: -1}})
+    every = dict.fromkeys(_DEGREES, 1)
+    got = _contract_columns(WALK_CTX, [as_state(x)], every, set(every))
+    assert from_parts(got) == z_inverted(x) * x
+    # the second order E(v)E(u) adds 1 * 2 at key -shift
+    dropped = {d: {w: dict(c) for w, c in t.items()} for d, t in got.items()}
+    dropped[0][_vec_add(u, v)][-shift] -= 2
+    assert from_parts(dropped) != z_inverted(x) * x
+
+
+def test_a_sum_that_cancels_leaves_no_zero():
+    # one z-degree group a, b, t: the pair (a, b) lands on t's own square,
+    # E(2u) at key 0, with -1, and t's term itself then brings it to 0
+    u, w = WALK_CTX.basis_vec(w_index(WALK_CTX, 1)), WALK_CTX.basis_vec(d_index(WALK_CTX, 1))
+    a, b = tuple(x - y for x, y in zip(u, w)), _vec_add(u, w)
+    shift = sum(x * b[t] for t, x in _pairing_row(WALK_CTX.rows, a))
+    assert shift
+    col = {(1, a): {-shift: 1}, (1, b): {0: -1}, (1, u): {0: 1}}
+    oracle = {}
+    contract_both_orders(WALK_CTX, col, oracle)
+    assert oracle[0][_vec_add(u, u)] == {0: 0, -2 * shift: -1}
+    every = dict.fromkeys(_DEGREES, 1)
+    got = _contract_columns(WALK_CTX, [col], every, set(every))
+    assert got[0][_vec_add(u, u)] == {-2 * shift: -1}
+    assert got == {d: _nonzero(t) for d, t in oracle.items()}
 
 
 @settings(max_examples=60, deadline=None)

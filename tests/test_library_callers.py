@@ -22,8 +22,6 @@ SRC = ROOT / "src" / "qtoda"
 EXEMPT = {
     "boundary_gauge": "solves the w-fixing gauge of criterion 07c; a gauge check would wire it in",
     "gauge_parts": "reads (a, p) off a boundary_gauge result, for that gauge check",
-    "disk_seed_from_word": "the disk seed that criterion 09 glues into the cylinder seed",
-    "amalgamate_pairs": "the gluing of criterion 09's disk amalgamation claim",
     "standard_word": "exported by qtoda",
 }
 

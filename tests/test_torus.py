@@ -812,7 +812,7 @@ def both_orders(a: TorusElement, b: TorusElement) -> tuple[TorusElement, TorusEl
 
     E(u)E(v) = q^<u,v> E(u+v) and E(v)E(u) = q^-<u,v> E(u+v), so each
     pair's pairing is computed once and feeds both products.  The same rule
-    gives both orders of each unordered pair in ``lax._contract``.
+    gives both orders of each unordered pair in ``lax._contract_columns``.
     """
     a._check(b)
     rows = a.ctx.rows
