@@ -27,6 +27,7 @@ Importing this module loads the verifier path that every command shares
 ``verify --check mutation-equiv`` import the cluster layer, a ``--jobs``
 sweep over more than one word imports the process pool, and
 ``--seed-manifest`` imports the fixture manifest, each when it runs.
+The parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import argparse
 import re
 import signal
 import sys
+from functools import cache
 from itertools import combinations
 
 from . import lax as laxmod
@@ -246,8 +248,7 @@ def _check_one_word(args) -> dict:
     kind, check, letters = args
     word = DoubleWord(len(letters) // 2, tuple(letters))
     if check == "equivalence":
-        rep = verify_equivalence_A(word) if kind == "A" else verify_equivalence_C(word)
-        return rep
+        return verify_equivalence_A(word) if kind == "A" else verify_equivalence_C(word)
     net = build_network(kind, word)
     if check == "alpha":
         return verify_weight_map(net)
@@ -330,11 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = [_check_one_word(t) for t in tasks]
     ok = all(r["ok"] for r in reports)
-    print(
-        serialize.dumps(
-            {"check": args.check, "type": args.kind, "ok": ok, "reports": reports}
-        )
-    )
+    print(serialize.dumps({"check": args.check, "type": args.kind, "ok": ok, "reports": reports}))
     return 0 if ok else 1
 
 
@@ -398,8 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# a parse keeps no state in the parser: each call gets a new namespace
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed_manifest:
         from .fixtures import seed_manifest

@@ -284,19 +284,19 @@ def _w_prefactor(ctx: TorusContext, upto: int, sign: int) -> TorusElement:
 
 def verify_equivalence_A(word: DoubleWord) -> dict:
     """H_i(network) = (w_1 ... w_{n+1})^-1 H_{i+1}(Lax, (0, Q, 0)),
-    exactly, for i = 1..n."""
+    exactly, for i = 1..n.  The Lax side builds H_2..H_{n+1} alone."""
     n = word.n
     net = build_network("A", word)
     table = lax_strand_table(net)
     qvec = quiver_vector_of(word)
     ctx, kvec = lax_params("A", word)
-    hams = laxmod.lax_hamiltonians(ctx, kvec, "A")
+    hams = laxmod.lax_hamiltonians(ctx, kvec, "A", range(2, n + 2))
     pref = _w_prefactor(ctx, n + 1, -1)
     folds = fold_hamiltonians(net, range(1, n + 1), table)
     checks = []
     for i in range(1, n + 1):
         lhs = folds[i]
-        rhs = pref * hams[i]  # hams[i] is H_{i+1}
+        rhs = pref * hams[i - 1]  # index i+1
         checks.append({"index": i, **_compare(lhs, rhs)})
     return {
         "kind": "A",

@@ -608,41 +608,122 @@ def test_parser_help_matches_the_reference(monkeypatch):
         assert new_subs[name].format_help() == ref_subs[name].format_help(), name
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        (),
-        ("--seed-manifest",),
-        ("words", "--rank", "3"),
-        ("network", "--type", "C", "--rank", "2", "--qvec", "0", "--format", "dot"),
-        ("quiver", "--rank", "3", "--word=-1,-2,1,2", "--jobs", "2"),
-        ("hamiltonians", "--route", "network", "--type", "C", "--rank", "3", "--all-words", "--index", "2"),
-        ("verify", "--check", "commute", "--type", "A", "--rank", "4", "--all-words", "--jobs", "2"),
-        ("verify", "--check", "mutation-equiv", "--rank", "3", "--depth", "8", "--format", "text"),
-        ("mutate", "--rank", "3", "--qvec", "1,0", "--seq", "tau:1,mu:-2"),
-    ],
-)
-def test_parser_namespaces_match_the_reference(argv):
-    assert vars(cli.build_parser().parse_args(list(argv))) == vars(_reference_parser().parse_args(list(argv)))
+PARSED = [
+    (),
+    ("--seed-manifest",),
+    ("words", "--rank", "3"),
+    ("network", "--type", "C", "--rank", "2", "--qvec", "0", "--format", "dot"),
+    ("quiver", "--rank", "3", "--word=-1,-2,1,2", "--jobs", "2"),
+    ("hamiltonians", "--route", "network", "--type", "C", "--rank", "3", "--all-words", "--index", "2"),
+    ("verify", "--check", "commute", "--type", "A", "--rank", "4", "--all-words", "--jobs", "2"),
+    ("verify", "--check", "mutation-equiv", "--rank", "3", "--depth", "8", "--format", "text"),
+    ("mutate", "--rank", "3", "--qvec", "1,0", "--seq", "tau:1,mu:-2"),
+]
+
+REJECTED = [
+    ("words",),
+    ("verify", "--rank", "3", "--all-words"),
+    ("verify", "--check", "nope", "--rank", "3"),
+    ("mutate", "--rank", "3", "--type", "B"),
+    ("hamiltonians", "--rank", "x"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("words",),
-        ("verify", "--rank", "3", "--all-words"),
-        ("verify", "--check", "nope", "--rank", "3"),
-        ("mutate", "--rank", "3", "--type", "B"),
-        ("hamiltonians", "--rank", "x"),
-    ],
-)
-def test_parser_rejects_what_the_reference_rejects(capsys, argv):
+def assert_parses_as_the_reference(parser, argv):
+    assert vars(parser.parse_args(list(argv))) == vars(_reference_parser().parse_args(list(argv))), argv
+
+
+def assert_rejects_as_the_reference(capsys, parser, argv):
     errors = []
-    for parser in (cli.build_parser(), _reference_parser()):
+    for p in (parser, _reference_parser()):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(list(argv))
+            p.parse_args(list(argv))
         errors.append((exc.value.code, capsys.readouterr().err))
-    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert errors[0] == errors[1] and errors[0][0] == 2, argv
+
+
+@pytest.mark.parametrize("argv", PARSED)
+def test_parser_namespaces_match_the_reference(argv):
+    assert_parses_as_the_reference(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_parser_rejects_what_the_reference_rejects(capsys, argv):
+    assert_rejects_as_the_reference(capsys, cli.build_parser(), argv)
+
+
+def test_the_reused_parser_parses_every_call_afresh(capsys):
+    # main builds one parser per process, on its first call, and parses
+    # every later call with it
+    run(capsys, "words", "--rank", "2")
+    before = cli._parser.cache_info()
+    run(capsys, "words", "--rank", "2")
+    after = cli._parser.cache_info()
+    assert after.misses == before.misses == 1 and after.hits == before.hits + 1
+    parser = cli._parser()
+    # the namespaces and rejections above, in one sequence, rejections interleaved
+    for i, argv in enumerate(PARSED):
+        assert_parses_as_the_reference(parser, argv)
+        if i < len(REJECTED):
+            assert_rejects_as_the_reference(capsys, parser, REJECTED[i])
+    # a default comes back after a call that set it
+    mutation = ("verify", "--check", "mutation-equiv", "--rank", "3")
+    assert parser.parse_args([*mutation, "--depth", "8"]).depth == 8
+    assert parser.parse_args(list(mutation)).depth == 6
+    lax = ("hamiltonians", "--rank", "3", "--qvec", "0")
+    assert parser.parse_args([*lax, "--index", "2"]).index == 2
+    assert parser.parse_args(list(lax)).index is None
+    assert parser.parse_args(["words", "--rank", "2", "--format", "text"]).fmt == "text"
+    assert parser.parse_args(["words", "--rank", "2"]).fmt == "json"
+    # through main too: the defaults of the later call are the parser's
+    assert run(capsys, *lax, "--index", "2")[0] == 0
+    code, out = run(capsys, *lax)
+    assert code == 0 and list(json.loads(out)["hamiltonians"]) == ["H_1", "H_2", "H_3", "H_4"]
+
+
+def test_the_parser_is_built_by_the_first_call_not_by_the_import():
+    code = (
+        "import qtoda.cli as c; before = c._parser.cache_info().misses; "
+        "c.main(['words', '--rank', '1']); print(before, c._parser.cache_info().misses)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.splitlines()[-1] == "0 1"
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [
+        ("verify", "--rank", "2"),  # argparse: no --check
+        ("words", "--rank", "2", "--qvec", "1"),  # usage error of main
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--check", "equivalence", "--type", "A", "--rank", "2", "--all-words"),
+        ("hamiltonians", "--rank", "3", "--qvec", "0", "--format", "text"),
+    ],
+)
+def test_a_call_after_a_usage_error_runs_as_in_a_fresh_process(capsys, failing, argv):
+    try:
+        assert main(list(failing)) == 2
+    except SystemExit as exc:
+        assert exc.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtoda.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (code, out) == (proc.returncode, proc.stdout)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from qtoda.correspondence import (
     build_weight_map,
     label_algebra,
     label_hamiltonian,
+    lax_params,
     lax_strand_table,
     verify_equivalence_A,
     verify_equivalence_C,
@@ -363,6 +364,59 @@ def test_equivalence_A_small():
 def test_equivalence_A_has_negative_control():
     rep = verify_equivalence_A(word_of_quiver_vector(2, (1,)))
     assert all(c["first_diff"] is None for c in rep["checks"])
+
+
+def full_window_report_A(word):
+    """``verify_equivalence_A`` as it was before its Lax side asked for
+    H_2..H_{n+1} alone: the full ``lax_hamiltonians`` list, whose entry i
+    is H_{i+1}, each times the prefactor."""
+    n = word.n
+    net = build_network("A", word)
+    ctx, kvec = lax_params("A", word)
+    hams = laxmod.lax_hamiltonians(ctx, kvec, "A")
+    pref = _w_prefactor(ctx, n + 1, -1)
+    folds = fold_hamiltonians(net, range(1, n + 1), lax_strand_table(net))
+    checks = [{"index": i, **_compare(folds[i], pref * hams[i])} for i in range(1, n + 1)]
+    return {
+        "kind": "A",
+        "rank": n,
+        "word": list(word.letters),
+        "quiver_vector": list(quiver_vector_of(word)),
+        "ok": all(c["ok"] for c in checks),
+        "checks": checks,
+    }
+
+
+def test_equivalence_A_matches_the_full_window_report():
+    for n in range(1, 6):
+        for w in enumerate_double_coxeter(n):
+            assert verify_equivalence_A(w) == full_window_report_A(w), w.letters
+
+
+@pytest.mark.parametrize("qvec, index", [((1,), 1), ((1,), 2), ((0, -1, 1), 1), ((-1, 0, 1), 3), ((1, 0, -1), 4)])
+def test_equivalence_A_fails_at_the_perturbed_index(monkeypatch, qvec, index):
+    # the least term of the Lax H_{index+1} gains 1 in its coefficient: the
+    # report fails at that index alone, with the full-window report's witness
+    word = word_of_quiver_vector(len(qvec) + 1, qvec)
+    ctx, kvec = lax_params("A", word)
+    real = laxmod.lax_hamiltonians
+    h = real(ctx, kvec, "A", [index + 1])[0]
+    bump = ctx.monomial(min(h.terms))
+
+    def perturbed(ctx, kvec, kind, indices=None):
+        hams = real(ctx, kvec, kind, indices)
+        at = index if indices is None else list(indices).index(index + 1)
+        hams[at] = hams[at] + bump
+        return hams
+
+    monkeypatch.setattr(laxmod, "lax_hamiltonians", perturbed)
+    rep = verify_equivalence_A(word)
+    assert [c["index"] for c in rep["checks"] if not c["ok"]] == [index]
+    assert rep == full_window_report_A(word)
+    pref = _w_prefactor(ctx, word.n + 1, -1)
+    diff = rep["checks"][index - 1]["first_diff"]
+    assert diff["exponents"] == list(min((pref * bump).terms))
+    assert diff["lhs_coeff"] != diff["rhs_coeff"]
 
 
 def test_failed_check_keeps_its_first_diff():
