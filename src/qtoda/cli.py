@@ -3,7 +3,8 @@
 Subcommands: words, network, quiver, hamiltonians, verify, mutate.
 Exit codes of the ``qtoda`` command: 0 all passed, 1 verification
 failure, 2 usage error (bad flag values such as ``--rank 0``, ``--jobs 0``,
-``--depth -1``, ``--word=a``, a ``--seq`` move other than ``tau:K``/``mu:K``
+``--depth -1``, ``--word=a``, a ``QTODA_MAX_FAMILIES`` that is not a
+whole number >= 0, a ``--seq`` move other than ``tau:K``/``mu:K``
 or one at no vertex of the seed, an ``--index`` outside 1..count of the
 Hamiltonians, and a word selector that a command would ignore included:
 ``--word``, ``--qvec`` or ``--all-words`` on ``words`` or ``verify
@@ -53,6 +54,7 @@ from .correspondence import (
 from .network import (
     build_network,
     classical_matrix,
+    family_cap,
     fold_hamiltonians,
     matrix_product,
     reference_chip_matrices,
@@ -433,6 +435,10 @@ def main(argv=None) -> int:
             value = vars(args).get(name)
             if value is not None and value < least:
                 raise SystemExit2(f"{flag} must be at least {least}, got {value}")
+        try:
+            family_cap()
+        except ValueError as exc:
+            raise SystemExit2(str(exc)) from None
         return handlers[args.command](args)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)

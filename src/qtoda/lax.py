@@ -10,15 +10,17 @@ The Hamiltonians are the z-coefficients of the (1,1) entry of the
 monodromy (type A) or the double monodromy (type C), each with the
 alternating sign of the expansion stripped.  ``lax_hamiltonians`` is the
 one extraction.  It reads that entry as a path sum (``_entry_parts``): a
-walk over the sites extends each partial product by one monomial of the
-next local matrix and updates its exponent vector and q-key with one
-pairing, E(A) E(a) = q^<A,a> E(A + a), so no Laurent product is built.
-Each site's monomials, with their q-keys and pairing rows, are ints read
-off the closed form of ``local_lax`` (``_site_terms``); no site matrix
-is built.  Only the requested coefficients are built: type A signs each
-as its term map is closed, and type C contracts the first column of T
-with itself (``_contract_columns``), writing each product only at a
-requested degree (or outside the window) and with that degree's sign.
+walk carries the first column of the monodromy up through the sites and
+extends each partial product on the left by one monomial of the next
+local matrix, updating its exponent vector and q-key with one pairing,
+E(a) E(A) = q^<a,A> E(a + A), so no Laurent product is built.  The
+monomials, with their q-keys and pairing rows, are ints read off
+``_site_terms``, the one closed form of the site matrix, from which
+``local_lax`` builds its entries too.  Only the requested coefficients
+are built, each signed as it is read: type A reads T_11, and type C
+contracts the first column of T with itself (``_contract_columns``),
+writing each product only at a requested degree (or outside the window)
+and with that degree's sign.
 
 The recursion formulas (``recursive_hamiltonians``) give the same
 Hamiltonians, signs included, by a third route.  The local matrices
@@ -118,30 +120,22 @@ class LaxMatrix:
 
 
 def local_lax(ctx: TorusContext, i: int, k: int, barred: bool = False) -> LaxMatrix:
-    """Site matrix for k in {-1,0,1}; the barred family swaps w,D with
-    their inverses.  Closed form, with s = (k-1)/2 (doubled: k-1):
-
-        [ w^-1 z^(s+1) - w z^s      w^-k D^-1 z^(s+1) ]
-        [ -w^-k D z^s               -k w^-k           ]
-    """
-    if k not in (-1, 0, 1):
-        raise ValueError("local index must be -1, 0 or 1")
-    wi, di = w_index(ctx, i), d_index(ctx, i)
-    sctx = spectral_context(ctx)
-    zi = ctx.rank
+    """Site matrix of ``_site_terms`` for k in {-1,0,1}, its entries over
+    ``spectral_context(ctx)``.  The barred family swaps w,D with their
+    inverses: each exponent of w and D is negated, and the q-key -x*y of
+    w^x D^y stays."""
+    sctx, zi = spectral_context(ctx), ctx.rank
     sgn = -1 if barred else 1
 
-    def mono(z2: int, wexp: int, dexp: int, coeff: int = 1):
-        return sctx.plain_product(
-            [(wi, sgn * wexp), (di, sgn * dexp), (zi, z2)]
-        ).q_shift(0, coeff)
+    def entry(terms) -> TorusElement:
+        out = {}
+        for e, a, p, c, _ in terms:
+            exps = dict(a)
+            out[tuple(sgn * exps.get(t, 0) for t in range(zi)) + (e, 0)] = {p: c}
+        return TorusElement._make(sctx, out)
 
-    s2 = k - 1  # doubled s
-    e11 = mono(s2 + 2, -1, 0) + mono(s2, 1, 0, -1)
-    e12 = mono(s2 + 2, -k, -1)
-    e21 = mono(s2, -k, 1, -1)
-    e22 = mono(0, -k, 0, -k)  # zero for k = 0
-    return LaxMatrix(ctx, ((e11, e12), (e21, e22)))
+    cells = _site_terms(ctx, i, k)
+    return LaxMatrix(ctx, tuple(tuple(entry(cells[row, col]) for col in range(2)) for row in range(2)))
 
 
 def monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
@@ -156,66 +150,55 @@ def monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
     return acc
 
 
-def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str, signs: dict | None = None) -> dict[int, dict]:
+def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str, signs: dict[int, int]) -> dict[int, dict]:
     """The (1,1) entry of ``monodromy`` (type A) or of the double
     monodromy Lbar_1^(-k_1) ... Lbar_n^(-k_n) L_n^(k_n) ... L_1^(k_1)
     (type C), the latter without its (-1)^n, as a path sum: per doubled
-    z-degree a term map, zero coefficients not yet dropped.
+    z-degree a zero-free term map, written at the degrees of ``signs``
+    (degree -> sign) times their sign, and unsigned at any degree outside
+    the window.  Both kinds sign each degree as it is read.
 
-    Type A gives every degree, unsigned.  Type C gives the degrees of
-    ``signs`` (degree -> sign), signed and zero-free, and any degree
-    outside the window.
-
-    A walk over the sites keeps, per end state (row or column 0 or 1), a
-    map (doubled z-degree, exponent vector A) -> {q-key: coefficient}.
-    Each step extends every partial product by one term q^p E(a) z^e of
-    the next local matrix.  On the right, E(A) E(a) = q^<A,a> E(A + a),
-    so the key gains -r(a).A with r(a) = den*(a s) the pairing row of a;
-    on the left it gains +r(a).A.
-
-    Type A carries the row e_1^T through L_n ... L_1 and reads state 0.
-    Type C carries the column L_1 e_1 up through L_n, which gives the
-    first column T_k1 of T, and contracts sum_k T_k1(1/z) T_k1(z), the
-    (1,1) entry of T(1/z)^T T(z) (``_contract_columns``).
+    A walk carries the column L_1 e_1 up through L_n, keeping per end
+    state (row 0 or 1) a map (doubled z-degree, exponent vector A) ->
+    {q-key: coefficient}.  Each step extends every partial product on the
+    left by one term q^p E(a) z^e of the next local matrix: E(a) E(A) =
+    q^<a,A> E(a + A), so the key gains r(a).A with r(a) = den*(a s) the
+    pairing row of a.  The walk gives the first column T_k1 of T.  Type A
+    reads T_11 (state 0), and builds only that state at its last site.
+    Type C contracts sum_k T_k1(1/z) T_k1(z), the (1,1) entry of
+    T(1/z)^T T(z) (``_contract_columns``).
     """
     n = ctx.rank // 2
     if len(kvec) != n:
         raise ValueError("index vector length must match the context rank")
     if kind not in ("A", "C"):
         raise ValueError(f"unknown kind {kind!r}")
-    sites = list(zip(range(n, 0, -1), kvec))
+    window = set(_window(kvec, kind))
     states = [{(0, ctx.unit_vec()): {0: 1}}, {}]
+    for site, k in zip(range(1, n + 1), reversed(kvec)):
+        ends = (0,) if kind == "A" and site == n else (0, 1)  # type A reads state 0
+        states = _walk(ctx, states, site, k, ends)
+    if kind == "C":
+        return _contract_columns(ctx, states, signs, window)
     parts: dict[int, dict[Vec, dict[QKey, int]]] = {}
-    if kind == "A":
-        for s, (site, k) in enumerate(sites):
-            ends = (0,) if s == n - 1 else (0, 1)  # the last step reads state 0
-            states = _walk(ctx, states, site, k, ends, right=True)
-        for (e, vec), coeffs in states[0].items():
-            parts.setdefault(e, {})[vec] = coeffs
-    else:
-        for site, k in reversed(sites):
-            states = _walk(ctx, states, site, k, (0, 1), right=False)
-        parts = _contract_columns(ctx, states, signs or {}, set(_window(kvec, kind)))
+    for (e, vec), coeffs in states[0].items():
+        sign = signs.get(e, 0 if e in window else 1)
+        kept = sign and {q: sign * c for q, c in coeffs.items() if c}
+        if kept:
+            parts.setdefault(e, {})[vec] = kept
     return parts
 
 
-def _closed(ctx: TorusContext, terms: dict[Vec, dict[QKey, int]], sign: int) -> TorusElement:
-    """A z-coefficient of ``_entry_parts`` as an element, times ``sign``,
-    with its zero coefficients dropped in the same pass."""
-    if sign == 1:
-        return TorusElement._make(ctx, _nonzero(terms))
-    out = {}
-    for vec, coeffs in terms.items():
-        kept = {k: sign * c for k, c in coeffs.items() if c}
-        if kept:
-            out[vec] = kept
-    return TorusElement._make(ctx, out)
+def _site_terms(ctx: TorusContext, site: int, k: int):
+    """The site matrix L^(k) for k in {-1,0,1}, with s = (k-1)/2
+    (doubled: k-1):
 
+        [ w^-1 z^(s+1) - w z^s      w^-k D^-1 z^(s+1) ]
+        [ -w^-k D z^s               -k w^-k           ]
 
-def _site_terms(ctx: TorusContext, site: int, k: int, sign: int):
-    """Per cell (i, j) of ``local_lax(ctx, site, k)``, its terms as
-    (doubled z-degree, nonzero entries (t, a_t) of the vector a, q-key,
-    coefficient, sign * r(a)), read off the closed form of that matrix.
+    per cell (i, j) as its terms (doubled z-degree, nonzero entries
+    (t, a_t) of the vector a, q-key, coefficient, r(a)).  This is the one
+    closed form of L^(k); ``local_lax`` builds its matrix from it.
 
     Every term is a plain product w^x D^y of the site's generators.  With
     s(w, D) = -1/2 on the Lax grid (den 2), its q-key is -x*y and its
@@ -227,7 +210,7 @@ def _site_terms(ctx: TorusContext, site: int, k: int, sign: int):
 
     def term(e: int, x: int, y: int, c: int):
         a = [(t, v) for t, v in ((wi, x), (di, y)) if v]
-        r = [(t, sign * v) for t, v in ((di, -x), (wi, y)) if v]
+        r = [(t, v) for t, v in ((di, -x), (wi, y)) if v]
         return (e, a, -x * y, c, r)
 
     s2 = k - 1  # doubled s
@@ -239,17 +222,16 @@ def _site_terms(ctx: TorusContext, site: int, k: int, sign: int):
     }
 
 
-def _walk(ctx: TorusContext, states: list[dict], site: int, k: int, ends, right: bool) -> list[dict]:
+def _walk(ctx: TorusContext, states: list[dict], site: int, k: int, ends) -> list[dict]:
     """One site of the path sum: the new state j sums, over old states i,
-    each partial product A extended by each term a of cell (i, j) of the
-    site's matrix on the right (the key gains -r(a).A), or of cell (j, i)
-    on the left (the key gains r(a).A)."""
-    cells = _site_terms(ctx, site, k, -1 if right else 1)
+    each partial product A extended on the left by each term a of cell
+    (j, i) of the site's matrix (the key gains r(a).A)."""
+    cells = _site_terms(ctx, site, k)
     out = []
     for j in ends:
         acc: dict = {}
         for i, state in enumerate(states):
-            local = cells[i, j] if right else cells[j, i]
+            local = cells[j, i]
             if not local:
                 continue
             for (e, A), coeffs in state.items():
@@ -374,12 +356,10 @@ def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, indices: S
         degrees.append(window[i - 1])
         signs[window[i - 1]] = outer * _normal_sign(kind, n, i)
     parts = _entry_parts(ctx, kvec, kind, signs)
-    outside = sorted(d for d, terms in parts.items() if d not in window and _closed(ctx, terms, 1))
+    outside = sorted(d for d, terms in parts.items() if d not in window and terms)
     if outside:
         raise ValueError(f"z-support {outside} outside the predicted window")
-    if kind == "C":  # the contraction wrote each sign and dropped each zero
-        return [TorusElement._make(ctx, parts.get(d, {})) for d in degrees]
-    return [_closed(ctx, parts.get(d, {}), signs[d]) for d in degrees]
+    return [TorusElement._make(ctx, parts.get(d, {})) for d in degrees]
 
 
 # ---------------------------------------------------------------------------

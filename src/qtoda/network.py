@@ -116,15 +116,12 @@ class Network:
 
     def transitions(self, pos: int) -> dict[int, list[tuple[int, Letters]]]:
         """Allowed row moves through one chip, restricted to the row range."""
-        out: dict[int, list[tuple[int, Letters]]] = {}
-        for r in self.rows:
-            if self.chip_letter(pos) == 0:
-                out[r] = [(r, self.diagonal_letters(r))]
-            else:
-                out[r] = [(r, ())]
+        if self.chip_letter(pos) == 0:
+            return {r: [(r, self.diagonal_letters(r))] for r in self.rows}
+        out = {r: [(r, ())] for r in self.rows}
         for r_from, r_to, letters in self.slants(pos):
-            if r_from in out and self.row_lo <= r_to <= self.row_hi:
-                out[r_from] = out[r_from] + [(r_to, letters)]
+            if r_from in out and r_to in out:
+                out[r_from].append((r_to, letters))
         return out
 
 
@@ -304,32 +301,23 @@ def enumerate_labeled_paths(net: Network) -> tuple[LabeledPath, ...]:
 def _search_strands(net: Network) -> tuple[LabeledPath, ...]:
     """Search for the strand table of ``enumerate_labeled_paths``.
 
-    At each chip a strand keeps its row or takes a lettered move: a slant
-    that stays in the row range, or the diagonal chip's letters, which
-    replace its plain moves.  The search runs chip by chip from each
+    At each chip a strand takes one of the chip's moves,
+    ``net.transitions(pos)``.  The search runs chip by chip from each
     source over a frontier of (row, last lettered move), where a move
     (chip, row after it, letters, the move before) points to its parent,
-    so nothing is copied while extending.  ``reach[pos][r]``, the bit set
-    of rows at the cut that row r can still reach after ``pos`` chips,
-    keeps only strands that close.
+    so nothing is copied while extending: a plain move (same row, no
+    letters) keeps its frontier entry, and every other move is a new
+    node.  ``reach[pos][r]``, the bit set of rows at the cut that row r
+    can still reach after ``pos`` chips, keeps only strands that close.
     """
-    lo, hi, chips, diagonal = net.row_lo, net.row_hi, net.num_chips, net.n
-    lettered: list[dict[int, list[tuple[int, Letters]]]] = []
-    for pos in range(chips):
-        if pos == diagonal:
-            lettered.append({r: [(r, net.diagonal_letters(r))] for r in net.rows})
-            continue
-        moves: dict[int, list[tuple[int, Letters]]] = {}
-        for r_from, r_to, letters in net.slants(pos):
-            if lo <= r_from <= hi and lo <= r_to <= hi:
-                moves.setdefault(r_from, []).append((r_to, letters))
-        lettered.append(moves)
+    chips = net.num_chips
+    table = [net.transitions(pos) for pos in range(chips)]
     reach = [{r: 1 << r for r in net.rows}]
-    for pos in range(chips - 1, -1, -1):
+    for moves in reversed(table):
         ahead = reach[-1]
-        here = dict(ahead) if pos != diagonal else dict.fromkeys(net.rows, 0)
-        for r, moves in lettered[pos].items():
-            for r2, _ in moves:
+        here = dict.fromkeys(moves, 0)
+        for r, outs in moves.items():
+            for r2, _ in outs:
                 here[r] |= ahead[r2]
         reach.append(here)
     reach.reverse()
@@ -338,16 +326,15 @@ def _search_strands(net: Network) -> tuple[LabeledPath, ...]:
     for source in net.rows:
         bit = 1 << source
         frontier = [(source, None)]
-        for pos in range(chips):
-            ok, moves, plain = reach[pos + 1], lettered[pos], pos != diagonal
+        for pos, moves in enumerate(table):
+            ok = reach[pos + 1]
             grown = []
             for entry in frontier:
                 row, last = entry
-                if plain and ok[row] & bit:
-                    grown.append(entry)
-                for r2, letters in moves.get(row, ()):
+                for r2, letters in moves[row]:
                     if ok[r2] & bit:
-                        grown.append((r2, (pos, r2, letters, last)))
+                        plain = r2 == row and not letters
+                        grown.append(entry if plain else (r2, (pos, r2, letters, last)))
             frontier = grown
         for _, last in frontier:
             rows = [source] * (chips + 1)
@@ -400,7 +387,7 @@ def _fold_families(net: Network, sizes, entries: dict, start, step):
     are read, so a band can pass its parent's entries.  The family cap
     bounds the families of each size.
     """
-    cap = int(os.environ.get(FAMILY_CAP_ENV, "1000000"))
+    cap = family_cap()
     by_row: dict[int, list] = {}
     for p in net.strands:
         by_row.setdefault(p.source, []).append(entries[p.label])
@@ -441,6 +428,18 @@ def _fold_families(net: Network, sizes, entries: dict, start, step):
                 raise _cap_error(cap)
         if size < top:
             stack.append((grown, k + 1))
+
+
+def family_cap() -> int:
+    """The family cap ``QTODA_MAX_FAMILIES``, by default 1000000; a
+    ValueError that names it unless it is a whole number >= 0."""
+    raw = os.environ.get(FAMILY_CAP_ENV, "1000000")
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"{FAMILY_CAP_ENV} must be a whole number >= 0, got {raw!r}")
 
 
 def _cap_error(cap: int) -> RuntimeError:

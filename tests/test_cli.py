@@ -450,6 +450,26 @@ def test_family_cap_is_a_resource_limit(capsys, monkeypatch, jobs):
     assert captured.err == f"resource limit exceeded: family enumeration exceeded {FAMILY_CAP_ENV}=1\n"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "cap,code,err",
+    [
+        ("abc", 2, f"usage error: {FAMILY_CAP_ENV} must be a whole number >= 0, got 'abc'\n"),
+        ("-1", 2, f"usage error: {FAMILY_CAP_ENV} must be a whole number >= 0, got '-1'\n"),
+        ("0", 3, f"resource limit exceeded: family enumeration exceeded {FAMILY_CAP_ENV}=0\n"),
+    ],
+)
+def test_family_cap_is_checked_before_the_command_runs(capsys, monkeypatch, jobs, cap, code, err):
+    # a value that is not a whole number >= 0 is a usage error, found
+    # with the flags; a cap of 0 is a limit that the first family exceeds
+    monkeypatch.setenv(FAMILY_CAP_ENV, cap)
+    argv = ["verify", "--check", "equivalence", "--type", "A", "--rank", "2", "--all-words", "--jobs", jobs]
+    assert console(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -12,6 +12,7 @@ from qtoda.lax import (
     LaxMatrix,
     _contract_columns,
     _entry_parts,
+    _normal_sign,
     _site_terms,
     _walk,
     boundary_gauge,
@@ -182,14 +183,41 @@ def test_local_lax_displayed_entries():
         local_lax(ctx, 1, 2)
 
 
-def matrix_site_terms(ctx, site, k, sign):
-    """The terms of each cell of ``local_lax``, unpacked from the matrix,
-    each vector as its nonzero entries: the oracle of the closed-form
+def reference_local_lax(ctx, i, k, barred=False) -> LaxMatrix:
+    """The site matrix for k in {-1,0,1} from its displayed closed form,
+    with s = (k-1)/2 (doubled: k-1), each monomial a plain product of
+    w, D and z; the barred family swaps w,D with their inverses:
+
+        [ w^-1 z^(s+1) - w z^s      w^-k D^-1 z^(s+1) ]
+        [ -w^-k D z^s               -k w^-k           ]
+
+    The oracle of ``local_lax`` and, unpacked, of ``_site_terms``."""
+    if k not in (-1, 0, 1):
+        raise ValueError("local index must be -1, 0 or 1")
+    wi, di = w_index(ctx, i), d_index(ctx, i)
+    sctx = spectral_context(ctx)
+    zi = ctx.rank
+    sgn = -1 if barred else 1
+
+    def mono(z2, wexp, dexp, coeff=1):
+        return sctx.plain_product([(wi, sgn * wexp), (di, sgn * dexp), (zi, z2)]).q_shift(0, coeff)
+
+    s2 = k - 1  # doubled s
+    e11 = mono(s2 + 2, -1, 0) + mono(s2, 1, 0, -1)
+    e12 = mono(s2 + 2, -k, -1)
+    e21 = mono(s2, -k, 1, -1)
+    e22 = mono(0, -k, 0, -k)  # zero for k = 0
+    return LaxMatrix(ctx, ((e11, e12), (e21, e22)))
+
+
+def matrix_site_terms(ctx, site, k):
+    """The terms of each cell of ``reference_local_lax``, unpacked from
+    the matrix, each vector as its nonzero entries: the oracle of
     ``_site_terms``."""
-    m = local_lax(ctx, site, k)
+    m = reference_local_lax(ctx, site, k)
     return {
         (i, j): [
-            (e, [(t, x) for t, x in enumerate(a) if x], key, c, [(t, sign * x) for t, x in _pairing_row(ctx.rows, a)])
+            (e, [(t, x) for t, x in enumerate(a) if x], key, c, _pairing_row(ctx.rows, a))
             for e, el in z_coefficients(m[i, j], ctx).items()
             for a, coeffs in el._terms.items()
             for key, c in coeffs.items()
@@ -200,23 +228,27 @@ def matrix_site_terms(ctx, site, k, sign):
 
 
 def test_site_terms_match_the_local_matrices():
-    # every site, every k and both walk sides at ranks 1-6
+    # every site, every k and both families at ranks 1-6
     for n in range(1, 7):
         ctx = lax_context(n)
         for site in range(1, n + 1):
             for k in (-1, 0, 1):
-                for sign in (-1, 1):
-                    assert _site_terms(ctx, site, k, sign) == matrix_site_terms(ctx, site, k, sign), (n, site, k, sign)
+                assert _site_terms(ctx, site, k) == matrix_site_terms(ctx, site, k), (n, site, k)
+                for barred in (False, True):
+                    assert local_lax(ctx, site, k, barred) == reference_local_lax(ctx, site, k, barred), (n, site, k, barred)
     with pytest.raises(ValueError):
-        _site_terms(lax_context(2), 1, 2, 1)
+        _site_terms(lax_context(2), 1, 2)
+    with pytest.raises(ValueError):
+        local_lax(lax_context(2), 1, 2)
 
 
 def test_lax_hamiltonians_reject_support_outside_the_window(monkeypatch):
-    # a nonzero coefficient outside the window is an error; one that
-    # cancels to zero there is not
+    # a nonzero coefficient outside the window is an error; an empty term
+    # map there is not
     ctx = lax_context(1)
-    parts = laxmod._entry_parts(ctx, (0,), "A")
-    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {ctx.unit_vec(): {0: 0}}})
+    signs = {d: _normal_sign("A", 1, i) for i, d in enumerate(laxmod._window((0,), "A"), 1)}
+    parts = laxmod._entry_parts(ctx, (0,), "A", signs)
+    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {}})
     assert lax_hamiltonians(ctx, (0,), "A") == signed_window(ctx, (0,), "A")
     monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {ctx.unit_vec(): {0: 1}}})
     with pytest.raises(ValueError, match=r"z-support \[7\] outside"):
@@ -335,21 +367,23 @@ def test_requested_indices_match_the_full_list():
 
 
 def test_a_wrong_sign_at_one_degree_is_seen():
-    # negative control: the contraction writes each degree times the sign
-    # it is handed; one flipped sign spoils exactly that coefficient
-    ctx = lax_context(2)
-    for kv in all_kvecs(2):
-        window = [-4 + 2 * j for j in range(5)]
-        signs = {d: (-1) ** j for j, d in enumerate(window)}  # (-1)^n (-1)^(i-1), n = 2
-        oracle = signed_window(ctx, kv, "C")
+    # negative control: both kinds write each degree times the sign they
+    # are handed; one flipped sign spoils exactly that coefficient
+    n = 2
+    ctx = lax_context(n)
+    for kind, kv in product(("A", "C"), all_kvecs(n)):
+        window = laxmod._window(kv, kind)
+        outer = (-1) ** n if kind == "C" else 1
+        signs = {d: outer * _normal_sign(kind, n, i) for i, d in enumerate(window, 1)}
+        oracle = signed_window(ctx, kv, kind)
 
         def closed(parts):
-            return [TorusElement._make(ctx, _nonzero(parts.get(d, {}))) for d in window]
+            return [TorusElement._make(ctx, parts.get(d, {})) for d in window]
 
-        assert closed(_entry_parts(ctx, kv, "C", signs)) == oracle, kv
+        assert closed(_entry_parts(ctx, kv, kind, signs)) == oracle, (kind, kv)
         for j, d in enumerate(window):
-            got = closed(_entry_parts(ctx, kv, "C", {**signs, d: -signs[d]}))
-            assert [g == o for g, o in zip(got, oracle)] == [h != j or o.is_zero() for h, o in enumerate(oracle)], (kv, d)
+            got = closed(_entry_parts(ctx, kv, kind, {**signs, d: -signs[d]}))
+            assert [g == o for g, o in zip(got, oracle)] == [h != j or o.is_zero() for h, o in enumerate(oracle)], (kind, kv, d)
 
 
 def test_type_c_entry_matches_inverted_column_products():
@@ -530,14 +564,11 @@ def test_a_sum_that_cancels_leaves_no_zero():
     site=st.sampled_from([1, 2]),
     k=st.sampled_from([-1, 0, 1]),
 )
-def test_walk_step_matches_row_and_column_products(x, y, site, k):
-    # a row extended on the right, a column extended on the left
-    m = local_lax(WALK_CTX, site, k)
-    states = [as_state(x), as_state(y)]
-    row = _walk(WALK_CTX, states, site, k, (0, 1), right=True)
-    col = _walk(WALK_CTX, states, site, k, (0, 1), right=False)
+def test_walk_step_matches_column_products(x, y, site, k):
+    # a column extended on the left, against the displayed closed form
+    m = reference_local_lax(WALK_CTX, site, k)
+    col = _walk(WALK_CTX, [as_state(x), as_state(y)], site, k, (0, 1))
     for j in range(2):
-        assert from_parts(_by_degree(row[j])) == x * m[0, j] + y * m[1, j]
         assert from_parts(_by_degree(col[j])) == m[j, 0] * x + m[j, 1] * y
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -17,6 +18,7 @@ from qtoda.network import (
     build_network,
     classical_matrix,
     enumerate_labeled_paths,
+    family_cap,
     fold_hamiltonians,
     matrix_product,
     network_hamiltonian,
@@ -323,6 +325,22 @@ def test_family_cap_env(monkeypatch):
     net = build_network("A", standard_word(2))
     with pytest.raises(RuntimeError):
         list(path_families(net, 1))
+
+
+def test_family_cap_reads_a_whole_number(monkeypatch):
+    monkeypatch.delenv(FAMILY_CAP_ENV, raising=False)
+    assert family_cap() == 1000000
+    for raw, cap in (("0", 0), ("7", 7), (" 12 ", 12)):
+        monkeypatch.setenv(FAMILY_CAP_ENV, raw)
+        assert family_cap() == cap
+    net = build_network("A", standard_word(2))
+    for raw in ("abc", "-1", "1.5", ""):
+        monkeypatch.setenv(FAMILY_CAP_ENV, raw)
+        message = f"{FAMILY_CAP_ENV} must be a whole number >= 0, got {raw!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family_cap()
+        with pytest.raises(ValueError, match=FAMILY_CAP_ENV):
+            list(path_families(net, 1))
 
 
 def _count_until_cap(items):
