@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import lax as laxmod
 from .network import (
@@ -317,37 +318,28 @@ def verify_equivalence_C(word: DoubleWord) -> dict:
     table = lax_strand_table(net)
     qvec = quiver_vector_of(word)
     ctx, kvec = lax_params("C", word)
-    # only H_2..H_{n+1} are compared
-    hams = laxmod.lax_hamiltonians(ctx, kvec, "C", range(2, n + 2))
     # (rows lo..hi, size r, prefactor sign): bottom bands, then top bands
     bands = [(1, m, m, -1) for m in range(2, n + 1)]
     bands += [(m2, 2 * n, 2 * n + 1 - m2, 1) for m2 in range(n + 1, 2 * n)]
+    # one walk: only H_2..H_{n+1} are compared, and the band on rows 1..r
+    # and the top r rows share the type A chain (Q_{r-1}, ..., Q_1, 0) of
+    # its first r sites, read after site r
+    sizes = range(2, n + 1)
+    lax_side = iter(laxmod.lax_hamiltonians(ctx, kvec, "C", range(2, n + 2), sizes))
+    hams = list(islice(lax_side, n))
+    by_size = {r: list(islice(lax_side, r + 1)) for r in sizes}
     # one family search of the network folds it and every band
     spans = {(1, 2 * n): range(1, n + 1)}
     spans.update({(lo, hi): range(1, r + 1) for lo, hi, r, _ in bands})
     folds = fold_bands(net, spans, table)
-    checks = []
-    for i in range(1, n + 1):
-        lhs = folds[1, 2 * n][i]
-        rhs = hams[i - 1]  # index i+1
-        checks.append({"index": i, **_compare(lhs, rhs)})
+    checks = [{"index": i, **_compare(folds[1, 2 * n][i], hams[i - 1])} for i in range(1, n + 1)]  # H_{i+1}
     sub_checks = []
-    # the band on rows 1..r and the top r rows share the Lax context,
-    # the index vector (Q_{r-1}, ..., Q_1, 0), and so the type A
-    # Hamiltonians: one set per r for this verdict
-    by_size = {}
-    for r in sorted({r for _, _, r, _ in bands}):
-        sub_ctx = laxmod.lax_context(r)
-        kv = tuple(qvec[n - r:]) + (0,)
-        by_size[r] = (sub_ctx, laxmod.lax_hamiltonians(sub_ctx, kv, "A"))
     for lo, hi, r, sign in bands:
-        sub_ctx, shams = by_size[r]
-        pref = _w_prefactor(sub_ctx, r, sign)
+        pref = _w_prefactor(ctx, r, sign)
         for i in range(1, r + 1):
-            lhs = folds[lo, hi][i]
             # H_{i+1} on the bottom bands, H_{r+1-i} on the top ones
-            rhs = _pad_lax(pref * shams[i if sign < 0 else r - i], ctx)
-            sub_checks.append({"rows": [lo, hi], "index": i, **_compare(lhs, rhs)})
+            rhs = pref * by_size[r][i if sign < 0 else r - i]
+            sub_checks.append({"rows": [lo, hi], "index": i, **_compare(folds[lo, hi][i], rhs)})
     return {
         "kind": "C",
         "rank": n,
@@ -357,15 +349,3 @@ def verify_equivalence_C(word: DoubleWord) -> dict:
         "checks": checks,
         "subnetwork_checks": sub_checks,
     }
-
-
-def _pad_lax(el: TorusElement, big: TorusContext) -> TorusElement:
-    """A Lax element of rank r read in the rank-n Lax context, n >= r.
-
-    w_1..w_r, D_1..D_r keep their names, so each exponent vector is
-    zero-padded after its w and its D half.  Every Lax context has
-    den 2, so the q-keys carry over unchanged.
-    """
-    r, n = el.ctx.rank // 2, big.rank // 2
-    pad = (0,) * (n - r)
-    return TorusElement._make(big, {v[:r] + pad + v[r:] + pad: c for v, c in el._terms.items()})

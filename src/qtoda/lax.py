@@ -20,7 +20,8 @@ monomials, with their q-keys and pairing rows, are ints read off
 are built, each signed as it is read: type A reads T_11, and type C
 contracts the first column of T with itself (``_contract_columns``),
 writing each product only at a requested degree (or outside the window)
-and with that degree's sign.
+and with that degree's sign.  Read after site r, the walk holds T_11 of
+sites 1..r, the type A chain of its prefix (``prefixes``).
 
 The recursion formulas (``recursive_hamiltonians``) give the same
 Hamiltonians, signs included, by a third route.  The local matrices
@@ -105,15 +106,7 @@ class LaxMatrix:
 
     def __mul__(self, other: "LaxMatrix") -> "LaxMatrix":
         a, b = self.entries, other.entries
-        rows = []
-        for i in range(2):
-            rows.append(
-                tuple(
-                    a[i][0] * b[0][j] + a[i][1] * b[1][j]
-                    for j in range(2)
-                )
-            )
-        return LaxMatrix(self.ctx, (rows[0], rows[1]))
+        return LaxMatrix(self.ctx, tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaxMatrix) and self.entries == other.entries
@@ -150,38 +143,53 @@ def monodromy(ctx: TorusContext, kvec: IndexVector) -> LaxMatrix:
     return acc
 
 
-def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str, signs: dict[int, int]) -> dict[int, dict]:
+def _entry_parts(ctx: TorusContext, kvec: IndexVector, kind: str, signs: dict[int, int], prefixes: dict[int, dict] | None = None) -> tuple[dict, dict[int, dict]]:
     """The (1,1) entry of ``monodromy`` (type A) or of the double
     monodromy Lbar_1^(-k_1) ... Lbar_n^(-k_n) L_n^(k_n) ... L_1^(k_1)
     (type C), the latter without its (-1)^n, as a path sum: per doubled
     z-degree a zero-free term map, written at the degrees of ``signs``
     (degree -> sign) times their sign, and unsigned at any degree outside
-    the window.  Both kinds sign each degree as it is read.
+    the window.  Both kinds sign each degree as it is read.  Second, per
+    r in ``prefixes`` (r -> signs), the (1,1) entry of the monodromy of
+    sites 1..r, index vector kvec[n-r:], read the same way.
 
     A walk carries the column L_1 e_1 up through L_n, keeping per end
     state (row 0 or 1) a map (doubled z-degree, exponent vector A) ->
     {q-key: coefficient}.  Each step extends every partial product on the
     left by one term q^p E(a) z^e of the next local matrix: E(a) E(A) =
     q^<a,A> E(a + A), so the key gains r(a).A with r(a) = den*(a s) the
-    pairing row of a.  The walk gives the first column T_k1 of T.  Type A
-    reads T_11 (state 0), and builds only that state at its last site.
-    Type C contracts sum_k T_k1(1/z) T_k1(z), the (1,1) entry of
-    T(1/z)^T T(z) (``_contract_columns``).
+    pairing row of a.  After site r the walk holds the first column of
+    L_r ... L_1, whose state 0 is T_11 of sites 1..r (``_signed``).
+    Type A reads it after site n, where it builds only that state.  Type
+    C contracts sum_k T_k1(1/z) T_k1(z), the (1,1) entry of T(1/z)^T T(z)
+    (``_contract_columns``).
     """
     n = ctx.rank // 2
     if len(kvec) != n:
         raise ValueError("index vector length must match the context rank")
     if kind not in ("A", "C"):
         raise ValueError(f"unknown kind {kind!r}")
-    window = set(_window(kvec, kind))
-    states = [{(0, ctx.unit_vec()): {0: 1}}, {}]
+    prefixes = prefixes or {}
+    if not all(1 <= r <= n for r in prefixes):
+        raise ValueError(f"prefix sizes run over 1..{n}")
+    states, reads = [{(0, ctx.unit_vec()): {0: 1}}, {}], {}
     for site, k in zip(range(1, n + 1), reversed(kvec)):
         ends = (0,) if kind == "A" and site == n else (0, 1)  # type A reads state 0
         states = _walk(ctx, states, site, k, ends)
+        if site in prefixes:
+            reads[site] = _signed(states[0], prefixes[site], set(_window(kvec[n - site:], "A")))
+    window = set(_window(kvec, kind))
     if kind == "C":
-        return _contract_columns(ctx, states, signs, window)
+        return _contract_columns(ctx, states, signs, window), reads
+    return _signed(states[0], signs, window), reads
+
+
+def _signed(state: dict, signs: dict[int, int], window: set[int]) -> dict[int, dict]:
+    """The walk state ``state`` per doubled z-degree as a zero-free term
+    map, written at the degrees of ``signs`` times their sign, and
+    unsigned at any degree outside ``window``."""
     parts: dict[int, dict[Vec, dict[QKey, int]]] = {}
-    for (e, vec), coeffs in states[0].items():
+    for (e, vec), coeffs in state.items():
         sign = signs.get(e, 0 if e in window else 1)
         kept = sign and {q: sign * c for q, c in coeffs.items() if c}
         if kept:
@@ -330,7 +338,7 @@ def _normal_sign(kind: str, n: int, i: int) -> int:
     return (-1) ** (n + 1 - i if kind == "A" else i - 1)
 
 
-def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, indices: Sequence[int] | None = None) -> list[TorusElement]:
+def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, indices: Sequence[int] | None = None, prefixes: Sequence[int] = ()) -> list[TorusElement]:
     """The Hamiltonians H_i of an index vector for each i in ``indices``,
     in that order, sign-normalized; by default every index, in order.
 
@@ -342,24 +350,33 @@ def lax_hamiltonians(ctx: TorusContext, kvec: IndexVector, kind: str, indices: S
     barred factors are ``local_lax(..., barred=True)``, i = 1..2n+1.
     That product, equal to (-1)^n [T(1/z)]^T T(z) with T the monodromy,
     is the tests' oracle (``tests/test_lax.py``).
+    Then, per r in ``prefixes``, the type A H_1..H_{r+1} of sites 1..r
+    (index vector kvec[n-r:]) read off the same walk: those of
+    ``lax_context(r)``, each vector zero-padded into ``ctx``.
     Only the requested coefficients are built, each sign (the type C
     (-1)^n included) applied once.  Raises for an index out of range,
     and if the z-support leaves the window.
     """
-    window = _window(kvec, kind)
     n = len(kvec)
-    outer = (-1) ** n if kind == "C" else 1
-    degrees, signs = [], {}
-    for i in range(1, len(window) + 1) if indices is None else indices:
-        if not 1 <= i <= len(window):
-            raise ValueError(f"no H_{i}: the indices run over 1..{len(window)}")
-        degrees.append(window[i - 1])
-        signs[window[i - 1]] = outer * _normal_sign(kind, n, i)
-    parts = _entry_parts(ctx, kvec, kind, signs)
-    outside = sorted(d for d, terms in parts.items() if d not in window and terms)
-    if outside:
-        raise ValueError(f"z-support {outside} outside the predicted window")
-    return [TorusElement._make(ctx, parts.get(d, {})) for d in degrees]
+    wanted = []  # per read: window, requested degrees, degree -> sign
+    for kv, kd, idx in [(kvec, kind, indices)] + [(kvec[n - r:], "A", None) for r in prefixes]:
+        window = _window(kv, kd)
+        outer = (-1) ** len(kv) if kd == "C" else 1
+        degrees, signs = [], {}
+        for i in range(1, len(window) + 1) if idx is None else idx:
+            if not 1 <= i <= len(window):
+                raise ValueError(f"no H_{i}: the indices run over 1..{len(window)}")
+            degrees.append(window[i - 1])
+            signs[window[i - 1]] = outer * _normal_sign(kd, len(kv), i)
+        wanted.append((window, degrees, signs))
+    parts, reads = _entry_parts(ctx, kvec, kind, wanted[0][2], {r: w[2] for r, w in zip(prefixes, wanted[1:])})
+    out = []
+    for (window, degrees, _), got in zip(wanted, [parts] + [reads[r] for r in prefixes]):
+        outside = sorted(d for d, terms in got.items() if d not in window and terms)
+        if outside:
+            raise ValueError(f"z-support {outside} outside the predicted window")
+        out += [TorusElement._make(ctx, got.get(d, {})) for d in degrees]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .torus import (
     TorusContext,
@@ -114,15 +116,24 @@ class Network:
                 out.append((2 * n - k, 2 * n + 1 - k, c))
         return out
 
-    def transitions(self, pos: int) -> dict[int, list[tuple[int, Letters]]]:
-        """Allowed row moves through one chip, restricted to the row range."""
-        if self.chip_letter(pos) == 0:
-            return {r: [(r, self.diagonal_letters(r))] for r in self.rows}
-        out = {r: [(r, ())] for r in self.rows}
-        for r_from, r_to, letters in self.slants(pos):
-            if r_from in out and r_to in out:
-                out[r_from].append((r_to, letters))
-        return out
+    def transitions(self, pos: int) -> MappingProxyType:
+        """Allowed row moves through one chip, restricted to the row range:
+        row -> its moves (row after, letters), the stay first.  The one
+        chip-move table, read-only and built once per network; a row whose
+        one move is the plain one (same row, no letters) shares it."""
+        return self._moves[pos]
+
+    @cached_property
+    def _moves(self) -> tuple[MappingProxyType, ...]:
+        plain = {r: ((r, ()),) for r in self.rows}
+        table = []
+        for pos in range(self.num_chips):
+            moves = dict(plain) if self.chip_letter(pos) else {r: ((r, self.diagonal_letters(r)),) for r in self.rows}
+            for r_from, r_to, letters in self.slants(pos):  # none on the diagonal chip
+                if r_from in moves and r_to in moves:
+                    moves[r_from] += ((r_to, letters),)
+            table.append(MappingProxyType(moves))
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -310,8 +321,7 @@ def _search_strands(net: Network) -> tuple[LabeledPath, ...]:
     node.  ``reach[pos][r]``, the bit set of rows at the cut that row r
     can still reach after ``pos`` chips, keeps only strands that close.
     """
-    chips = net.num_chips
-    table = [net.transitions(pos) for pos in range(chips)]
+    chips, table = net.num_chips, net._moves
     reach = [{r: 1 << r for r in net.rows}]
     for moves in reversed(table):
         ahead = reach[-1]
@@ -376,16 +386,18 @@ def _vertex_mask(path: LabeledPath, width: int) -> int:
 def _fold_families(net: Network, sizes, entries: dict, start, step):
     """Fold ``step`` from ``start`` over the members, bottom row first, of
     each vertex-disjoint family with sources = sinks = I, for every |I| in
-    ``sizes``; yields (|I|, fold).
+    ``sizes``; yields (|I|, list of (mask union, fold)) once per extension
+    step, each list the families that step built.
 
     One depth-first search walks the row subsets of all sizes up to the
     largest wanted one, each size in ``combinations`` order.  A partial
-    family (its members' mask union and fold) is built once, yielded if
-    its size is wanted, and extended for every subset that begins with
-    its rows while a wanted size is still within reach.  ``entries`` maps
-    strand labels to (vertex mask, datum); only this network's strands
-    are read, so a band can pass its parent's entries.  The family cap
-    bounds the families of each size.
+    family (its members' mask union and fold) is built once, handed over
+    in its step's list if its size is wanted, and extended for every
+    subset that begins with its rows while a wanted size is still within
+    reach.  ``entries`` maps strand labels to (vertex mask, datum); only
+    this network's strands are read, so a band can pass its parent's
+    entries.  The family cap bounds the families of each size: at most
+    ``cap`` of one size are handed over, then the cap error is raised.
     """
     cap = family_cap()
     by_row: dict[int, list] = {}
@@ -400,7 +412,7 @@ def _fold_families(net: Network, sizes, entries: dict, start, step):
     if 0 in wanted:
         if cap < 1:
             raise _cap_error(cap)
-        yield 0, start
+        yield 0, [(0, start)]
     stack = [([(0, start)], 0)]  # per chosen row: partial families, next row
     while stack:
         partial, k = stack[-1]
@@ -422,10 +434,10 @@ def _fold_families(net: Network, sizes, entries: dict, start, step):
         if size in wanted:
             room = cap - counts[size]
             counts[size] += len(grown)
-            for _, acc in grown[:room]:
-                yield size, acc
             if len(grown) > room:
+                yield size, grown[:room]
                 raise _cap_error(cap)
+            yield size, grown
         if size < top:
             stack.append((grown, k + 1))
 
@@ -456,7 +468,7 @@ def path_families(net: Network, size: int):
     width = net.row_hi + 1
     entries = {p.label: (_vertex_mask(p, width), p) for p in net.strands}
     found = _fold_families(net, (size,), entries, (), lambda fam, p: fam + (p,))
-    return (fam for _, fam in found)
+    return (fam for _, fams in found for _, fam in fams)
 
 
 @dataclass(frozen=True)
@@ -528,8 +540,8 @@ def fold_bands(net: Network, bands: dict, table: StrandTable) -> dict:
     ``net``.
 
     A band's families are the families of ``net`` whose rows lie in the
-    band, with the same folds: each family of the search adds its term to
-    every band that holds its rows.
+    band, with the same folds: each family adds its term to every band of
+    its size, looked up once per search step, that holds its rows.
     """
     for lo, hi in bands:
         if not (net.row_lo <= lo <= hi <= net.row_hi):
@@ -547,16 +559,18 @@ def fold_bands(net: Network, bands: dict, table: StrandTable) -> dict:
         for i, out in by_size.items():
             targets.setdefault(i, []).append((outside, out))
     search = _fold_families(net, targets, table.entries, _start(net, table), _extend)
-    for i, (WT, key, bits) in search:
-        vec = WT[m:]
-        for outside, out in targets[i]:
-            if bits & outside:
-                continue
-            coeffs = out.get(vec)
-            if coeffs is None:
-                out[vec] = {key: 1}
-            else:
-                coeffs[key] = coeffs.get(key, 0) + 1
+    for i, fams in search:
+        where = targets[i]
+        for _, (WT, key, bits) in fams:
+            vec = WT[m:]
+            for outside, out in where:
+                if bits & outside:
+                    continue
+                coeffs = out.get(vec)
+                if coeffs is None:
+                    out[vec] = {key: 1}
+                else:
+                    coeffs[key] = coeffs.get(key, 0) + 1
     return {
         band: {i: TorusElement._make(table.target, out) for i, out in by_size.items()}
         for band, by_size in outs.items()
@@ -584,9 +598,8 @@ def classical_matrix(net: Network) -> list[list[TorusElement]]:
         state = {src: ctx.one()}
         for pos in range(net.num_chips):
             nxt: dict[int, TorusElement] = {}
-            trans = net.transitions(pos)
             for row, val in state.items():
-                for row2, letters in trans[row]:
+                for row2, letters in net.transitions(pos)[row]:
                     nxt[row2] = nxt.get(row2, zero) + val * ctx.weyl(letters)
             state = nxt
         mat.append([state.get(r, zero) for r in rows])
@@ -622,18 +635,8 @@ def reference_chip_matrices(net: Network) -> list[list[list[TorusElement]]]:
 
 
 def matrix_product(mats):
+    """The product of square matrices over one torus, left to right."""
     acc = mats[0]
     for m in mats[1:]:
-        size = len(acc)
-        nxt = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                cell = None
-                for k in range(size):
-                    term = acc[i][k] * m[k][j]
-                    cell = term if cell is None else cell + term
-                row.append(cell)
-            nxt.append(row)
-        acc = nxt
+        acc = [[TorusElement.sum(m[0][0].ctx, (x * m[k][j] for k, x in enumerate(row))) for j in range(len(m))] for row in acc]
     return acc

@@ -8,7 +8,6 @@ from qtoda import lax as laxmod
 from qtoda.correspondence import (
     _compare,
     _label_term,
-    _pad_lax,
     _w_prefactor,
     build_weight_map,
     label_algebra,
@@ -440,6 +439,18 @@ def _embed_map(small, big):
     return MonomialMap(small, big, tuple(images))
 
 
+def _pad_lax(el: TorusElement, big) -> TorusElement:
+    """A Lax element of rank r read in the rank-n Lax context, n >= r.
+
+    w_1..w_r, D_1..D_r keep their names, so each exponent vector is
+    zero-padded after its w and its D half.  Every Lax context has
+    den 2, so the q-keys carry over unchanged.
+    """
+    r, n = el.ctx.rank // 2, big.rank // 2
+    pad = (0,) * (n - r)
+    return TorusElement._make(big, {v[:r] + pad + v[r:] + pad: c for v, c in el._terms.items()})
+
+
 def test_band_padding_matches_the_embedding_map():
     # every band of every C2-C4 word: the zero-padded Lax side equals the
     # one pushed through the name-matching inclusion map
@@ -461,6 +472,66 @@ def test_band_padding_matches_the_embedding_map():
                     assert _pad_lax(el, ctx) == embed.apply(el), (w.letters, r, sign, i)
                     checked += 1
     assert checked == 3 * 2 * 2 + 9 * 2 * (2 + 3) + 27 * 2 * (2 + 3 + 4)
+
+
+def test_band_reads_match_the_padded_type_A_chains():
+    # every C2-C5 word and every prefix size r: the type A Hamiltonians
+    # read off the type C walk after site r equal those of the chain
+    # (Q_{r-1}, ..., Q_1, 0) on its own r sites, zero-padded; asked for
+    # all at once and one size at a time, with or without type C indices
+    for n in (2, 3, 4, 5):
+        ctx = laxmod.lax_context(n)
+        sizes = range(1, n + 1)
+        for w in enumerate_double_coxeter(n):
+            qvec = quiver_vector_of(w)
+            _, kvec = lax_params("C", w)
+            expect = {}
+            for r in sizes:
+                own = laxmod.lax_hamiltonians(laxmod.lax_context(r), tuple(qvec[n - r:]) + (0,), "A")
+                expect[r] = [_pad_lax(h, ctx) for h in own]
+            got = laxmod.lax_hamiltonians(ctx, kvec, "C", [], sizes)
+            assert got == [h for r in sizes for h in expect[r]], w.letters
+            main = laxmod.lax_hamiltonians(ctx, kvec, "C", range(2, n + 2))
+            for r in sizes:
+                assert laxmod.lax_hamiltonians(ctx, kvec, "C", range(2, n + 2), [r]) == main + expect[r], (w.letters, r)
+    with pytest.raises(ValueError, match=r"prefix sizes run over 1\.\.2"):
+        laxmod.lax_hamiltonians(laxmod.lax_context(2), (0, 0), "C", [], [3])
+
+
+@pytest.mark.parametrize("qvec, r", [((1,), 2), ((1, -1), 2), ((0, -1), 3), ((-1, 1, 0), 3), ((1, 0, -1), 4)])
+def test_equivalence_C_fails_at_the_perturbed_band_size(monkeypatch, qvec, r):
+    # negative control: one coefficient of the state-0 read after site r,
+    # at the degree of H_2, gains 1; exactly the bottom and the top band
+    # check of size r that compare H_2 fail, each with its first_diff, and
+    # the main checks stay ok
+    word = word_of_quiver_vector(len(qvec) + 1, qvec)
+    n = word.n
+    assert verify_equivalence_C(word)["ok"]
+    real = laxmod._entry_parts
+
+    def perturbed(ctx, kvec, kind, signs, prefixes=None):
+        parts, reads = real(ctx, kvec, kind, signs, prefixes)
+        if r in reads:
+            degree = laxmod._window(kvec[n - r:], "A")[1]  # H_2
+            terms = reads[r][degree]
+            vec = min(terms)
+            q = min(terms[vec])
+            terms[vec] = {**terms[vec], q: terms[vec][q] + 1}
+        return parts, reads
+
+    monkeypatch.setattr(laxmod, "_entry_parts", perturbed)
+    rep = verify_equivalence_C(word)
+    assert not rep["ok"]
+    assert all(c["ok"] and c["first_diff"] is None for c in rep["checks"])
+    failed = [(c["rows"], c["index"]) for c in rep["subnetwork_checks"] if not c["ok"]]
+    # H_2 is index 1 on the bottom band 1..r and index r-1 on the top one
+    assert failed == [([1, r], 1), ([2 * n + 1 - r, 2 * n], r - 1)]
+    for c in rep["subnetwork_checks"]:
+        if c["ok"]:
+            assert c["first_diff"] is None
+        else:
+            diff = c["first_diff"]
+            assert diff["lhs_coeff"] != diff["rhs_coeff"]
 
 
 def test_equivalence_C_small():

@@ -247,10 +247,11 @@ def test_lax_hamiltonians_reject_support_outside_the_window(monkeypatch):
     # map there is not
     ctx = lax_context(1)
     signs = {d: _normal_sign("A", 1, i) for i, d in enumerate(laxmod._window((0,), "A"), 1)}
-    parts = laxmod._entry_parts(ctx, (0,), "A", signs)
-    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {}})
+    parts, reads = laxmod._entry_parts(ctx, (0,), "A", signs)
+    assert reads == {}
+    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: ({**parts, 7: {}}, {}))
     assert lax_hamiltonians(ctx, (0,), "A") == signed_window(ctx, (0,), "A")
-    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: {**parts, 7: {ctx.unit_vec(): {0: 1}}})
+    monkeypatch.setattr(laxmod, "_entry_parts", lambda *a: ({**parts, 7: {ctx.unit_vec(): {0: 1}}}, {}))
     with pytest.raises(ValueError, match=r"z-support \[7\] outside"):
         lax_hamiltonians(ctx, (0,), "A")
 
@@ -377,7 +378,8 @@ def test_a_wrong_sign_at_one_degree_is_seen():
         signs = {d: outer * _normal_sign(kind, n, i) for i, d in enumerate(window, 1)}
         oracle = signed_window(ctx, kv, kind)
 
-        def closed(parts):
+        def closed(entry):
+            parts, _ = entry
             return [TorusElement._make(ctx, parts.get(d, {})) for d in window]
 
         assert closed(_entry_parts(ctx, kv, kind, signs)) == oracle, (kind, kv)

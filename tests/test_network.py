@@ -235,6 +235,42 @@ def _reference_search_strands(net):
     return tuple(sorted(paths, key=lambda p: p.label))
 
 
+def _reference_transitions(net, pos):
+    """A chip's moves as ``Network.transitions`` gives them, rebuilt from
+    ``slants`` as a fresh dict of lists: the stay first, then the slants
+    inside the row range."""
+    if net.chip_letter(pos) == 0:
+        return {r: [(r, net.diagonal_letters(r))] for r in net.rows}
+    out = {r: [(r, ())] for r in net.rows}
+    for r_from, r_to, letters in net.slants(pos):
+        if r_from in out and r_to in out:
+            out[r_from].append((r_to, letters))
+    return out
+
+
+def test_chip_move_table_is_built_once_and_read_only():
+    # every band of every A3 and C3 word: the table equals the reference,
+    # is the same object on each call, cannot be written, and a row whose
+    # only move is the plain one is one shared entry across chips
+    for kind in ("A", "C"):
+        for w in all_words(3):
+            net = build_network(kind, w)
+            for lo in net.rows:
+                for hi in range(lo, net.row_hi + 1):
+                    sub = subnetwork(net, lo, hi)
+                    plain = {}
+                    for pos in range(sub.num_chips):
+                        moves = sub.transitions(pos)
+                        assert moves is sub.transitions(pos)
+                        assert {r: list(m) for r, m in moves.items()} == _reference_transitions(sub, pos)
+                        assert all(type(m) is tuple for m in moves.values())
+                        with pytest.raises(TypeError):
+                            moves[lo] = ()
+                        for r, m in moves.items():
+                            if m == ((r, ()),):
+                                assert plain.setdefault(r, m) is m, (kind, w.letters, lo, hi, pos, r)
+
+
 @pytest.mark.parametrize("kind,n", [("A", n) for n in range(1, 7)] + [("C", n) for n in range(1, 6)])
 def test_strand_search_matches_the_reference(kind, n):
     for w in all_words(n):
@@ -310,14 +346,14 @@ def test_one_search_yields_every_size_like_the_reference():
                             assert _vertex_mask(p, width) == sum(1 << (i * width + r) for i, r in p.vertices())
                         sizes = range(1, sub.num_rows + 1)
                         by_size = {s: [] for s in sizes}
-                        for s, fam in _fold_families(sub, sizes, entries, (), lambda f, p: f + (p,)):
-                            by_size[s].append(fam)
+                        for s, fams in _fold_families(sub, sizes, entries, (), lambda f, p: f + (p,)):
+                            by_size[s].extend(fam for _, fam in fams)
                         for s in sizes:
                             assert by_size[s] == _reference_families(sub, s), (kind, w.letters, lo, hi, s)
                         odd = [s for s in sizes if s % 2]
                         got = list(_fold_families(sub, odd, entries, (), lambda f, p: f + (p,)))
                         for s in sizes:
-                            assert [f for t, f in got if t == s] == (by_size[s] if s % 2 else [])
+                            assert [f for t, fams in got if t == s for _, f in fams] == (by_size[s] if s % 2 else [])
 
 
 def test_family_cap_env(monkeypatch):
@@ -359,9 +395,9 @@ def test_fold_meets_the_family_cap_where_path_families_does(monkeypatch):
     taken = []
 
     def counted(*args):
-        for acc in fold_families(*args):
-            taken.append(acc)
-            yield acc
+        for size, fams in fold_families(*args):
+            taken.extend(fams)
+            yield size, fams
 
     fold_families = network._fold_families
     monkeypatch.setattr(network, "_fold_families", counted)
